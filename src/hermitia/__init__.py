@@ -1,7 +1,7 @@
 """Exact spectral toolkit for mixed graphs and fourth-root gain graphs.
 
 Core objects: :class:`QuartGainGraph` (edge gains in {1, i, -1, -i}),
-exact inertia via Hermitian congruence over the Gaussian rationals, an
+exact inertia via fraction-free Hermitian congruence over Z[i], an
 independent Jacobi float oracle, switching-class canonical forms, twin
 reduction, the named graph families, and classifiers for the small
 positive-inertia characterizations.

@@ -11,8 +11,8 @@ readers is safe.  All structural queries (components, cut vertices, pendant
 vertices) are judged on the underlying simple graph.
 
 The on-disk format is ``.qgg``: line-oriented ASCII, '#" comments, a header
-line ``n <count>`` followed by edge lines ``U a b`` (gain 1), ``A a b`` (arc
-a -> b) or ``G a b <gain>``.
+line ``n <count>`` with count at most :data:`MAX_ORDER`, followed by edge
+lines ``U a b`` (gain 1), ``A a b`` (arc a -> b) or ``G a b <gain>``.
 """
 
 from __future__ import annotations
@@ -112,6 +112,11 @@ class QuartGainGraph:
 
 # -- .qgg parsing and serialization ------------------------------------------
 
+# Largest vertex count a .qgg header may declare.  The graph allocates one
+# adjacency dict per vertex, so without a bound a ten-byte file such as
+# "n 1000000000" would ask for tens of gigabytes before any edge is read.
+MAX_ORDER = 1024
+
 
 def parse_graph(text: str) -> QuartGainGraph:
     """Parse .qgg text into a graph.
@@ -131,6 +136,10 @@ def parse_graph(text: str) -> QuartGainGraph:
             if len(tokens) != 2 or tokens[0] != "n" or not tokens[1].isdigit():
                 raise GraphFormatError(f"line {lineno}: expected header 'n <count>'")
             n = int(tokens[1])
+            if n > MAX_ORDER:
+                raise GraphFormatError(
+                    f"line {lineno}: vertex count {n} exceeds the maximum order {MAX_ORDER}"
+                )
             continue
         kind = tokens[0]
         if kind in ("U", "A"):

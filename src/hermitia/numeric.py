@@ -1,10 +1,11 @@
 """Exact arithmetic over the Gaussian rationals Q(i).
 
-Every trusted linear-algebra path in this package works over this field:
-matrix entries begin as fourth roots of unity and congruence pivots stay
-rational, so inertia counts are exact integers rather than floating-point
-estimates.  The rational components are ``fractions.Fraction`` values, which
-gives arbitrary-precision, eagerly normalized arithmetic for free.
+Matrix entries begin as fourth roots of unity, and ``congruence`` maps
+them to Gaussian rationals; the exact inertia kernel scales such a matrix to
+Gaussian integers and never leaves them, so inertia counts are exact rather
+than floating-point estimates.  The rational components are
+``fractions.Fraction`` values, which gives arbitrary-precision, eagerly
+normalized arithmetic for free.
 
 The fourth roots of unity themselves double as the edge-gain alphabet of the
 graph layer.  They are encoded compactly as exponents of i (an int in 0..3),

@@ -2,9 +2,11 @@
 
 Two fully independent routes compute the signature of H(G):
 
-* :func:`inertia_exact` diagonalizes by congruence over the Gaussian
-  rationals and counts pivot signs.  Congruent Hermitian matrices share
-  their inertia, so the count is exact.
+* :func:`inertia_exact` and :func:`inertia` diagonalize by fraction-free
+  congruence over the Gaussian integers Z[i] and count pivot signs.  A
+  pivot scales the rest by |d| > 0 instead of dividing by d, and a zero
+  diagonal is cleared by adding one row/column to another.  Congruent
+  Hermitian matrices share their inertia, so the count is exact.
 * :func:`eig_float` runs a cyclic Jacobi eigensolver on a complex floating
   copy; :func:`inertia_float` thresholds its eigenvalues.  This path shares
   no code with the exact one and exists purely as an oracle.
@@ -17,12 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .graph_core import QuartGainGraph, components, induced_subgraph
+from .graph_core import QuartGainGraph, components
 from .numeric import GR_ZERO, GaussianRational, unit_value
 
 
@@ -99,109 +100,123 @@ def hermitian_matrix(graph: QuartGainGraph) -> HermitianMatrix:
 
 # -- exact route ---------------------------------------------------------------
 
-# The congruence reduction below works on (re, im) Fraction pairs rather than
-# GaussianRational objects: the elimination is the hot path of the whole
-# package and plain tuples halve its constant factor.
+# The kernel works on two parallel lists of Python int rows, the real and the
+# imaginary parts of a Hermitian matrix over the Gaussian integers Z[i].  No
+# division by a matrix entry ever happens, so no fractions appear.
 
-_Pair = tuple[Fraction, Fraction]
-
-
-def _pmul(a: _Pair, b: _Pair) -> _Pair:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+# The unit i**k as (re, im).
+_UNIT_PARTS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def _pdiv(a: _Pair, b: _Pair) -> _Pair:
-    d = b[0] * b[0] + b[1] * b[1]
-    return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
+def _signature(re: list[list[int]], im: list[list[int]]) -> InertiaTriple:
+    """Inertia of the Hermitian matrix re + i*im over Z[i]; consumes both lists.
+
+    Pivot step: for the smallest-index nonzero diagonal entry d with column
+    c, the rest of the matrix becomes |d|*M - sign(d)*c c*, which is |d|
+    times the Schur complement, so the inertia of the rest is unchanged.  The
+    rest is then divided by the gcd of all its real and imaginary parts;
+    without that, the entries grow doubly exponentially with the order.
+
+    Zero-diagonal step: when the whole remaining diagonal is zero, take the
+    first nonzero off-diagonal entry h = m[s][t] in row-major order and add h
+    times row/column t to row/column s.  That congruence makes the diagonal
+    entry at s equal to 2|h|^2 > 0, and the pivot step runs on s.
+
+    The dimension left when nothing nonzero remains is the nullity.
+    """
+    pos = neg = 0
+    gcd = math.gcd
+    while re:
+        k = len(re)
+        p = next((j for j in range(k) if re[j][j]), None)
+        if p is None:
+            st = next(
+                ((s, t) for s in range(k) for t in range(s + 1, k) if re[s][t] or im[s][t]),
+                None,
+            )
+            if st is None:
+                break
+            s, t = st
+            hr, hi = re[s][t], im[s][t]
+            rs, js, rt, jt = re[s], im[s], re[t], im[t]
+            for x in range(k):
+                a, b = rt[x], jt[x]
+                if a or b:
+                    rs[x] += hr * a - hi * b
+                    js[x] += hr * b + hi * a
+                    re[x][s] = rs[x]
+                    im[x][s] = -js[x]
+            rs[s] = 2 * (hr * hr + hi * hi)
+            js[s] = 0
+            p = s
+        # Pivot row p without its diagonal entry is c*; fold sign(d) into it.
+        pr = re.pop(p)
+        pi = im.pop(p)
+        d = pr.pop(p)
+        del pi[p]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+            d = -d
+            pr = [-v for v in pr]
+            pi = [-v for v in pi]
+        g = 0
+        for rt, jt in zip(re, im):
+            cr = rt.pop(p)
+            ci = jt.pop(p)
+            if cr or ci:
+                rt[:] = [d * a - (cr * b - ci * c) for a, b, c in zip(rt, pr, pi)]
+                jt[:] = [d * a - (cr * c + ci * b) for a, b, c in zip(jt, pr, pi)]
+            elif d != 1:
+                rt[:] = [d * a for a in rt]
+                jt[:] = [d * a for a in jt]
+            if g != 1:
+                g = gcd(g, *rt, *jt)
+        if g > 1:
+            for rt, jt in zip(re, im):
+                rt[:] = [a // g for a in rt]
+                jt[:] = [a // g for a in jt]
+    return InertiaTriple(pos, neg, len(re))
 
 
 def inertia_exact(matrix: HermitianMatrix) -> InertiaTriple:
-    """Exact inertia by Hermitian congruence diagonalization.
+    """Exact inertia by fraction-free Hermitian congruence over Z[i].
 
-    Repeatedly (a) pivots on the smallest-index nonzero diagonal entry,
-    eliminating its row and column and recording the pivot sign; (b) when
-    the whole remaining diagonal is zero, takes the lexicographically
-    smallest nonzero off-diagonal pair, which contributes one positive and
-    one negative eigenvalue, and eliminates both of its indices at once.
-    The dimension left when nothing remains nonzero is the nullity.  All
-    arithmetic stays rational, so no square roots ever appear.
+    The entries are scaled by the lcm of their denominators, a positive
+    scalar that keeps the inertia, and the Gaussian-integer kernel described
+    in :func:`_signature` counts the pivot signs.  Integer arithmetic only,
+    so no square roots or rounding ever appear.
     """
-    n = matrix.n
-    m: list[list[_Pair]] = [
-        [(e.re, e.im) for e in row] for row in matrix.entries
-    ]
-    active = list(range(n))
-    pos = neg = 0
-    while active:
-        pivot = None
-        for j in active:
-            if m[j][j][0] != 0:
-                pivot = j
-                break
-        if pivot is not None:
-            d = m[pivot][pivot][0]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            rest = [t for t in active if t != pivot]
-            row_p = m[pivot]
-            for t in rest:
-                ct = m[t][pivot]
-                if ct[0] == 0 and ct[1] == 0:
-                    continue
-                f = (ct[0] / d, ct[1] / d)
-                row_t = m[t]
-                for x in rest:
-                    px = row_p[x]
-                    if px[0] != 0 or px[1] != 0:
-                        fp = _pmul(f, px)
-                        tx = row_t[x]
-                        row_t[x] = (tx[0] - fp[0], tx[1] - fp[1])
-            active = rest
-            continue
-        pair = None
-        for i, s in enumerate(active):
-            row_s = m[s]
-            for t in active[i + 1 :]:
-                e = row_s[t]
-                if e[0] != 0 or e[1] != 0:
-                    pair = (s, t)
-                    break
-            if pair is not None:
-                break
-        if pair is None:
-            break
-        s, t = pair
-        h = m[s][t]
-        hbar = (h[0], -h[1])
-        pos += 1
-        neg += 1
-        rest = [x for x in active if x != s and x != t]
-        # Block elimination against the invertible 2x2 [[0, h], [hbar, 0]].
-        for x in rest:
-            xs = m[x][s]
-            xt = m[x][t]
-            if xs == (0, 0) and xt == (0, 0):
-                continue
-            row_x = m[x]
-            for y in rest:
-                sy = m[s][y]
-                ty = m[t][y]
-                u1 = _pdiv(_pmul(xt, sy), h)
-                u2 = _pdiv(_pmul(xs, ty), hbar)
-                xy = row_x[y]
-                row_x[y] = (xy[0] - u1[0] - u2[0], xy[1] - u1[1] - u2[1])
-        active = rest
-    return InertiaTriple(pos, neg, len(active))
+    scale = math.lcm(
+        *(x.denominator for row in matrix.entries for e in row for x in (e.re, e.im))
+    )
+    re = [[int(e.re * scale) for e in row] for row in matrix.entries]
+    im = [[int(e.im * scale) for e in row] for row in matrix.entries]
+    return _signature(re, im)
 
 
 def inertia(graph: QuartGainGraph) -> InertiaTriple:
-    """Inertia of H(G), computed per connected component and summed."""
+    """Inertia of H(G), computed per connected component and summed.
+
+    Each component's integer matrix is built straight from ``graph.edges``;
+    a one-vertex component contributes (0, 0, 1).
+    """
     total = InertiaTriple(0, 0, 0)
     for comp in components(graph):
-        sub = induced_subgraph(graph, comp)
-        total = total + inertia_exact(hermitian_matrix(sub))
+        if len(comp) == 1:
+            total = total + InertiaTriple(0, 0, 1)
+            continue
+        index = {v: i for i, v in enumerate(comp)}
+        re = [[0] * len(comp) for _ in comp]
+        im = [[0] * len(comp) for _ in comp]
+        for u, v, g in graph.edges:
+            if u in index:
+                s, t = index[u], index[v]
+                a, b = _UNIT_PARTS[g]
+                re[s][t] = re[t][s] = a
+                im[s][t], im[t][s] = b, -b
+        total = total + _signature(re, im)
     return total
 
 

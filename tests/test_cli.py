@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -98,6 +99,15 @@ def test_usage_errors(tmp_path, capsys):
         main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_oversized_header_exits_2_fast(tmp_path, capsys):
+    # A ten-byte file must not make the parser allocate a billion vertices.
+    huge = _write(tmp_path, "huge.qgg", "n 1000000000\n")
+    start = time.perf_counter()
+    assert main(["inertia", huge]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "maximum order" in capsys.readouterr().err
 
 
 def test_verify_requires_suite_or_all(capsys):

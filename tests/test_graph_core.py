@@ -58,6 +58,15 @@ def test_parse_error_catalogue():
         parse_graph("n 3\nU 0 1\n# fine\nA 0\n")
 
 
+def test_parse_order_cap():
+    from hermitia.graph_core import MAX_ORDER
+
+    assert MAX_ORDER >= 64
+    assert parse_graph(f"n {MAX_ORDER}").n == MAX_ORDER
+    with pytest.raises(GraphFormatError, match="maximum order"):
+        parse_graph(f"n {MAX_ORDER + 1}\nU 0 1")
+
+
 def test_parse_ignores_comments_and_blanks():
     g = parse_graph("# header comment\n\nn 3\n# edge next\nU 0 2\n\n")
     assert g.edges == ((0, 2, UNIT_ONE),)

@@ -1,5 +1,8 @@
 import math
 import random
+import signal
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +11,9 @@ from hermitia import (
     GaussianRational,
     HermitianMatrix,
     InertiaTriple,
+    QuartGainGraph,
+    UNITS,
+    classes_up_to,
     congruence,
     disjoint_union,
     eig_float,
@@ -21,6 +27,7 @@ from hermitia import (
 )
 
 from conftest import random_graph
+from fraction_kernel import inertia_fraction
 
 gr = GaussianRational.of
 
@@ -133,6 +140,136 @@ def test_exact_matches_numpy_eigvalsh_sample():
         p = int((eigs > 1e-9).sum())
         n_neg = int((eigs < -1e-9).sum())
         assert inertia_exact(h).as_tuple() == (p, n_neg, g.n - p - n_neg)
+
+
+def _numpy_inertia(g) -> tuple[int, int, int]:
+    eigs = np.linalg.eigvalsh(hermitian_matrix(g).to_complex_array())
+    tol = 1e-9 * max(1.0, float(np.abs(eigs).max(initial=0.0)))
+    p = int((eigs > tol).sum())
+    n_neg = int((eigs < -tol).sum())
+    return (p, n_neg, g.n - p - n_neg)
+
+
+def _random_bipartite(rng: random.Random, a: int, b: int, edge_prob: float) -> QuartGainGraph:
+    edges = [
+        (u, v, rng.choice(UNITS))
+        for u in range(a)
+        for v in range(a, a + b)
+        if rng.random() < edge_prob
+    ]
+    return QuartGainGraph(a + b, edges)
+
+
+def _assert_kernels_agree(g) -> None:
+    h = hermitian_matrix(g)
+    want = inertia_fraction(h)
+    assert inertia_exact(h) == want, g
+    assert inertia(g) == want, g
+
+
+def test_kernel_matches_fraction_reference_random():
+    rng = random.Random(31337)
+    for _ in range(3000):
+        _assert_kernels_agree(random_graph(rng, 10))
+
+
+def test_kernel_matches_fraction_reference_all_classes_up_to_5():
+    for g in classes_up_to(5):
+        _assert_kernels_agree(g)
+
+
+def test_kernel_matches_fraction_reference_zero_diagonal():
+    # Every H(G) starts with a zero diagonal, and a pivot keeps it zero away
+    # from the pivot's neighbours, so matchings, trees and even cycles take
+    # a zero-diagonal step every few vertices.
+    rng = random.Random(4242)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        perm = rng.sample(range(n), n)
+        tree = [(perm[rng.randrange(v)], perm[v], rng.choice(UNITS)) for v in range(1, n)]
+        _assert_kernels_agree(QuartGainGraph(n, tree))
+        matching = [(perm[2 * i], perm[2 * i + 1], rng.choice(UNITS)) for i in range(n // 2)]
+        _assert_kernels_agree(QuartGainGraph(n, matching))
+        a, b = rng.randint(1, 6), rng.randint(1, 6)
+        _assert_kernels_agree(_random_bipartite(rng, a, b, rng.choice([0.3, 0.6, 1.0])))
+    for n in (4, 6, 8, 10, 12):
+        for arcs in range(4):
+            _assert_kernels_agree(gen_cycle(n, range(arcs)))
+
+
+def test_kernel_matches_fraction_reference_rational_congruence():
+    rng = random.Random(777)
+    checked = 0
+    for _ in range(200):
+        g = random_graph(rng, 6)
+        h = hermitian_matrix(g)
+        s = [
+            [
+                GaussianRational(
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 5)),
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 5)),
+                )
+                for _ in range(g.n)
+            ]
+            for _ in range(g.n)
+        ]
+        c = congruence(h, s)
+        if all(x.re.denominator == 1 and x.im.denominator == 1 for row in c.entries for x in row):
+            continue
+        checked += 1
+        assert inertia_exact(c) == inertia_fraction(c)
+    assert checked >= 100
+
+
+def test_exact_matches_numpy_orders_8_to_24():
+    rng = random.Random(824)
+    for _ in range(120):
+        n = rng.randint(8, 24)
+        p = rng.choice([0.2, 0.35, 0.5, 0.8])
+        edges = [
+            (u, v, rng.choice(UNITS))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < p
+        ]
+        g = QuartGainGraph(n, edges)
+        assert inertia(g).as_tuple() == _numpy_inertia(g)
+        assert inertia_exact(hermitian_matrix(g)).as_tuple() == _numpy_inertia(g)
+
+
+def test_exact_matches_numpy_bipartite_up_to_60():
+    rng = random.Random(60)
+    for _ in range(40):
+        a = rng.randint(1, 30)
+        b = rng.randint(1, 30)
+        g = _random_bipartite(rng, a, b, rng.choice([0.1, 0.3, 0.6]))
+        assert inertia(g).as_tuple() == _numpy_inertia(g)
+
+
+def test_inertia_dense_order_64_is_fast():
+    # Without the gcd step the coefficients grow doubly exponentially: order
+    # 24 already takes seconds and order 64 does not finish, so a timer
+    # signal stops the call early.
+    rng = random.Random(64)
+    edges = [
+        (u, v, rng.choice(UNITS)) for u in range(64) for v in range(u + 1, 64) if rng.random() < 0.9
+    ]
+    g = QuartGainGraph(64, edges)
+
+    def _expire(signum, frame):
+        raise TimeoutError("inertia of a dense order-64 graph ran past 5 s")
+
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        start = time.perf_counter()
+        got = inertia(g)
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got.as_tuple() == _numpy_inertia(g)
+    assert elapsed < 1.0
 
 
 def test_congruence_invariance_fixed():
