@@ -28,6 +28,7 @@ from .graph_core import (
     VertexSet,
     components_avoiding,
     cut_vertices,
+    delete_vertex,
     induced_subgraph,
     is_connected,
     pendant_vertices,
@@ -38,7 +39,6 @@ from .numeric import unit_token
 from .spectra import inertia
 from .switching_twins import (
     IsoWitness,
-    SwitchAssignment,
     apply_switch,
     is_odd_triangle,
     is_positive,
@@ -375,14 +375,6 @@ def _family_candidate(
     return family, tuple(perm), relabel(graph, perm)
 
 
-def _thm12_ii_condition(r: int, k: int, p: int, first_adjacent_size: int) -> bool:
-    if p == 1:
-        return first_adjacent_size >= 2 or k - p >= 2
-    if k - p <= 1:
-        return True
-    return Fraction(1, r) + Fraction(1, p) + Fraction(1, k - p - 1) >= 1
-
-
 def thm12_classify(graph: QuartGainGraph) -> ClassificationResult:
     """Match a connected, pendant-free graph with a cut vertex against the
     four p = 2 families; returns every case that matches.
@@ -441,7 +433,9 @@ def _try_case_i(graph, v, comps, params) -> None:
 
 def _try_case_ii(graph, shape, r, k, params, witnesses) -> None:
     p = len(shape.adjacent_parts)
-    if not _thm12_ii_condition(r, k, p, len(shape.adjacent_parts[0])):
+    if not cor39_condition(r, k, p):
+        return
+    if p == 1 and len(shape.adjacent_parts[0]) < 2 and k < 3:
         return
     if not is_positive(graph):
         return
@@ -540,8 +534,6 @@ def lem311_check(f1: QuartGainGraph, f2: QuartGainGraph, v: int) -> bool:
     classes, and after switching f1 plain, v's gains are constant on each
     class.
     """
-    from .graph_core import delete_vertex  # local import to avoid cycle noise
-
     if not (0 <= v < f2.n):
         raise ValueError(f"vertex id {v} out of range")
     if delete_vertex(f2, v) != f1:

@@ -3,13 +3,16 @@
 Connected underlying graphs are generated up to isomorphism by vertex
 extension with canonical-form deduplication (color refinement narrows the
 permutations tried; exhaustive within color classes, so exact at these
-orders).  For each underlying graph, the canonical BFS spanning tree is
+orders).  For each underlying graph, the tree of the canonical BFS spanning
+forest (:func:`graph_core.bfs_forest`, the tree that
+:func:`switching_twins.tree_normalize` also switches to all-1 gains) is
 fixed and every assignment of gains to the non-tree edges is emitted: the
 non-tree gains are the fundamental-cycle values, a complete invariant of
 four-way switching, so distinct assignments are pairwise inequivalent and
 together exhaust the label-preserving four-way-switching classes (pairs
 related only by the converse are kept distinct; there are 4^(m-n+1) classes
-per connected underlying graph).
+per connected underlying graph).  Without ``mixed_only``, every emitted
+class is therefore its own ``tree_normalize`` form.
 
 With ``mixed_only`` set, a class is emitted only if some four-way switching
 of it has no -1 gain; the search fixes the switch at 1 on vertex 0 (a global
@@ -25,6 +28,7 @@ from typing import Iterator, Optional
 
 from .graph_core import (
     QuartGainGraph,
+    bfs_forest,
     cut_vertices,
     pendant_vertices,
 )
@@ -151,24 +155,6 @@ def connected_underlying_bruteforce(n: int) -> tuple[EdgeTuple, ...]:
 # -- class emission -----------------------------------------------------------------
 
 
-def _bfs_tree_pairs(n: int, graph: QuartGainGraph) -> set[Pair]:
-    tree: set[Pair] = set()
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for w in graph.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    tree.add((min(u, w), max(u, w)))
-                    queue.append(w)
-    return tree
-
-
 def mixed_representative(graph: QuartGainGraph) -> Optional[QuartGainGraph]:
     """A switching of ``graph`` with no -1 gain, or None.
 
@@ -210,7 +196,8 @@ def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:
             continue
         if spec.has_pendant and not pendants:
             continue
-        tree = _bfs_tree_pairs(spec.n, base)
+        _, parent = bfs_forest(base)
+        tree = {(min(u, v), max(u, v)) for v, u in enumerate(parent) if u >= 0}
         non_tree = [pair for pair in edges if pair not in tree]
         tree_edges = [(u, v, UNIT_ONE) for u, v in edges if (u, v) in tree]
         for gains in itertools.product(UNITS, repeat=len(non_tree)):

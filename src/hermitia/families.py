@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .graph_core import QuartGainGraph, coalesce
+from .graph_core import MAX_ORDER, QuartGainGraph, coalesce
 from .numeric import UNIT_I, UNIT_MINUS_I, UNIT_MINUS_ONE, UNIT_ONE, Unit
 
 
@@ -163,8 +163,29 @@ class FamilySpec:
     sub: tuple = field(default=())  # (spec1, v1, spec2, v2) for coalescence
 
 
+def _order(spec: FamilySpec) -> int:
+    """Vertex count of a spec whose sizes are all positive."""
+    if spec.kind in ("k_plain", "k_gain"):
+        return 1 + sum(spec.q) + sum(spec.parts)
+    if spec.kind == "coalescence":
+        s1, _, s2, _ = spec.sub
+        return _order(s1) + _order(s2) - 1
+    return sum(spec.sizes)
+
+
 def realize(spec: FamilySpec) -> QuartGainGraph:
-    """Build the graph a FamilySpec describes."""
+    """Build the graph a FamilySpec describes.
+
+    The order is checked before any edge is built: a spec of more than
+    ``graph_core.MAX_ORDER`` vertices raises :class:`FamilySpecError`, so a
+    short spec such as ``multipartite:N,N`` cannot ask for N^2 edges.  A
+    non-positive size is rejected by the constructor, also before any edge.
+    """
+    order = _order(spec)
+    if order > MAX_ORDER:
+        raise FamilySpecError(
+            f"family order {order} exceeds the maximum order {MAX_ORDER}"
+        )
     if spec.kind == "c3t":
         if len(spec.sizes) != 3:
             raise FamilySpecError("c3t takes exactly three part sizes")

@@ -8,7 +8,11 @@ an arc v -> u.
 
 Graphs are immutable values after construction, so any number of concurrent
 readers is safe.  All structural queries (components, cut vertices, pendant
-vertices) are judged on the underlying simple graph.
+vertices) are judged on the underlying simple graph.  Components and cut
+vertices are read off one canonical BFS spanning forest, :func:`bfs_forest`
+(each component rooted at its smallest vertex, neighbors in increasing
+order), which also fixes the spanning tree behind the switching canonical
+form and the enumeration of switching classes.
 
 The on-disk format is ``.qgg``: line-oriented ASCII, '#" comments, a header
 line ``n <count>`` with count at most :data:`MAX_ORDER`, followed by edge
@@ -270,48 +274,59 @@ def coalesce(g1: QuartGainGraph, v1: int, g2: QuartGainGraph, v2: int) -> QuartG
 # -- structural queries --------------------------------------------------------
 
 
-def components(graph: QuartGainGraph) -> list[VertexSet]:
-    """Connected components of the underlying graph, sorted by smallest member."""
+def bfs_forest(
+    graph: QuartGainGraph, removed: Iterable[int] = ()
+) -> tuple[list[int], list[int]]:
+    """The canonical BFS spanning forest of the underlying graph.
+
+    Each component of the graph minus ``removed`` is rooted at its smallest
+    vertex and searched breadth-first with neighbors taken in increasing
+    order.  Returns ``(order, parent)``: ``order`` lists the visited vertices
+    with each component contiguous and starting at its root, and
+    ``parent[v]`` is v's parent in its tree, -1 for a root or a removed
+    vertex.  Parents precede their children in ``order``.
+    """
     seen = [False] * graph.n
-    result: list[VertexSet] = []
-    for start in range(graph.n):
-        if seen[start]:
+    for v in removed:
+        seen[v] = True
+    parent = [-1] * graph.n
+    order: list[int] = []
+    head = 0
+    for root in range(graph.n):
+        if seen[root]:
             continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
+        seen[root] = True
+        order.append(root)
+        while head < len(order):
+            u = order[head]
+            head += 1
             for w in graph.neighbors(u):
                 if not seen[w]:
                     seen[w] = True
-                    stack.append(w)
-        result.append(tuple(sorted(comp)))
-    return result
+                    parent[w] = u
+                    order.append(w)
+    return order, parent
+
+
+def _forest_components(order: list[int], parent: list[int]) -> list[VertexSet]:
+    trees: list[list[int]] = []
+    for v in order:
+        if parent[v] < 0:
+            trees.append([])
+        trees[-1].append(v)
+    return [tuple(sorted(tree)) for tree in trees]
+
+
+def components(graph: QuartGainGraph) -> list[VertexSet]:
+    """Connected components of the underlying graph, sorted by smallest member."""
+    return _forest_components(*bfs_forest(graph))
 
 
 def components_avoiding(graph: QuartGainGraph, v: int) -> list[VertexSet]:
     """Components of the graph minus vertex v, kept in original labels."""
     if not (0 <= v < graph.n):
         raise ValueError(f"vertex id {v} out of range")
-    seen = {v}
-    result: list[VertexSet] = []
-    for start in range(graph.n):
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in graph.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        result.append(tuple(sorted(comp)))
-    return result
+    return _forest_components(*bfs_forest(graph, (v,)))
 
 
 def is_connected(graph: QuartGainGraph) -> bool:
@@ -325,8 +340,4 @@ def pendant_vertices(graph: QuartGainGraph) -> VertexSet:
 def cut_vertices(graph: QuartGainGraph) -> VertexSet:
     """Vertices whose removal increases the number of components."""
     base = len(components(graph))
-    return tuple(
-        v
-        for v in range(graph.n)
-        if len(components(delete_vertex(graph, v))) > base
-    )
+    return tuple(v for v in range(graph.n) if len(components_avoiding(graph, v)) > base)

@@ -123,7 +123,6 @@ class GaussianRational:
 
 
 GR_ZERO = GaussianRational.of(0)
-GR_ONE = GaussianRational.of(1)
 
 _UNIT_VALUES = (
     GaussianRational.of(1, 0),

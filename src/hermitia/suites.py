@@ -17,6 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 from .classify import (
@@ -357,80 +358,62 @@ def _suite_coalescence_bounds(report: SuiteReport, n: Optional[int], seed: int) 
             report.record(compact_str(g), 2, got)
 
 
-def _sweep_parameters(k_max: int = 7, r_max: int = 5):
-    for r in range(2, r_max + 1):
-        for k in range(2, k_max + 1):
-            yield r, k
+# Apex-family sweeps: name -> (predicate(r, k, *roles), family(q, n, *roles),
+# has a second role).  roles holds the number of n-side parts in the first
+# role (p for cor39, a otherwise) and, for lem38 / lem310, in the second role
+# (b or c).  The lambdas look their functions up at call time, so a rebound
+# module attribute, such as a tracing wrapper, is the one called.
+_APEX_SWEEPS = {
+    "cor39": (
+        lambda r, k, p: cor39_condition(r, k, p),
+        lambda q, n, p: gen_K_plain(q, n, p),
+        False,
+    ),
+    "lem38": (
+        lambda r, k, a, b: lem38_condition(r, k, a, b),
+        lambda q, n, a, b: gen_K_gain(q, n, a, b, 0, 0),
+        True,
+    ),
+    "lem310": (
+        lambda r, k, a, c: lem310_condition(r, k, a, c),
+        lambda q, n, a, c: gen_K_gain(q, n, a, 0, c, 0),
+        True,
+    ),
+}
 
 
-def _suite_cor39(report: SuiteReport, n: Optional[int], seed: int) -> None:
-    """Parameter predicate vs exact spectrum for the all-plain apex family."""
-    rng = random.Random(seed)
-    for r, k in _sweep_parameters():
-        for p in range(1, k + 1):
-            report.checked += 1
-            predicted = cor39_condition(r, k, p)
-            actual = inertia(gen_K_plain([1] * r, [1] * k, p)).p == 2
-            if predicted != actual:
-                report.record(f"K:q={'1,'*r};n={'1,'*k};p={p}", predicted, actual)
+def _apex_instances(rng: random.Random, two_roles: bool):
+    """(q sizes, n sizes, roles): every all-singleton family with
+    2 <= r <= 5 and 2 <= k <= 7, then 25 seeded blow-ups."""
+
+    def roles_for(k: int, first: int) -> list[tuple[int, ...]]:
+        if not two_roles:
+            return [(first,)]
+        return [(first, second) for second in range(min(first, k - first) + 1)]
+
+    for r in range(2, 6):
+        for k in range(2, 8):
+            for first in range(1, k + 1):
+                for roles in roles_for(k, first):
+                    yield [1] * r, [1] * k, roles
     for _ in range(25):
         r, k = rng.randint(2, 4), rng.randint(2, 5)
-        p = rng.randint(1, k)
+        first = rng.randint(1, k)
+        roles = (first, rng.randint(0, min(first, k - first))) if two_roles else (first,)
         q_sizes = [rng.randint(1, 3) for _ in range(r)]
         n_sizes = [rng.randint(1, 3) for _ in range(k)]
+        yield q_sizes, n_sizes, roles
+
+
+def _suite_apex(name: str, report: SuiteReport, n: Optional[int], seed: int) -> None:
+    """Parameter predicate vs exact spectrum for one apex family."""
+    predicate, family, two_roles = _APEX_SWEEPS[name]
+    for q_sizes, n_sizes, roles in _apex_instances(random.Random(seed), two_roles):
         report.checked += 1
-        predicted = cor39_condition(r, k, p)
-        actual = inertia(gen_K_plain(q_sizes, n_sizes, p)).p == 2
+        predicted = predicate(len(q_sizes), len(n_sizes), *roles)
+        actual = inertia(family(q_sizes, n_sizes, *roles)).p == 2
         if predicted != actual:
-            report.record(f"K:q={q_sizes};n={n_sizes};p={p}", predicted, actual)
-
-
-def _suite_lem38(report: SuiteReport, n: Optional[int], seed: int) -> None:
-    """Predicate vs exact spectrum for the (a gain-i, b gain--i) family."""
-    rng = random.Random(seed)
-    for r, k in _sweep_parameters():
-        for a in range(1, k + 1):
-            for b in range(0, min(a, k - a) + 1):
-                report.checked += 1
-                predicted = lem38_condition(r, k, a, b)
-                actual = inertia(gen_K_gain([1] * r, [1] * k, a, b, 0, 0)).p == 2
-                if predicted != actual:
-                    report.record(f"r={r},k={k},a={a},b={b}", predicted, actual)
-    for _ in range(25):
-        r, k = rng.randint(2, 4), rng.randint(2, 5)
-        a = rng.randint(1, k)
-        b = rng.randint(0, min(a, k - a))
-        q_sizes = [rng.randint(1, 3) for _ in range(r)]
-        n_sizes = [rng.randint(1, 3) for _ in range(k)]
-        report.checked += 1
-        predicted = lem38_condition(r, k, a, b)
-        actual = inertia(gen_K_gain(q_sizes, n_sizes, a, b, 0, 0)).p == 2
-        if predicted != actual:
-            report.record(f"q={q_sizes},n={n_sizes},a={a},b={b}", predicted, actual)
-
-
-def _suite_lem310(report: SuiteReport, n: Optional[int], seed: int) -> None:
-    """Predicate vs exact spectrum for the (a gain-i, c gain-1) family."""
-    rng = random.Random(seed)
-    for r, k in _sweep_parameters():
-        for a in range(1, k + 1):
-            for c in range(0, min(a, k - a) + 1):
-                report.checked += 1
-                predicted = lem310_condition(r, k, a, c)
-                actual = inertia(gen_K_gain([1] * r, [1] * k, a, 0, c, 0)).p == 2
-                if predicted != actual:
-                    report.record(f"r={r},k={k},a={a},c={c}", predicted, actual)
-    for _ in range(25):
-        r, k = rng.randint(2, 4), rng.randint(2, 5)
-        a = rng.randint(1, k)
-        c = rng.randint(0, min(a, k - a))
-        q_sizes = [rng.randint(1, 3) for _ in range(r)]
-        n_sizes = [rng.randint(1, 3) for _ in range(k)]
-        report.checked += 1
-        predicted = lem310_condition(r, k, a, c)
-        actual = inertia(gen_K_gain(q_sizes, n_sizes, a, 0, c, 0)).p == 2
-        if predicted != actual:
-            report.record(f"q={q_sizes},n={n_sizes},a={a},c={c}", predicted, actual)
+            report.record(f"q={q_sizes},n={n_sizes},roles={roles}", predicted, actual)
 
 
 def _suite_lem311(report: SuiteReport, n: Optional[int], seed: int) -> None:
@@ -533,9 +516,9 @@ _SUITES: dict[str, Callable[[SuiteReport, Optional[int], int], None]] = {
     "twin_rank3": _suite_twin_rank3,
     "c3t_rank": _suite_c3t_rank,
     "coalescence_bounds": _suite_coalescence_bounds,
-    "lem38": _suite_lem38,
-    "cor39": _suite_cor39,
-    "lem310": _suite_lem310,
+    "lem38": partial(_suite_apex, "lem38"),
+    "cor39": partial(_suite_apex, "cor39"),
+    "lem310": partial(_suite_apex, "lem310"),
     "lem311": _suite_lem311,
     "thm11": _suite_thm11,
     "thm12": _suite_thm12,

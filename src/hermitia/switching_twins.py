@@ -17,13 +17,13 @@ positive and negative inertia counts.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .graph_core import (
     QuartGainGraph,
     VertexSet,
+    bfs_forest,
     induced_subgraph,
     relabel,
     underlying,
@@ -163,26 +163,19 @@ class NormalForm(NamedTuple):
 def tree_normalize(graph: QuartGainGraph) -> NormalForm:
     """Canonical representative of the switching class of ``graph``.
 
-    Per component, a BFS spanning tree rooted at the smallest vertex id
-    (neighbors visited in increasing order) is switched to all-1 gains.  The
+    Per component, the tree of the canonical BFS spanning forest
+    (:func:`graph_core.bfs_forest`: rooted at the smallest vertex id,
+    neighbors visited in increasing order) is switched to all-1 gains.  The
     surviving non-tree gains are the fundamental-cycle values, so two graphs
     on the same labeled underlying graph are switching equivalent by a
     four-way switch exactly when their normal forms coincide.  Idempotent.
     """
+    order, parent = bfs_forest(graph)
     theta = [UNIT_ONE] * graph.n
-    seen = [False] * graph.n
-    for root in range(graph.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in graph.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    theta[w] = (theta[u] - graph.gain(u, w)) % 4
-                    queue.append(w)
+    for w in order:
+        u = parent[w]
+        if u >= 0:
+            theta[w] = (theta[u] - graph.gain(u, w)) % 4
     assignment = tuple(theta)
     return NormalForm(apply_switch(graph, assignment), assignment)
 

@@ -110,6 +110,17 @@ def test_oversized_header_exits_2_fast(tmp_path, capsys):
     assert "maximum order" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["star:1025", "multipartite:513,513"])
+def test_generate_above_max_order_exits_2(spec, capsys):
+    assert main(["generate", spec]) == 2
+    assert "maximum order" in capsys.readouterr().err
+
+
+def test_generate_at_max_order(capsys):
+    assert main(["generate", "star:1024"]) == 0
+    assert capsys.readouterr().out.startswith("n 1024\n")
+
+
 def test_verify_requires_suite_or_all(capsys):
     assert main(["verify"]) == 2
     capsys.readouterr()

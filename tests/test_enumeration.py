@@ -14,6 +14,7 @@ from hermitia import (
     pendant_vertices,
     serialize_graph,
     switching_equivalent,
+    tree_normalize,
     underlying,
 )
 from hermitia.enumeration import connected_underlying_bruteforce
@@ -145,6 +146,14 @@ def test_full_equivalence_quotient_matches_bruteforce(n):
     for edges in connected_underlying(n):
         total, _ = _brute_class_count(n, edges, with_converse=True)
         assert len(per_underlying[edges]) == total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_plain_classes_are_tree_normal_forms(n):
+    # Enumeration fixes the same spanning tree that tree_normalize switches
+    # to all-1 gains, so every emitted class is already in normal form.
+    for g in enumerate_switching_classes(EnumSpec(n=n)):
+        assert tree_normalize(g).graph == g
 
 
 def test_mixed_representative():

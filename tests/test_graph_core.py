@@ -11,6 +11,7 @@ from hermitia import (
     coalesce,
     components,
     components_avoiding,
+    connected_underlying,
     cut_vertices,
     delete_vertex,
     disjoint_union,
@@ -172,6 +173,41 @@ def test_cut_vertex_definition(g):
     for v in range(g.n):
         increases = len(components(delete_vertex(g, v))) > base
         assert (v in cut_vertices(g)) == increases
+
+
+def _cut_vertices_by_definition(g):
+    base = len(components(g))
+    return tuple(
+        v for v in range(g.n) if len(components(delete_vertex(g, v))) > base
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_cut_vertices_match_definition_exhaustively(n):
+    # Every connected graph of order n, alone, next to an isolated vertex,
+    # and in a disjoint union with a smaller connected graph.
+    pool = [
+        QuartGainGraph(n, [(u, v, UNIT_ONE) for u, v in edges])
+        for edges in connected_underlying(n)
+    ]
+    small = [
+        QuartGainGraph(m, [(u, v, UNIT_ONE) for u, v in edges])
+        for m in range(1, 4)
+        for edges in connected_underlying(m)
+    ]
+    for g in pool:
+        for h in [g, disjoint_union(QuartGainGraph(1), g)] + [
+            disjoint_union(g, s) for s in small
+        ]:
+            assert cut_vertices(h) == _cut_vertices_by_definition(h)
+
+
+@given(quart_graphs(max_n=6))
+def test_components_avoiding_matches_deletion(g):
+    for v in range(g.n):
+        rest = [u for u in range(g.n) if u != v]
+        mapped = [tuple(rest[i] for i in comp) for comp in components(delete_vertex(g, v))]
+        assert components_avoiding(g, v) == mapped
 
 
 def test_relabel_and_union():
