@@ -2,9 +2,9 @@
 
 Core objects: :class:`QuartGainGraph` (edge gains in {1, i, -1, -i}),
 exact inertia via fraction-free Hermitian congruence over Z[i], an
-independent Jacobi float oracle, switching-class canonical forms, twin
-reduction, the named graph families, and classifiers for the small
-positive-inertia characterizations.
+independent float oracle on LAPACK ``eigvalsh``, switching-class canonical
+forms, twin reduction, the named graph families, and classifiers for the
+small positive-inertia characterizations.
 """
 
 from .classify import (
@@ -77,7 +77,6 @@ from .numeric import (
 from .spectra import (
     HermitianMatrix,
     InertiaTriple,
-    JacobiConvergenceError,
     congruence,
     eig_float,
     hermitian_matrix,

@@ -7,6 +7,7 @@ negative equiv/classify query, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -173,7 +174,9 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once and shared by every :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="hermitia",
         description="Exact spectral toolkit for mixed graphs and fourth-root gain graphs.",
@@ -230,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphFormatError, FamilySpecError) as exc:

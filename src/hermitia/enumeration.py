@@ -37,7 +37,8 @@ from .numeric import UNIT_MINUS_ONE, UNIT_ONE, UNITS
 Pair = tuple[int, int]
 EdgeTuple = tuple[Pair, ...]
 
-HARD_CAP_DEFAULT = 7
+# Largest order enumerate_switching_classes accepts.
+HARD_CAP = 7
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,6 @@ class EnumSpec:
     has_pendant: bool = False
     mixed_only: bool = False
     limit: Optional[int] = None
-    hard_cap: int = HARD_CAP_DEFAULT
 
 
 # -- canonical labeling ----------------------------------------------------------
@@ -184,8 +184,8 @@ def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:
     """
     if not spec.connected:
         raise ValueError("only connected enumeration is supported")
-    if not 1 <= spec.n <= spec.hard_cap:
-        raise ValueError(f"order {spec.n} outside 1..{spec.hard_cap}")
+    if not 1 <= spec.n <= HARD_CAP:
+        raise ValueError(f"order {spec.n} outside 1..{HARD_CAP}")
     emitted = 0
     for edges in connected_underlying(spec.n):
         base = QuartGainGraph(spec.n, [(u, v, UNIT_ONE) for u, v in edges])

@@ -92,7 +92,8 @@ class QuartGainGraph:
             raise ValueError(f"no edge between {u} and {v}") from None
 
     def neighbors(self, u: int) -> tuple[int, ...]:
-        return tuple(sorted(self._adj[u]))
+        # Already increasing: _adj[u] is filled from the sorted edges, every (w, u) before (u, x).
+        return tuple(self._adj[u])
 
     def degree(self, u: int) -> int:
         return len(self._adj[u])

@@ -7,9 +7,9 @@ Two fully independent routes compute the signature of H(G):
   pivot scales the rest by |d| > 0 instead of dividing by d, and a zero
   diagonal is cleared by adding one row/column to another.  Congruent
   Hermitian matrices share their inertia, so the count is exact.
-* :func:`eig_float` runs a cyclic Jacobi eigensolver on a complex floating
-  copy; :func:`inertia_float` thresholds its eigenvalues.  This path shares
-  no code with the exact one and exists purely as an oracle.
+* :func:`eig_float` runs LAPACK ``eigvalsh`` on a complex floating copy;
+  :func:`inertia_float` thresholds its eigenvalues.  This path shares no
+  code with the exact one and exists purely as an oracle.
 
 Spectral quantities are additive over connected components; :func:`inertia`
 exploits that to keep matrices small.
@@ -25,10 +25,6 @@ import numpy as np
 
 from .graph_core import QuartGainGraph, components
 from .numeric import GR_ZERO, GaussianRational, unit_value
-
-
-class JacobiConvergenceError(RuntimeError):
-    """The float eigensolver did not converge within its sweep budget."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,59 +242,11 @@ def congruence(matrix: HermitianMatrix, s: Sequence[Sequence[GaussianRational]])
 # -- float oracle --------------------------------------------------------------
 
 
-def eig_float(
-    matrix: HermitianMatrix, rel_tol: float = 1e-12, max_sweeps: int = 60
-) -> list[float]:
-    """Eigenvalues by cyclic Jacobi rotations, ascending.
-
-    Each rotation phases the (p, q) entry real and applies a plane rotation
-    annihilating it.  Sweeps repeat until the off-diagonal Frobenius norm
-    drops below ``rel_tol`` times the matrix Frobenius norm.  Exceeding the
-    sweep budget signals a bug rather than an expected condition.
-    """
-    a = matrix.to_complex_array()
-    n = matrix.n
-    if n == 0:
+def eig_float(matrix: HermitianMatrix) -> list[float]:
+    """Eigenvalues by LAPACK ``eigvalsh`` on a complex copy, ascending."""
+    if matrix.n == 0:
         return []
-    fro = math.sqrt(float((np.abs(a) ** 2).sum()))
-    if fro == 0.0:
-        return [0.0] * n
-    thresh = rel_tol * fro
-    skip = thresh / (2.0 * n)
-    for _ in range(max_sweeps):
-        sq = np.abs(a) ** 2
-        np.fill_diagonal(sq, 0.0)
-        if math.sqrt(float(sq.sum())) <= thresh:
-            return sorted(float(x) for x in a.diagonal().real)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                phase = apq / r
-                tau = (aqq - app) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = phase * c * col_p - s * col_q
-                a[:, q] = phase * s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = np.conj(phase * c) * row_p - s * row_q
-                a[q, :] = np.conj(phase * s) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = complex(app - t * r)
-                a[q, q] = complex(aqq + t * r)
-    raise JacobiConvergenceError(f"no convergence after {max_sweeps} sweeps (n={n})")
+    return np.linalg.eigvalsh(matrix.to_complex_array()).tolist()
 
 
 def inertia_float(matrix: HermitianMatrix, tol: float = 1e-9) -> InertiaTriple:

@@ -493,7 +493,7 @@ def _suite_thm12(report: SuiteReport, n: Optional[int], seed: int) -> None:
 
 
 def _suite_oracle_agreement(report: SuiteReport, n: Optional[int], seed: int) -> None:
-    """Exact congruence inertia equals the Jacobi float inertia at 1e-9."""
+    """Exact congruence inertia equals the LAPACK ``eigvalsh`` float inertia at 1e-9."""
     rng = random.Random(seed)
     for _ in range(10000):
         g = _random_graph(rng, min(n or 10, 10))

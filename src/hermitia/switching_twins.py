@@ -41,6 +41,10 @@ from .numeric import (
 # One unit per vertex, realizing a four-way switching.
 SwitchAssignment = tuple[Unit, ...]
 
+# Largest order switching_equivalent_up_to_iso searches; its backtracking
+# over vertex maps grows factorially.
+MAX_ISO_ORDER = 12
+
 
 def apply_switch(graph: QuartGainGraph, theta: SwitchAssignment) -> QuartGainGraph:
     """Switch gains to conj(theta_u) * gain * theta_v; underlying unchanged."""
@@ -223,18 +227,16 @@ class IsoWitness:
     took_converse: bool
 
 
-def switching_equivalent_up_to_iso(
-    g1: QuartGainGraph, g2: QuartGainGraph, max_vertices: int = 12
-) -> Optional[IsoWitness]:
+def switching_equivalent_up_to_iso(g1: QuartGainGraph, g2: QuartGainGraph) -> Optional[IsoWitness]:
     """Search underlying-graph isomorphisms for a switching-equivalence witness.
 
     Backtracks over degree-compatible vertex maps with adjacency pruning and
     tests label-preserving equivalence at each complete map.  Exhaustive but
-    intended for small orders; raises when the size cap is exceeded.
+    intended for small orders; raises above :data:`MAX_ISO_ORDER` vertices.
     """
     if g1.n != g2.n:
         return None
-    if g1.n > max_vertices:
+    if g1.n > MAX_ISO_ORDER:
         raise ValueError(f"graphs too large for isomorphism search (n={g1.n})")
     if len(g1.edges) != len(g2.edges):
         return None

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from hermitia.cli import main
+from hermitia.cli import build_parser, main
 
 BOWTIE = "n 5\nU 0 1\nU 0 2\nU 1 2\nU 0 3\nU 0 4\nU 3 4\n"
 
@@ -18,6 +18,26 @@ def test_inertia_command(tmp_path, capsys):
     path = _write(tmp_path, "bowtie.qgg", BOWTIE)
     assert main(["inertia", path]) == 0
     assert capsys.readouterr().out.strip() == "p=2 n=3 eta=0"
+
+
+def test_shared_parser_leaks_nothing_between_calls(tmp_path, capsys):
+    # One parser serves every main call; a flag such as --json must not carry
+    # over into the next call's namespace.
+    path = _write(tmp_path, "bowtie.qgg", BOWTIE)
+    calls = [["classify", path, "--json"], ["inertia", path], ["classify", path]]
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    single = []
+    for argv in calls:
+        build_parser.cache_clear()
+        single.append(run(argv))
+    assert build_parser() is build_parser()
+    assert [run(argv) for argv in calls] == single
+    assert single[1] == (0, "p=2 n=3 eta=0\n")
+    assert json.loads(single[0][1])["cases"] and not single[2][1].startswith("{")
 
 
 def test_equiv_command(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from hermitia import (
     GraphFormatError,
@@ -22,6 +23,7 @@ from hermitia import (
     relabel,
     serialize_graph,
     underlying,
+    unit_conj,
 )
 
 from conftest import quart_graphs
@@ -84,6 +86,18 @@ def test_serialize_all_gain_kinds():
 @given(quart_graphs())
 def test_parse_serialize_round_trip(g):
     assert parse_graph(serialize_graph(g)) == g
+
+
+@given(quart_graphs(max_n=9), st.randoms(use_true_random=False))
+def test_neighbors_increasing_from_shuffled_edges(g, rng):
+    edges = [(v, u, unit_conj(w)) if rng.random() < 0.5 else (u, v, w) for u, v, w in g.edges]
+    rng.shuffle(edges)
+    rebuilt = QuartGainGraph(g.n, edges)
+    assert rebuilt == g
+    for u in range(g.n):
+        got = rebuilt.neighbors(u)
+        assert all(a < b for a, b in zip(got, got[1:]))
+        assert list(got) == sorted(v for v in range(g.n) if rebuilt.has_edge(u, v))
 
 
 def test_underlying():

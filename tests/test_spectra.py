@@ -116,6 +116,9 @@ def test_eig_float_c4_spectrum():
 def test_inertia_float_examples():
     assert inertia_float(hermitian_matrix(parse_graph("n 2\nU 0 1")), 1e-9).as_tuple() == (1, 1, 0)
     assert inertia_float(hermitian_matrix(parse_graph("n 4")), 1e-9).as_tuple() == (0, 0, 4)
+    empty = hermitian_matrix(parse_graph("n 0"))
+    assert eig_float(empty) == []
+    assert inertia_float(empty, 1e-9).as_tuple() == (0, 0, 0)
     odd = parse_graph("n 3\nA 0 1\nU 1 2\nU 0 2")
     assert inertia_float(hermitian_matrix(odd), 1e-9) == inertia_exact(hermitian_matrix(odd))
     with pytest.raises(ValueError):
@@ -246,29 +249,51 @@ def test_exact_matches_numpy_bipartite_up_to_60():
         assert inertia(g).as_tuple() == _numpy_inertia(g)
 
 
-def test_inertia_dense_order_64_is_fast():
-    # Without the gcd step the coefficients grow doubly exponentially: order
-    # 24 already takes seconds and order 64 does not finish, so a timer
-    # signal stops the call early.
-    rng = random.Random(64)
+def _dense_graph(n: int) -> QuartGainGraph:
+    rng = random.Random(n)
     edges = [
-        (u, v, rng.choice(UNITS)) for u in range(64) for v in range(u + 1, 64) if rng.random() < 0.9
+        (u, v, rng.choice(UNITS)) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.9
     ]
-    g = QuartGainGraph(64, edges)
+    return QuartGainGraph(n, edges)
+
+
+def _timed_under_alarm(call, what: str):
+    """call() and its wall time; a 5 s timer signal stops a call that hangs."""
 
     def _expire(signum, frame):
-        raise TimeoutError("inertia of a dense order-64 graph ran past 5 s")
+        raise TimeoutError(f"{what} ran past 5 s")
 
     previous = signal.signal(signal.SIGALRM, _expire)
     signal.setitimer(signal.ITIMER_REAL, 5.0)
     try:
         start = time.perf_counter()
-        got = inertia(g)
-        elapsed = time.perf_counter() - start
+        result = call()
+        return result, time.perf_counter() - start
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_inertia_dense_order_64_is_fast():
+    # Without the gcd step the coefficients grow doubly exponentially: order
+    # 24 already takes seconds and order 64 does not finish, so a timer
+    # signal stops the call early.
+    g = _dense_graph(64)
+    got, elapsed = _timed_under_alarm(lambda: inertia(g), "inertia of a dense order-64 graph")
     assert got.as_tuple() == _numpy_inertia(g)
+    assert elapsed < 1.0
+
+
+def test_float_referee_dense_orders_32_to_128():
+    # The referee must stay cheap next to the exact kernel at large orders; a
+    # hand-rolled Python eigensolver needs seconds at order 128, so a timer
+    # signal stops the referee calls early.
+    graphs = [_dense_graph(n) for n in (32, 64, 128)]
+    got, elapsed = _timed_under_alarm(
+        lambda: [inertia_float(hermitian_matrix(g)) for g in graphs],
+        "float referee on dense orders 32-128",
+    )
+    assert got == [inertia(g) for g in graphs]
     assert elapsed < 1.0
 
 
@@ -287,11 +312,3 @@ def test_congruence_shape_check():
     h = hermitian_matrix(parse_graph("n 2\nU 0 1"))
     with pytest.raises(ValueError):
         congruence(h, [[gr(1)]])
-
-
-def test_jacobi_sweep_budget():
-    from hermitia import JacobiConvergenceError
-
-    k3 = parse_graph("n 3\nU 0 1\nU 0 2\nU 1 2")
-    with pytest.raises(JacobiConvergenceError):
-        eig_float(hermitian_matrix(k3), max_sweeps=0)

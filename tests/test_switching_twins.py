@@ -254,7 +254,7 @@ def test_up_to_iso_examples():
 def test_up_to_iso_size_cap():
     big = gen_c3t(5, 5, 5)
     with pytest.raises(ValueError):
-        switching_equivalent_up_to_iso(big, big, max_vertices=12)
+        switching_equivalent_up_to_iso(big, big)
 
 
 def test_twins_examples():
