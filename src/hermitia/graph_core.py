@@ -8,11 +8,12 @@ an arc v -> u.
 
 Graphs are immutable values after construction, so any number of concurrent
 readers is safe.  All structural queries (components, cut vertices, pendant
-vertices) are judged on the underlying simple graph.  Components and cut
-vertices are read off one canonical BFS spanning forest, :func:`bfs_forest`
-(each component rooted at its smallest vertex, neighbors in increasing
-order), which also fixes the spanning tree behind the switching canonical
-form and the enumeration of switching classes.
+vertices) are judged on the underlying simple graph.  Components are read
+off one canonical BFS spanning forest, :func:`bfs_forest` (each component
+rooted at its smallest vertex, neighbors in increasing order), which also
+fixes the spanning tree behind the switching canonical form and the
+enumeration of switching classes.  Cut vertices come from one lowpoint
+depth-first search.
 
 The on-disk format is ``.qgg``: line-oriented ASCII, '#" comments, a header
 line ``n <count>`` with count at most :data:`MAX_ORDER`, followed by edge
@@ -339,6 +340,35 @@ def pendant_vertices(graph: QuartGainGraph) -> VertexSet:
 
 
 def cut_vertices(graph: QuartGainGraph) -> VertexSet:
-    """Vertices whose removal increases the number of components."""
-    base = len(components(graph))
-    return tuple(v for v in range(graph.n) if len(components_avoiding(graph, v)) > base)
+    """Vertices whose removal increases the number of components.
+
+    One iterative depth-first search with lowpoints (Hopcroft-Tarjan):
+    ``low[u]`` is the smallest depth reachable from u's subtree by one
+    non-tree edge.  A child c separates its parent p from the rest when
+    ``low[c] >= depth[p]``; a root is a cut vertex with two such children,
+    any other vertex with one.
+    """
+    depth = [-1] * graph.n
+    low = [0] * graph.n
+    separated = [0] * graph.n
+    for root in range(graph.n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        stack = [(root, iter(graph.neighbors(root)))]
+        while stack:
+            u, pending = stack[-1]
+            for w in pending:
+                if depth[w] < 0:
+                    depth[w] = low[w] = depth[u] + 1
+                    stack.append((w, iter(graph.neighbors(w))))
+                    break
+                low[u] = min(low[u], depth[w])
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[u])
+                    if low[u] >= depth[p]:
+                        separated[p] += 1
+    return tuple(v for v in range(graph.n) if separated[v] > (depth[v] == 0))

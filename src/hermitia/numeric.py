@@ -113,9 +113,6 @@ class GaussianRational:
             return -1
         return 0
 
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     def __str__(self) -> str:
         if self.im == 0:
             return str(self.re)

@@ -79,9 +79,10 @@ class HermitianMatrix:
         return hash(self.entries)
 
     def to_complex_array(self) -> np.ndarray:
-        return np.array(
-            [[e.to_complex() for e in row] for row in self.entries], dtype=complex
-        )
+        # numerator / denominator is float(x) without Rational.__float__'s
+        # extra calls; interleaved (re, im) float64 pairs are the complex128 layout.
+        parts = [x.numerator / x.denominator for row in self.entries for e in row for x in (e.re, e.im)]
+        return np.array(parts, dtype=float).view(complex).reshape(self.n, self.n)
 
 
 def hermitian_matrix(graph: QuartGainGraph) -> HermitianMatrix:
@@ -187,8 +188,8 @@ def inertia_exact(matrix: HermitianMatrix) -> InertiaTriple:
     scale = math.lcm(
         *(x.denominator for row in matrix.entries for e in row for x in (e.re, e.im))
     )
-    re = [[int(e.re * scale) for e in row] for row in matrix.entries]
-    im = [[int(e.im * scale) for e in row] for row in matrix.entries]
+    re = [[e.re.numerator * (scale // e.re.denominator) for e in row] for row in matrix.entries]
+    im = [[e.im.numerator * (scale // e.im.denominator) for e in row] for row in matrix.entries]
     return _signature(re, im)
 
 

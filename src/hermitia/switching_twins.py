@@ -231,8 +231,17 @@ def switching_equivalent_up_to_iso(g1: QuartGainGraph, g2: QuartGainGraph) -> Op
     """Search underlying-graph isomorphisms for a switching-equivalence witness.
 
     Backtracks over degree-compatible vertex maps with adjacency pruning and
-    tests label-preserving equivalence at each complete map.  Exhaustive but
-    intended for small orders; raises above :data:`MAX_ISO_ORDER` vertices.
+    carries a partial switch phi_h along for two hypotheses: h = 0 compares
+    against g2, h = 1 against ``converse(g2)``.  Vertices are mapped so that
+    each one after the first of its component has an earlier neighbor; the
+    first mapped neighbor w of v fixes
+    ``phi_h(v) = g2_h(m(w), m(v)) - g1(w, v) + phi_h(w)`` (mod 4), every
+    other mapped neighbor must agree, and a component's first vertex gets
+    phi_h = 0.  A hypothesis dies exactly when the mapped induced subgraphs
+    are not switching equivalent under it, which no completion can repair,
+    so a branch is cut once both have died.  Complete maps are confirmed by
+    :func:`switching_witness`, and the first witness is the one the unpruned
+    search would return.  Raises above :data:`MAX_ISO_ORDER` vertices.
     """
     if g1.n != g2.n:
         return None
@@ -249,7 +258,7 @@ def switching_equivalent_up_to_iso(g1: QuartGainGraph, g2: QuartGainGraph) -> Op
     order: list[int] = []
     remaining = set(range(u1.n))
     while remaining:
-        anchored = [v for v in remaining if any(w in order for w in u1.neighbors(v))]
+        anchored = [v for v in remaining if any(w not in remaining for w in u1.neighbors(v))]
         pool = anchored if anchored else list(remaining)
         nxt = max(pool, key=lambda v: (u1.degree(v), -v))
         order.append(nxt)
@@ -257,18 +266,10 @@ def switching_equivalent_up_to_iso(g1: QuartGainGraph, g2: QuartGainGraph) -> Op
 
     mapping: dict[int, int] = {}
     used: set[int] = set()
+    targets = (g2, converse(g2))
+    phi = ([UNIT_ONE] * g1.n, [UNIT_ONE] * g1.n)
 
-    def feasible(v: int, target: int) -> bool:
-        if deg2[target] != u1.degree(v):
-            return False
-        for w in u1.neighbors(v):
-            if w in mapping and not u2.has_edge(target, mapping[w]):
-                return False
-        mapped_nbrs = sum(1 for w in u1.neighbors(v) if w in mapping)
-        back_nbrs = sum(1 for t in u2.neighbors(target) if t in used)
-        return mapped_nbrs == back_nbrs
-
-    def extend(depth: int) -> Optional[IsoWitness]:
+    def extend(depth: int, alive: list[bool]) -> Optional[IsoWitness]:
         if depth == len(order):
             perm = tuple(mapping[v] for v in range(u1.n))
             witness = switching_witness(relabel(g1, perm), g2)
@@ -277,19 +278,33 @@ def switching_equivalent_up_to_iso(g1: QuartGainGraph, g2: QuartGainGraph) -> Op
                 return IsoWitness(perm, theta, took_converse)
             return None
         v = order[depth]
+        back = [w for w in u1.neighbors(v) if w in mapping]
         for target in range(u2.n):
-            if target in used or not feasible(v, target):
+            if (
+                target in used
+                or deg2[target] != u1.degree(v)
+                or len(back) != sum(1 for t in u2.neighbors(target) if t in used)
+                or not all(u2.has_edge(target, mapping[w]) for w in back)
+            ):
+                continue
+            still = []
+            for h, g2h in enumerate(targets):
+                # Each mapped neighbor w asks for one phi_h(v); all must agree.
+                values = {(g2h.gain(mapping[w], target) - g1.gain(w, v) + phi[h][w]) % 4 for w in back}
+                still.append(alive[h] and len(values) <= 1)
+                phi[h][v] = min(values, default=UNIT_ONE)
+            if not any(still):
                 continue
             mapping[v] = target
             used.add(target)
-            found = extend(depth + 1)
+            found = extend(depth + 1, still)
             if found is not None:
                 return found
             del mapping[v]
             used.discard(target)
         return None
 
-    return extend(0)
+    return extend(0, [True, True])
 
 
 # -- twins -------------------------------------------------------------------------

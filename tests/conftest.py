@@ -3,13 +3,15 @@
 The brute-force switching oracle here deliberately avoids the library's
 canonical-form machinery: it enumerates raw switch assignments (anchored at
 one vertex per component) and compares graphs directly, so it can referee
-``switching_equivalent``.
+``switching_equivalent``.  ``timed_under_alarm`` bounds the speed guards.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import signal
+import time
 
 from hypothesis import strategies as st
 
@@ -70,3 +72,20 @@ def quart_graphs(draw, max_n: int = 6):
         if draw(st.booleans()):
             edges.append((u, v, draw(st.sampled_from(UNITS))))
     return QuartGainGraph(n, edges)
+
+
+def timed_under_alarm(call, what: str):
+    """call() and its wall time; a 5 s timer signal stops a call that hangs."""
+
+    def _expire(signum, frame):
+        raise TimeoutError(f"{what} ran past 5 s")
+
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        start = time.perf_counter()
+        result = call()
+        return result, time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

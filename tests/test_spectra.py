@@ -1,7 +1,5 @@
 import math
 import random
-import signal
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +24,7 @@ from hermitia import (
     parse_graph,
 )
 
-from conftest import random_graph
+from conftest import random_graph, timed_under_alarm
 from fraction_kernel import inertia_fraction
 
 gr = GaussianRational.of
@@ -257,29 +255,12 @@ def _dense_graph(n: int) -> QuartGainGraph:
     return QuartGainGraph(n, edges)
 
 
-def _timed_under_alarm(call, what: str):
-    """call() and its wall time; a 5 s timer signal stops a call that hangs."""
-
-    def _expire(signum, frame):
-        raise TimeoutError(f"{what} ran past 5 s")
-
-    previous = signal.signal(signal.SIGALRM, _expire)
-    signal.setitimer(signal.ITIMER_REAL, 5.0)
-    try:
-        start = time.perf_counter()
-        result = call()
-        return result, time.perf_counter() - start
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_inertia_dense_order_64_is_fast():
     # Without the gcd step the coefficients grow doubly exponentially: order
     # 24 already takes seconds and order 64 does not finish, so a timer
     # signal stops the call early.
     g = _dense_graph(64)
-    got, elapsed = _timed_under_alarm(lambda: inertia(g), "inertia of a dense order-64 graph")
+    got, elapsed = timed_under_alarm(lambda: inertia(g), "inertia of a dense order-64 graph")
     assert got.as_tuple() == _numpy_inertia(g)
     assert elapsed < 1.0
 
@@ -289,7 +270,7 @@ def test_float_referee_dense_orders_32_to_128():
     # hand-rolled Python eigensolver needs seconds at order 128, so a timer
     # signal stops the referee calls early.
     graphs = [_dense_graph(n) for n in (32, 64, 128)]
-    got, elapsed = _timed_under_alarm(
+    got, elapsed = timed_under_alarm(
         lambda: [inertia_float(hermitian_matrix(g)) for g in graphs],
         "float referee on dense orders 32-128",
     )

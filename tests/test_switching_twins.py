@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from hermitia import (
     UNIT_MINUS_I,
     UNIT_MINUS_ONE,
     UNIT_ONE,
+    UNITS,
     apply_switch,
     are_twins,
     converse,
@@ -24,6 +26,7 @@ from hermitia import (
     is_odd_triangle,
     is_positive,
     parse_graph,
+    relabel,
     switching_equivalent,
     switching_equivalent_up_to_iso,
     switching_witness,
@@ -35,7 +38,14 @@ from hermitia import (
     underlying,
 )
 
-from conftest import brute_force_equivalent, quart_graphs, random_graph, random_switch
+from conftest import (
+    brute_force_equivalent,
+    quart_graphs,
+    random_graph,
+    random_switch,
+    timed_under_alarm,
+)
+from iso_reference import switching_equivalent_up_to_iso_unpruned
 
 ODD = "n 3\nA 0 1\nU 1 2\nU 0 2"
 K3 = "n 3\nU 0 1\nU 0 2\nU 1 2"
@@ -255,6 +265,83 @@ def test_up_to_iso_size_cap():
     big = gen_c3t(5, 5, 5)
     with pytest.raises(ValueError):
         switching_equivalent_up_to_iso(big, big)
+
+
+def _iso_pair(rng: random.Random, kind: int, max_n: int = 7):
+    """A seeded pair of order <= max_n: 0 relabeled switch (half of them also
+    conversed), 1 the same with one gain changed, 2 fresh gains on a relabeled
+    copy of the underlying graph, 3 two unrelated graphs."""
+    g1 = random_graph(rng, max_n, rng.choice([0.3, 0.5, 0.7, 0.9]))
+    if kind == 3:
+        return g1, random_graph(rng, max_n, rng.choice([0.3, 0.5, 0.7, 0.9]))
+    perm = list(range(g1.n))
+    rng.shuffle(perm)
+    if kind == 2:
+        regained = QuartGainGraph(g1.n, [(u, v, rng.choice(UNITS)) for u, v, _ in g1.edges])
+        return g1, relabel(regained, perm)
+    g2 = apply_switch(relabel(g1, perm), random_switch(rng, g1.n))
+    if rng.random() < 0.5:
+        g2 = converse(g2)
+    if kind == 1 and g2.edges:
+        edges = list(g2.edges)
+        k = rng.randrange(len(edges))
+        u, v, g = edges[k]
+        edges[k] = (u, v, (g + rng.choice((1, 2, 3))) % 4)
+        g2 = QuartGainGraph(g2.n, edges)
+    return g1, g2
+
+
+def test_up_to_iso_matches_unpruned_reference():
+    # Same search order, so the gain-pruned search must return the very
+    # witness the unpruned one finds, or None with it.
+    rng = random.Random(20261018)
+    kinds = {"found": 0, "converse": 0, "none": 0}
+    for i in range(1000):
+        g1, g2 = _iso_pair(rng, i % 4)
+        expected = switching_equivalent_up_to_iso_unpruned(g1, g2)
+        assert switching_equivalent_up_to_iso(g1, g2) == expected, (g1, g2)
+        if expected is None:
+            kinds["none"] += 1
+        else:
+            kinds["converse" if expected.took_converse else "found"] += 1
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_up_to_iso_existence_matches_permutation_brute_force():
+    rng = random.Random(5)
+    outcomes = []
+    for i in range(600):
+        g1, g2 = _iso_pair(rng, i % 4, max_n=5)
+        exists = g1.n == g2.n and any(
+            switching_witness(relabel(g1, perm), g2) is not None
+            for perm in itertools.permutations(range(g1.n))
+        )
+        witness = switching_equivalent_up_to_iso(g1, g2)
+        assert (witness is not None) == exists, (g1, g2)
+        if witness is not None:
+            replay = apply_switch(relabel(g1, witness.perm), witness.theta)
+            assert (converse(replay) if witness.took_converse else replay) == g2
+        outcomes.append(exists)
+    assert 100 <= sum(outcomes) <= 500
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_up_to_iso_inequivalent_complete_graphs_are_fast(n):
+    # Without gain pruning every one of the n! maps of K_n reaches a complete
+    # map: K8 alone takes about 12 s, so a timer signal stops the call early.
+    rng = random.Random(n)
+
+    def gain_complete():
+        return QuartGainGraph(n, [(u, v, rng.choice(UNITS)) for u, v in itertools.combinations(range(n), 2)])
+
+    g1, g2 = gain_complete(), gain_complete()
+    while eig_float(hermitian_matrix(g1)) == pytest.approx(eig_float(hermitian_matrix(g2)), abs=1e-6):
+        g2 = gain_complete()
+    got, elapsed = timed_under_alarm(
+        lambda: switching_equivalent_up_to_iso(g1, g2), f"iso search on inequivalent K{n}"
+    )
+    assert got is None
+    assert elapsed < 1.0
 
 
 def test_twins_examples():
