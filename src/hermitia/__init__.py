@@ -1,10 +1,11 @@
 """Exact spectral toolkit for mixed graphs and fourth-root gain graphs.
 
 Core objects: :class:`QuartGainGraph` (edge gains in {1, i, -1, -i}),
-exact inertia via fraction-free Hermitian congruence over Z[i], an
-independent float oracle on LAPACK ``eigvalsh``, switching-class canonical
-forms, twin reduction, the named graph families, and classifiers for the
-small positive-inertia characterizations.
+:class:`HermitianMatrix` over the Gaussian integers Z[i] (the one exact
+number type), exact inertia via fraction-free Hermitian congruence over
+Z[i], an independent float oracle on LAPACK ``eigvalsh``, switching-class
+canonical forms, twin reduction, the named graph families, and classifiers
+for the small positive-inertia characterizations.
 """
 
 from .classify import (
@@ -61,7 +62,6 @@ from .graph_core import (
     underlying,
 )
 from .numeric import (
-    GaussianRational,
     UNIT_I,
     UNIT_MINUS_I,
     UNIT_MINUS_ONE,
@@ -72,7 +72,6 @@ from .numeric import (
     unit_from_token,
     unit_mul,
     unit_token,
-    unit_value,
 )
 from .spectra import (
     HermitianMatrix,

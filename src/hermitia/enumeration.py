@@ -107,24 +107,6 @@ def canonical_form(n: int, edges: EdgeTuple) -> EdgeTuple:
     return best
 
 
-def _is_connected_edges(n: int, edges: EdgeTuple) -> bool:
-    if n <= 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
-
-
 @lru_cache(maxsize=None)
 def connected_underlying(n: int) -> tuple[EdgeTuple, ...]:
     """All connected graphs of order n up to isomorphism, as canonical
@@ -138,17 +120,6 @@ def connected_underlying(n: int) -> tuple[EdgeTuple, ...]:
         for bits in range(1, 1 << (n - 1)):
             extra = tuple((u, n - 1) for u in range(n - 1) if bits >> u & 1)
             result.add(canonical_form(n, smaller + extra))
-    return tuple(sorted(result))
-
-
-def connected_underlying_bruteforce(n: int) -> tuple[EdgeTuple, ...]:
-    """Independent oracle: filter all labeled graphs and deduplicate."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    result: set[EdgeTuple] = set()
-    for bits in range(1 << len(pairs)):
-        edges = tuple(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
-        if _is_connected_edges(n, edges):
-            result.add(canonical_form(n, edges))
     return tuple(sorted(result))
 
 

@@ -1,5 +1,8 @@
 """Exact inertia of Hermitian gain-graph matrices, plus a float cross-check.
 
+A :class:`HermitianMatrix` is a matrix over the Gaussian integers Z[i], held
+as two grids of Python ints; :func:`congruence` by a Z[i] matrix stays there.
+
 Two fully independent routes compute the signature of H(G):
 
 * :func:`inertia_exact` and :func:`inertia` diagonalize by fraction-free
@@ -18,13 +21,13 @@ exploits that to keep matrices small.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .graph_core import QuartGainGraph, components
-from .numeric import GR_ZERO, GaussianRational, unit_value
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,49 +53,62 @@ class InertiaTriple:
 
 
 class HermitianMatrix:
-    """A square matrix of GaussianRational entries with H* = H, checked."""
+    """A square matrix re + i*im over Z[i], tuples of int rows, with H* = H checked."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "re", "im")
 
-    def __init__(self, entries: Sequence[Sequence[GaussianRational]]):
-        rows = tuple(tuple(row) for row in entries)
-        n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("matrix is not square")
+    def __init__(self, re: Sequence[Sequence[int]], im: Sequence[Sequence[int]]):
+        re = tuple(tuple(row) for row in re)
+        im = tuple(tuple(row) for row in im)
+        n = len(re)
+        if len(im) != n or any(len(row) != n for row in re + im):
+            raise ValueError("matrix is not square")
         for s in range(n):
             for t in range(s, n):
-                if rows[s][t] != rows[t][s].conj():
+                if re[s][t] != re[t][s] or im[s][t] != -im[t][s]:
                     raise ValueError(f"matrix is not Hermitian at ({s}, {t})")
         self.n = n
-        self.entries = rows
-
-    def entry(self, s: int, t: int) -> GaussianRational:
-        return self.entries[s][t]
+        self.re = re
+        self.im = im
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HermitianMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.re, self.im))
 
     def to_complex_array(self) -> np.ndarray:
-        # numerator / denominator is float(x) without Rational.__float__'s
-        # extra calls; interleaved (re, im) float64 pairs are the complex128 layout.
-        parts = [x.numerator / x.denominator for row in self.entries for e in row for x in (e.re, e.im)]
-        return np.array(parts, dtype=float).view(complex).reshape(self.n, self.n)
+        array = np.array(self.re, dtype=float) + 1j * np.array(self.im, dtype=float)
+        return array.reshape(self.n, self.n)
+
+
+# The unit i**k as (re, im).
+_UNIT_PARTS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+Grid = list[list[int]]
+
+
+def _grids(index: Mapping[int, int] | range, graph: QuartGainGraph) -> tuple[Grid, Grid]:
+    """The (re, im) grids of H on ``index``, a map from vertex to row that
+    holds both ends of every edge it meets (a union of components)."""
+    size = len(index)
+    re = [[0] * size for _ in range(size)]
+    im = [[0] * size for _ in range(size)]
+    for u, v, g in graph.edges:
+        if u in index:
+            s, t = index[u], index[v]
+            a, b = _UNIT_PARTS[g]
+            re[s][t] = re[t][s] = a
+            im[s][t], im[t][s] = b, -b
+    return re, im
 
 
 def hermitian_matrix(graph: QuartGainGraph) -> HermitianMatrix:
     """H(G): entry (s, t) is the gain of the edge oriented s -> t, else 0."""
-    n = graph.n
-    grid = [[GR_ZERO for _ in range(n)] for _ in range(n)]
-    for u, v, g in graph.edges:
-        grid[u][v] = unit_value(g)
-        grid[v][u] = unit_value(g).conj()
-    return HermitianMatrix(grid)
+    return HermitianMatrix(*_grids(range(graph.n), graph))
 
 
 # -- exact route ---------------------------------------------------------------
@@ -100,9 +116,6 @@ def hermitian_matrix(graph: QuartGainGraph) -> HermitianMatrix:
 # The kernel works on two parallel lists of Python int rows, the real and the
 # imaginary parts of a Hermitian matrix over the Gaussian integers Z[i].  No
 # division by a matrix entry ever happens, so no fractions appear.
-
-# The unit i**k as (re, im).
-_UNIT_PARTS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 def _signature(re: list[list[int]], im: list[list[int]]) -> InertiaTriple:
@@ -180,23 +193,17 @@ def _signature(re: list[list[int]], im: list[list[int]]) -> InertiaTriple:
 def inertia_exact(matrix: HermitianMatrix) -> InertiaTriple:
     """Exact inertia by fraction-free Hermitian congruence over Z[i].
 
-    The entries are scaled by the lcm of their denominators, a positive
-    scalar that keeps the inertia, and the Gaussian-integer kernel described
-    in :func:`_signature` counts the pivot signs.  Integer arithmetic only,
-    so no square roots or rounding ever appear.
+    The Gaussian-integer kernel described in :func:`_signature` counts the
+    pivot signs on a copy of the matrix.  Integer arithmetic only, so no
+    square roots or rounding ever appear.
     """
-    scale = math.lcm(
-        *(x.denominator for row in matrix.entries for e in row for x in (e.re, e.im))
-    )
-    re = [[e.re.numerator * (scale // e.re.denominator) for e in row] for row in matrix.entries]
-    im = [[e.im.numerator * (scale // e.im.denominator) for e in row] for row in matrix.entries]
-    return _signature(re, im)
+    return _signature([list(row) for row in matrix.re], [list(row) for row in matrix.im])
 
 
 def inertia(graph: QuartGainGraph) -> InertiaTriple:
     """Inertia of H(G), computed per connected component and summed.
 
-    Each component's integer matrix is built straight from ``graph.edges``;
+    Each component's int grids are built straight from ``graph.edges``;
     a one-vertex component contributes (0, 0, 1).
     """
     total = InertiaTriple(0, 0, 0)
@@ -204,40 +211,35 @@ def inertia(graph: QuartGainGraph) -> InertiaTriple:
         if len(comp) == 1:
             total = total + InertiaTriple(0, 0, 1)
             continue
-        index = {v: i for i, v in enumerate(comp)}
-        re = [[0] * len(comp) for _ in comp]
-        im = [[0] * len(comp) for _ in comp]
-        for u, v, g in graph.edges:
-            if u in index:
-                s, t = index[u], index[v]
-                a, b = _UNIT_PARTS[g]
-                re[s][t] = re[t][s] = a
-                im[s][t], im[t][s] = b, -b
-        total = total + _signature(re, im)
+        total = total + _signature(*_grids({v: i for i, v in enumerate(comp)}, graph))
     return total
 
 
-def congruence(matrix: HermitianMatrix, s: Sequence[Sequence[GaussianRational]]) -> HermitianMatrix:
-    """S* H S over the Gaussian rationals, for congruence-invariance checks."""
+def _dot(xs: Iterable[int], ys: Iterable[int]) -> int:
+    return sum(map(operator.mul, xs, ys))
+
+
+def _matmul(ar, ai, br, bi) -> tuple[Grid, Grid]:
+    """The product (ar + i*ai)(br + i*bi) of two matrices over Z[i]."""
+    cols = list(zip(zip(*br), zip(*bi)))
+    rows = list(zip(ar, ai))
+    re = [[_dot(xr, yr) - _dot(xi, yi) for yr, yi in cols] for xr, xi in rows]
+    im = [[_dot(xr, yi) + _dot(xi, yr) for yr, yi in cols] for xr, xi in rows]
+    return re, im
+
+
+def congruence(
+    matrix: HermitianMatrix, s_re: Sequence[Sequence[int]], s_im: Sequence[Sequence[int]]
+) -> HermitianMatrix:
+    """S* H S over Z[i] with S = s_re + i*s_im, for congruence-invariance checks."""
     n = matrix.n
-    rows = [list(r) for r in s]
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if len(s_re) != n or len(s_im) != n or any(len(row) != n for row in (*s_re, *s_im)):
         raise ValueError("congruence matrix has wrong shape")
-    hs = [
-        [
-            sum((matrix.entries[i][k] * rows[k][j] for k in range(n)), GR_ZERO)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    out = [
-        [
-            sum((rows[k][i].conj() * hs[k][j] for k in range(n)), GR_ZERO)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return HermitianMatrix(out)
+    hs = _matmul(matrix.re, matrix.im, s_re, s_im)
+    # S* is transpose(s_re) - i*transpose(s_im).
+    star_re = list(zip(*s_re))
+    star_im = [[-x for x in col] for col in zip(*s_im)]
+    return HermitianMatrix(*_matmul(star_re, star_im, *hs))
 
 
 # -- float oracle --------------------------------------------------------------

@@ -16,7 +16,6 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
 
@@ -49,7 +48,7 @@ from .graph_core import (
     induced_subgraph,
     pendant_vertices,
 )
-from .numeric import GaussianRational, UNITS
+from .numeric import UNITS
 from .spectra import (
     InertiaTriple,
     congruence,
@@ -120,41 +119,38 @@ def _suite_sylvester(report: SuiteReport, n: Optional[int], seed: int) -> None:
         if g.n == 0:
             continue
         h = hermitian_matrix(g)
-        s = _random_invertible(rng, g.n)
+        s_re, s_im = _random_invertible(rng, g.n)
         report.checked += 1
         base = inertia_exact(h)
-        conj = inertia_exact(congruence(h, s))
+        conj = inertia_exact(congruence(h, s_re, s_im))
         if base != conj:
             report.record(compact_str(g), base, conj)
 
 
-def _random_invertible(rng: random.Random, n: int) -> list[list[GaussianRational]]:
-    # Unit lower triangular times nonzero diagonal times unit upper
-    # triangular: invertible by construction.
-    def small() -> GaussianRational:
-        return GaussianRational.of(
-            Fraction(rng.randint(-2, 2), rng.randint(1, 2)),
-            Fraction(rng.randint(-1, 1), 1),
-        )
+def _random_invertible(rng: random.Random, n: int) -> tuple[list[list[int]], list[list[int]]]:
+    # 4 * L D U as (re, im) int grids, invertible by construction: L unit
+    # lower and U unit upper triangular with entries in (1/2)Z + iZ, built
+    # as 2L and 2U, and D a nonzero Gaussian-integer diagonal.
+    def small() -> tuple[int, int]:
+        num, den = rng.randint(-2, 2), rng.randint(1, 2)
+        return 2 * num // den, 2 * rng.randint(-1, 1)
 
-    lower = [[GaussianRational.of(int(i == j)) for j in range(n)] for i in range(n)]
-    upper = [[GaussianRational.of(int(i == j)) for j in range(n)] for i in range(n)]
+    lower = [[(2 * (i == j), 0) for j in range(n)] for i in range(n)]
+    upper = [[(2 * (i == j), 0) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i):
             lower[i][j] = small()
             upper[j][i] = small()
-    diag = [
-        GaussianRational.of(rng.choice([1, -1, 2]), rng.choice([0, 1]))
-        for _ in range(n)
-    ]
-    product = [[GaussianRational.of(0) for _ in range(n)] for _ in range(n)]
+    diag = [(rng.choice([1, -1, 2]), rng.choice([0, 1])) for _ in range(n)]
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            acc = GaussianRational.of(0)
-            for k in range(n):
-                acc = acc + lower[i][k] * diag[k] * upper[k][j]
-            product[i][j] = acc
-    return product
+            for (a, b), (c, d), (e, f) in zip(lower[i], diag, (row[j] for row in upper)):
+                x, y = a * c - b * d, a * d + b * c
+                re[i][j] += x * e - y * f
+                im[i][j] += x * f + y * e
+    return re, im
 
 
 def _suite_pendant(report: SuiteReport, n: Optional[int], seed: int) -> None:

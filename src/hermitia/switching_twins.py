@@ -18,6 +18,7 @@ positive and negative inertia counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
 from .graph_core import (
@@ -227,8 +228,24 @@ class IsoWitness:
     took_converse: bool
 
 
+def _triangle_values(graph: QuartGainGraph) -> list[Unit]:
+    """Sorted triangle cycle values with i and -i merged: invariant under
+    switching, relabeling (which may reverse a traversal) and the converse."""
+    return sorted(
+        min(value, unit_conj(value))
+        for value in (
+            cycle_value(graph, triangle)
+            for triangle in combinations(range(graph.n), 3)
+            if all(graph.has_edge(u, v) for u, v in combinations(triangle, 2))
+        )
+    )
+
+
 def switching_equivalent_up_to_iso(g1: QuartGainGraph, g2: QuartGainGraph) -> Optional[IsoWitness]:
     """Search underlying-graph isomorphisms for a switching-equivalence witness.
+
+    Pairs whose degree sequences or :func:`_triangle_values` differ are
+    rejected first; no other pruning helps K_n with one edge negated.
 
     Backtracks over degree-compatible vertex maps with adjacency pruning and
     carries a partial switch phi_h along for two hypotheses: h = 0 compares
@@ -252,6 +269,8 @@ def switching_equivalent_up_to_iso(g1: QuartGainGraph, g2: QuartGainGraph) -> Op
     u1, u2 = underlying(g1), underlying(g2)
     deg2 = {v: u2.degree(v) for v in range(u2.n)}
     if sorted(u1.degree(v) for v in range(u1.n)) != sorted(deg2.values()):
+        return None
+    if _triangle_values(g1) != _triangle_values(g2):
         return None
 
     # Map high-degree, already-anchored vertices first.

@@ -37,7 +37,10 @@ def inertia_fraction(matrix: HermitianMatrix) -> InertiaTriple:
     The dimension left when nothing remains nonzero is the nullity.
     """
     n = matrix.n
-    m: list[list[_Pair]] = [[(e.re, e.im) for e in row] for row in matrix.entries]
+    m: list[list[_Pair]] = [
+        [(Fraction(a), Fraction(b)) for a, b in zip(row_re, row_im)]
+        for row_re, row_im in zip(matrix.re, matrix.im)
+    ]
     active = list(range(n))
     pos = neg = 0
     while active:

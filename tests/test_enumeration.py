@@ -17,9 +17,9 @@ from hermitia import (
     tree_normalize,
     underlying,
 )
-from hermitia.enumeration import connected_underlying_bruteforce
 
 from conftest import anchored_switches
+from connected_reference import connected_underlying_bruteforce
 
 
 def test_connected_graph_counts():

@@ -329,19 +329,47 @@ def test_up_to_iso_existence_matches_permutation_brute_force():
 def test_up_to_iso_inequivalent_complete_graphs_are_fast(n):
     # Without gain pruning every one of the n! maps of K_n reaches a complete
     # map: K8 alone takes about 12 s, so a timer signal stops the call early.
+    # All-ones K_n against K_n with edge (0, 1) negated defeats gain pruning
+    # too, since any map avoiding that edge's triangles survives; without the
+    # triangle-value pre-check K9 takes seconds and K12 hours.
     rng = random.Random(n)
+    edges = list(itertools.combinations(range(n), 2))
 
     def gain_complete():
-        return QuartGainGraph(n, [(u, v, rng.choice(UNITS)) for u, v in itertools.combinations(range(n), 2)])
+        return QuartGainGraph(n, [(u, v, rng.choice(UNITS)) for u, v in edges])
+
+    def spectra_equal(a, b):
+        return eig_float(hermitian_matrix(a)) == pytest.approx(eig_float(hermitian_matrix(b)), abs=1e-6)
+
+    def negate(g, edge):
+        return QuartGainGraph(n, [(u, v, (x + 2) % 4 if (u, v) == edge else x) for u, v, x in g.edges])
+
+    def keeps_triangle_values(g, u, v):
+        # Negating (u, v) swaps the values 1 and -1 on its triangles.
+        values = [cycle_value(g, (u, v, w)) for w in range(n) if w not in (u, v)]
+        return values.count(UNIT_ONE) == values.count(UNIT_MINUS_ONE)
 
     g1, g2 = gain_complete(), gain_complete()
-    while eig_float(hermitian_matrix(g1)) == pytest.approx(eig_float(hermitian_matrix(g2)), abs=1e-6):
+    while spectra_equal(g1, g2):
         g2 = gain_complete()
-    got, elapsed = timed_under_alarm(
-        lambda: switching_equivalent_up_to_iso(g1, g2), f"iso search on inequivalent K{n}"
+    ones = QuartGainGraph(n, [(u, v, UNIT_ONE) for u, v in edges])
+    # A pair with equal triangle values, so only gain pruning decides it.
+    g3 = g4 = gain_complete()
+    while spectra_equal(g3, g4):
+        g3 = gain_complete()
+        edge = next((e for e in edges if keeps_triangle_values(g3, *e)), None)
+        g4 = g3 if edge is None else negate(g3, edge)
+    cases = (
+        (g1, g2, "random-gain"),
+        (ones, negate(ones, (0, 1)), "one-edge-negated"),
+        (g3, g4, "equal-triangle-values"),
     )
-    assert got is None
-    assert elapsed < 1.0
+    for a, b, what in cases:
+        got, elapsed = timed_under_alarm(
+            lambda: switching_equivalent_up_to_iso(a, b), f"iso search on inequivalent {what} K{n}"
+        )
+        assert got is None
+        assert elapsed < 1.0
 
 
 def test_twins_examples():
