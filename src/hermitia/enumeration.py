@@ -15,8 +15,11 @@ per connected underlying graph).  Without ``mixed_only``, every emitted
 class is therefore its own ``tree_normalize`` form.
 
 With ``mixed_only`` set, a class is emitted only if some four-way switching
-of it has no -1 gain; the search fixes the switch at 1 on vertex 0 (a global
-phase acts trivially on gains) and emits the representative found.
+of it has no -1 gain, and :func:`mixed_representative` emits the switching
+by the lexicographically least such switch, pinned to 1 on vertex 0 (a
+global phase acts trivially on gains).  It finds that switch by a
+depth-first search over the vertices in order, where each edge rules out
+one value at its larger end, instead of trying all 4^(n-1) switches.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .graph_core import (
     cut_vertices,
     pendant_vertices,
 )
-from .numeric import UNIT_MINUS_ONE, UNIT_ONE, UNITS
+from .numeric import UNIT_MINUS_ONE, UNIT_ONE, UNITS, Unit
 
 Pair = tuple[int, int]
 EdgeTuple = tuple[Pair, ...]
@@ -127,23 +130,45 @@ def connected_underlying(n: int) -> tuple[EdgeTuple, ...]:
 
 
 def mixed_representative(graph: QuartGainGraph) -> Optional[QuartGainGraph]:
-    """A switching of ``graph`` with no -1 gain, or None.
+    """The switching of ``graph`` by its lexicographically least switch
+    that leaves no -1 gain, or None when no switch does.
 
-    Exhausts switch assignments with vertex 0 pinned to 1; sufficient
-    because rescaling a whole component leaves every gain unchanged.
-    Intended for connected graphs at enumeration scale.
+    Vertex 0 is pinned to 1; that suffices because rescaling a whole
+    component leaves every gain unchanged.  A depth-first search assigns
+    theta to vertices 1, 2, ... in turn, trying units in ``UNITS`` order,
+    and checks each edge (u, v, g), u < v, once theta[v] is set: switching
+    turns g into -1 for exactly one value, theta[v] = theta[u] - g + 2
+    (mod 4).  A vertex with no value left sends the search back to the one
+    before it.  The first complete switch found is the least one, the first
+    that the 4^(n-1) product over ``UNITS`` would meet.
     """
     edges = graph.edges
     if all(g != UNIT_MINUS_ONE for _, _, g in edges):
         return graph
     n = graph.n
-    for tail in itertools.product(UNITS, repeat=n - 1):
-        theta = (UNIT_ONE,) + tail
-        if all((g - theta[u] + theta[v]) % 4 != UNIT_MINUS_ONE for u, v, g in edges):
-            return QuartGainGraph(
-                n, [(u, v, (g - theta[u] + theta[v]) % 4) for u, v, g in edges]
-            )
-    return None
+    back: list[list[tuple[int, Unit]]] = [[] for _ in range(n)]
+    for u, v, g in edges:
+        back[v].append((u, g))
+    theta = [UNIT_ONE] * n
+    # Bit k of untried[v] is set while unit k is still to be tried at v; the
+    # codes are UNITS = (0, 1, 2, 3), so the lowest bit is the next in order.
+    untried = [0b1111] * n
+    v = 1
+    while v < n:
+        free = untried[v]
+        for u, g in back[v]:
+            free &= ~(1 << (theta[u] - g + UNIT_MINUS_ONE) % 4)
+        if free:
+            lowest = free & -free
+            theta[v] = lowest.bit_length() - 1
+            untried[v] = free ^ lowest
+            v += 1
+        else:
+            untried[v] = 0b1111
+            v -= 1
+            if v == 0:
+                return None
+    return QuartGainGraph(n, [(u, w, (g - theta[u] + theta[w]) % 4) for u, w, g in edges])
 
 
 def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:
@@ -170,12 +195,12 @@ def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:
         _, parent = bfs_forest(base)
         tree = {(min(u, v), max(u, v)) for v, u in enumerate(parent) if u >= 0}
         non_tree = [pair for pair in edges if pair not in tree]
-        tree_edges = [(u, v, UNIT_ONE) for u, v in edges if (u, v) in tree]
+        # Edges keep their sorted order: the k-th non-tree edge reads
+        # gains[k], and each tree edge the 1 appended after the last.
+        slots = [(u, v, -1 if (u, v) in tree else non_tree.index((u, v))) for u, v in edges]
         for gains in itertools.product(UNITS, repeat=len(non_tree)):
-            candidate = QuartGainGraph(
-                spec.n,
-                tree_edges + [(u, v, g) for (u, v), g in zip(non_tree, gains)],
-            )
+            gains += (UNIT_ONE,)
+            candidate = QuartGainGraph(spec.n, [(u, v, gains[i]) for u, v, i in slots])
             if spec.mixed_only:
                 rep = mixed_representative(candidate)
                 if rep is None:

@@ -22,6 +22,7 @@ lines ``U a b`` (gain 1), ``A a b`` (arc a -> b) or ``G a b <gain>``.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence
 
 from .numeric import (
@@ -52,6 +53,12 @@ class QuartGainGraph:
     gain given for the orientation u -> v.  Construction normalizes edge
     orientation, rejects self-loops and duplicate pairs, and precomputes the
     adjacency structure.
+
+    Records already in that form, in strictly increasing (u, v) order, are
+    stored as they come: the switch, converse, subgraph and enumeration
+    builders all emit them so.  At the first record that is out of order,
+    reversed or invalid, every record goes through the normalizing pass
+    instead, which sorts and raises :class:`GraphFormatError` as usual.
     """
 
     __slots__ = ("n", "edges", "_adj")
@@ -59,25 +66,22 @@ class QuartGainGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int, Unit]] = ()):
         if n < 0:
             raise GraphFormatError(f"vertex count must be nonnegative, got {n}")
-        normalized: dict[tuple[int, int], Unit] = {}
-        for u, v, gain in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"vertex id out of range in edge ({u}, {v})")
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}")
-            if gain not in (0, 1, 2, 3):
-                raise GraphFormatError(f"invalid gain code {gain!r}")
-            if u > v:
-                u, v, gain = v, u, unit_conj(gain)
-            if (u, v) in normalized:
-                raise GraphFormatError(f"duplicate edge ({u}, {v})")
-            normalized[(u, v)] = gain
+        kept: list[Edge] = []
+        adj: list[dict[int, Unit]] = [{} for _ in range(n)]
+        last_u = last_v = 0
+        rest = iter(edges)
+        for edge in rest:
+            u, v, gain = edge
+            if not ((u > last_u or (u == last_u and v > last_v)) and 0 <= u < v < n and gain in (0, 1, 2, 3)):
+                # Normalize every record, then store them through this loop.
+                self.__init__(n, _normalized_edges(n, itertools.chain(kept, (edge,), rest)))
+                return
+            kept.append((u, v, gain))
+            adj[u][v] = gain
+            adj[v][u] = -gain % 4  # unit_conj, inlined on this hot path
+            last_u, last_v = u, v
         self.n = n
-        self.edges = tuple(sorted((u, v, g) for (u, v), g in normalized.items()))
-        adj: list[dict[int, Unit]] = [dict() for _ in range(n)]
-        for u, v, g in self.edges:
-            adj[u][v] = g
-            adj[v][u] = unit_conj(g)
+        self.edges = tuple(kept)
         self._adj = tuple(adj)
 
     # -- basic queries ------------------------------------------------------
@@ -114,6 +118,24 @@ class QuartGainGraph:
 
     def __repr__(self) -> str:
         return f"QuartGainGraph(n={self.n}, edges={self.edges!r})"
+
+
+def _normalized_edges(n: int, edges: Iterable[tuple[int, int, Unit]]) -> list[Edge]:
+    """Validate edge records, orient each as u < v and sort them."""
+    normalized: dict[tuple[int, int], Unit] = {}
+    for u, v, gain in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"vertex id out of range in edge ({u}, {v})")
+        if u == v:
+            raise GraphFormatError(f"self-loop at vertex {u}")
+        if gain not in (0, 1, 2, 3):
+            raise GraphFormatError(f"invalid gain code {gain!r}")
+        if u > v:
+            u, v, gain = v, u, unit_conj(gain)
+        if (u, v) in normalized:
+            raise GraphFormatError(f"duplicate edge ({u}, {v})")
+        normalized[(u, v)] = gain
+    return sorted((u, v, g) for (u, v), g in normalized.items())
 
 
 # -- .qgg parsing and serialization ------------------------------------------

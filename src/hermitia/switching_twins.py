@@ -38,6 +38,7 @@ from .numeric import (
     unit_conj,
     unit_mul,
 )
+from .spectra import inertia
 
 # One unit per vertex, realizing a four-way switching.
 SwitchAssignment = tuple[Unit, ...]
@@ -244,8 +245,12 @@ def _triangle_values(graph: QuartGainGraph) -> list[Unit]:
 def switching_equivalent_up_to_iso(g1: QuartGainGraph, g2: QuartGainGraph) -> Optional[IsoWitness]:
     """Search underlying-graph isomorphisms for a switching-equivalence witness.
 
-    Pairs whose degree sequences or :func:`_triangle_values` differ are
-    rejected first; no other pruning helps K_n with one edge negated.
+    Pairs whose degree sequences, :func:`_triangle_values` or exact
+    inertias differ are rejected first, since all three are invariant under
+    relabeling, switching and the converse.  The triangle values reject K_n
+    against K_n with one edge negated, and the inertia rejects the
+    triangle-free K_{a,a} with one edge negated, on which the search below
+    takes time factorial in a.
 
     Backtracks over degree-compatible vertex maps with adjacency pruning and
     carries a partial switch phi_h along for two hypotheses: h = 0 compares
@@ -270,7 +275,7 @@ def switching_equivalent_up_to_iso(g1: QuartGainGraph, g2: QuartGainGraph) -> Op
     deg2 = {v: u2.degree(v) for v in range(u2.n)}
     if sorted(u1.degree(v) for v in range(u1.n)) != sorted(deg2.values()):
         return None
-    if _triangle_values(g1) != _triangle_values(g2):
+    if _triangle_values(g1) != _triangle_values(g2) or inertia(g1) != inertia(g2):
         return None
 
     # Map high-degree, already-anchored vertices first.

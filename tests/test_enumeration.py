@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from hermitia import (
     EnumSpec,
     QuartGainGraph,
+    UNIT_I,
+    UNIT_MINUS_ONE,
     UNIT_ONE,
     UNITS,
     apply_switch,
@@ -18,8 +21,9 @@ from hermitia import (
     underlying,
 )
 
-from conftest import anchored_switches
+from conftest import anchored_switches, timed_under_alarm
 from connected_reference import connected_underlying_bruteforce
+from mixed_reference import mixed_representative_bruteforce
 
 
 def test_connected_graph_counts():
@@ -161,6 +165,59 @@ def test_mixed_representative():
     rep = mixed_representative(negative_edge)
     assert rep is not None and rep.is_mixed
     assert switching_equivalent(rep, negative_edge)
+
+
+def test_mixed_representative_matches_bruteforce_on_plain_classes():
+    missing = []
+    for n in range(1, 6):
+        for g in enumerate_switching_classes(EnumSpec(n=n)):
+            expected = mixed_representative_bruteforce(g)
+            assert mixed_representative(g) == expected, g
+            if expected is None:
+                missing.append(g)
+    # One class of order at most 5 has no mixed member: K5 whose vertex 0
+    # is joined with gain 1 to a clique of gain -1.
+    clique = [(u, v, UNIT_MINUS_ONE) for u, v in itertools.combinations(range(1, 5), 2)]
+    assert missing == [QuartGainGraph(5, [(0, v, UNIT_ONE) for v in range(1, 5)] + clique)]
+
+
+def test_mixed_representative_matches_bruteforce_on_random_graphs():
+    # Gains lean to -1 so that some graphs have no mixed member; densities
+    # from 0 give edgeless and disconnected graphs too.
+    rng = random.Random(2024)
+    weighted_units = UNITS + (UNIT_MINUS_ONE,) * 4
+    outcomes = []
+    for _ in range(2000):
+        n = rng.randint(1, 7)
+        density = rng.choice((0.0, 0.3, 0.6, 0.9, 1.0))
+        pairs = [pair for pair in itertools.combinations(range(n), 2) if rng.random() < density]
+        g = QuartGainGraph(n, [(u, v, rng.choice(weighted_units)) for u, v in pairs])
+        expected = mixed_representative_bruteforce(g)
+        assert mixed_representative(g) == expected, g
+        outcomes.append(expected is None)
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+def test_mixed_representative_order_six_example_has_none():
+    # Vertices 0 and 1 joined to everything with gain 1, gain -1 among the rest.
+    edges = [(u, v, UNIT_ONE) for u in (0, 1) for v in range(u + 1, 6)]
+    edges += [(u, v, UNIT_MINUS_ONE) for u, v in itertools.combinations(range(2, 6), 2)]
+    g = QuartGainGraph(6, edges)
+    assert mixed_representative_bruteforce(g) is None
+    assert mixed_representative(g) is None
+
+
+def test_mixed_representative_bounded_without_representative():
+    # A path 0..7 with gain i leaves 3^7 switches of vertices 1..7, and each
+    # one fails only on the clique 8..11 (gain -1), joined to 7 with gain 1.
+    # Trying all 4^11 switches took about 8.5 s; the search backtracks early.
+    edges = [(v, v + 1, UNIT_I) for v in range(7)]
+    edges += [(7, v, UNIT_ONE) for v in range(8, 12)]
+    edges += [(u, v, UNIT_MINUS_ONE) for u, v in itertools.combinations(range(8, 12), 2)]
+    g = QuartGainGraph(12, edges)
+    got, elapsed = timed_under_alarm(lambda: mixed_representative(g), "mixed_representative on order 12")
+    assert got is None
+    assert elapsed < 1.0
 
 
 def test_mixed_only_emits_mixed_members_of_same_class():

@@ -90,14 +90,52 @@ def test_parse_serialize_round_trip(g):
 
 @given(quart_graphs(max_n=9), st.randoms(use_true_random=False))
 def test_neighbors_increasing_from_shuffled_edges(g, rng):
+    # g came from sorted records, the constructor's fast path; the shuffled
+    # and re-oriented copy goes through the normalizing pass.
     edges = [(v, u, unit_conj(w)) if rng.random() < 0.5 else (u, v, w) for u, v, w in g.edges]
     rng.shuffle(edges)
     rebuilt = QuartGainGraph(g.n, edges)
-    assert rebuilt == g
+    assert rebuilt == g and rebuilt.edges == g.edges and hash(rebuilt) == hash(g)
     for u in range(g.n):
         got = rebuilt.neighbors(u)
+        assert got == g.neighbors(u)
         assert all(a < b for a, b in zip(got, got[1:]))
         assert list(got) == sorted(v for v in range(g.n) if rebuilt.has_edge(u, v))
+
+
+def test_edge_records_are_stored_as_tuples():
+    g = QuartGainGraph(3, [[0, 1, UNIT_I], [1, 2, UNIT_ONE]])
+    assert g.edges == ((0, 1, UNIT_I), (1, 2, UNIT_ONE))
+    assert all(type(edge) is tuple for edge in g.edges)
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_sorted_records_with_one_bad_edge_raise_as_before(k):
+    # Five valid sorted edges on 5 vertices; the k-th is replaced by a bad one.
+    good = [(0, 1, UNIT_ONE), (0, 3, UNIT_I), (1, 2, UNIT_MINUS_I), (2, 4, UNIT_ONE), (3, 4, UNIT_MINUS_ONE)]
+    u, v, _ = good[k]
+    bad_edges = {
+        (u, v, 4): "invalid gain code 4",
+        (u, 5, UNIT_ONE): f"vertex id out of range in edge ({u}, 5)",
+        (v, v, UNIT_ONE): f"self-loop at vertex {v}",
+    }
+    for bad, message in bad_edges.items():
+        with pytest.raises(GraphFormatError) as info:
+            QuartGainGraph(5, good[:k] + [bad] + good[k + 1 :])
+        assert str(info.value) == message
+    with pytest.raises(GraphFormatError) as info:
+        QuartGainGraph(5, good[: k + 1] + [good[k]] + good[k + 1 :])
+    assert str(info.value) == f"duplicate edge ({u}, {v})"
+
+
+def test_one_reversed_record_in_sorted_input():
+    good = [(0, 1, UNIT_ONE), (0, 3, UNIT_I), (1, 2, UNIT_MINUS_I), (2, 4, UNIT_ONE)]
+    expected = QuartGainGraph(5, good)
+    for k, (u, v, g) in enumerate(good):
+        reversed_one = good[:k] + [(v, u, unit_conj(g))] + good[k + 1 :]
+        got = QuartGainGraph(5, reversed_one)
+        assert got == expected and got.edges == tuple(good)
+        assert [got.neighbors(w) for w in range(5)] == [expected.neighbors(w) for w in range(5)]
 
 
 def test_underlying():
