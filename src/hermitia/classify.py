@@ -9,10 +9,14 @@ with exactly one positive eigenvalue, and :func:`thm11_classify` /
 for connected graphs with a pendant vertex, respectively with a cut vertex
 and no pendant vertex.
 
-The classifiers work by decomposing the underlying graph at a cut vertex
-into an apex-family shape, then matching gains against concrete family
-instances.  Because the family graphs have gains constant on part pairs,
-part-respecting relabelings are enough: no general isomorphism search is
+The cut-vertex classifier decomposes the underlying graph at a cut vertex
+into an apex-family shape.  Once both sides of the apex are switched to
+all-1 gains, the apex gain into each adjacent part (its role) is fixed up
+to a common shift and the converse, and a family fits exactly when its own
+apex gains are those roles.  So each case reads its role split off once
+and builds one concrete family instance.  Because the family graphs have
+gains constant on part pairs, a part-respecting relabeling and one
+switching witness certify the match: no general isomorphism search is
 needed, and each match comes with an explicit witness.
 """
 
@@ -33,9 +37,8 @@ from .graph_core import (
     is_connected,
     pendant_vertices,
     relabel,
-    underlying,
 )
-from .numeric import unit_token
+from .numeric import UNIT_ONE, Unit, unit_token
 from .spectra import inertia
 from .switching_twins import (
     IsoWitness,
@@ -375,6 +378,34 @@ def _family_candidate(
     return family, tuple(perm), relabel(graph, perm)
 
 
+def _apex_roles(graph: QuartGainGraph, shape: _ApexShape) -> Optional[list[Unit]]:
+    """The apex gain into each adjacent part once both sides are switched
+    to all-1 gains; None when a side is not positive or a part sees two gains.
+
+    Without the apex edges into the n side, the graph has two components,
+    the q side with the apex and the n side.  Switches that keep both all-1
+    are constant on each component, so these gains are a switching
+    invariant up to a common shift, and the converse negates them.
+    """
+    apex = shape.apex
+    n_side = {u for part in shape.adjacent_parts + shape.other_parts for u in part}
+    sides = QuartGainGraph(
+        graph.n,
+        [(u, v, g) for u, v, g in graph.edges if apex not in (u, v) or u + v - apex not in n_side],
+    )
+    normal = tree_normalize(sides)
+    if any(g != UNIT_ONE for _, _, g in normal.graph.edges):
+        return None
+    theta = normal.assignment
+    roles = []
+    for part in shape.adjacent_parts:
+        values = {(graph.gain(apex, u) - theta[apex] + theta[u]) % 4 for u in part}
+        if len(values) != 1:
+            return None
+        roles.extend(values)
+    return roles
+
+
 def thm12_classify(graph: QuartGainGraph) -> ClassificationResult:
     """Match a connected, pendant-free graph with a cut vertex against the
     four p = 2 families; returns every case that matches.
@@ -382,9 +413,12 @@ def thm12_classify(graph: QuartGainGraph) -> ClassificationResult:
     Case i is a coalescence of two non-star blocks that each have one
     positive eigenvalue.  Cases ii-iv are apex families: the underlying
     graph must decompose at some cut vertex into two complete multipartite
-    blocks joined through the apex, with the gains switching-equivalent to
-    the family pattern and the family parameters satisfying the stated
-    inequalities.
+    blocks joined through the apex, and the family parameters must satisfy
+    the stated inequalities.  A family fits exactly when its apex gains
+    (1 for case ii; i and -i for case iii; i and 1 for case iv) equal the
+    :func:`_apex_roles` of the graph up to a common shift and the converse,
+    so each case reads its role split off those values and certifies it
+    with one switching witness.
     """
     if not is_connected(graph):
         raise ValueError("classification requires a connected graph")
@@ -403,16 +437,46 @@ def thm12_classify(graph: QuartGainGraph) -> ClassificationResult:
         if "thm12_i" not in params:
             _try_case_i(graph, v, comps, params)
         for shape in _apex_shapes(graph, v, comps):
+            adj = shape.adjacent_parts
             r = len(shape.q_parts)
-            k = len(shape.adjacent_parts) + len(shape.other_parts)
+            k = len(adj) + len(shape.other_parts)
             if r < 2 or k < 2:
                 continue
-            if "thm12_ii" not in params:
-                _try_case_ii(graph, shape, r, k, params, witnesses)
-            if "thm12_iii" not in params:
-                _try_case_iii(graph, shape, r, k, params, witnesses)
-            if "thm12_iv" not in params:
-                _try_case_iv(graph, shape, r, k, params, witnesses)
+            roles = _apex_roles(graph, shape)
+            if roles is None:
+                continue
+            values = set(roles)
+            if (
+                "thm12_ii" not in params
+                and len(values) == 1
+                and cor39_condition(r, k, len(adj))
+                and not (len(adj) == 1 and len(adj[0]) < 2 and k < 3)
+            ):
+                _match(graph, shape, "thm12_ii", {"p": len(adj)}, (), (), adj, params, witnesses)
+            # lem38 with a = b = 1 reduces to r = 2.  Gains i and -i differ
+            # by 2, which is symmetric in the two parts, so the first role
+            # order fits whenever either does.
+            if "thm12_iii" not in params and r == 2 and len(adj) == 2 and (roles[0] - roles[1]) % 4 == 2:
+                counts = {"a": 1, "b": 1, "s": k - 2}
+                _match(graph, shape, "thm12_iii", counts, adj[:1], adj[1:], (), params, witnesses)
+            # Gains i and 1 differ by one, in either direction under the
+            # converse: either value's parts may play i.  Of the two masks
+            # over the adjacent parts, the smaller is tried first.
+            if "thm12_iv" not in params and len(values) == 2 and sum(values) % 2:
+                masks = sorted(
+                    sum(1 << j for j, role in enumerate(roles) if role == value) for value in values
+                )
+                for mask in masks:
+                    i_parts = [part for j, part in enumerate(adj) if mask >> j & 1]
+                    one_parts = [part for j, part in enumerate(adj) if not mask >> j & 1]
+                    a, c = len(i_parts), len(one_parts)
+                    if a < c or not lem310_condition(r, k, a, c):
+                        continue
+                    counts = {"a": a, "c": c, "s": k - a - c}
+                    if _match(
+                        graph, shape, "thm12_iv", counts, i_parts, (), one_parts, params, witnesses
+                    ):
+                        break
 
     order = ("thm12_i", "thm12_ii", "thm12_iii", "thm12_iv")
     cases = tuple(tag for tag in order if tag in params)
@@ -424,101 +488,30 @@ def _try_case_i(graph, v, comps, params) -> None:
     for comp in comps:
         side = induced_subgraph(graph, sorted(comp + (v,)))
         tag = p1_characterize(side)
-        if tag is None or _is_star(underlying(side)):
+        if tag is None or _is_star(side):
             return
         parts = complete_multipartite_parts(side)
         sides.append({"tag": tag, "part_sizes": sorted(len(p) for p in parts)})
     params["thm12_i"] = {"cut_vertex": v, "sides": sides}
 
 
-def _try_case_ii(graph, shape, r, k, params, witnesses) -> None:
-    p = len(shape.adjacent_parts)
-    if not cor39_condition(r, k, p):
-        return
-    if p == 1 and len(shape.adjacent_parts[0]) < 2 and k < 3:
-        return
-    if not is_positive(graph):
-        return
-    family, perm, relabeled = _family_candidate(
-        graph, shape, (), (), shape.adjacent_parts
-    )
+def _match(graph, shape, tag, counts, i_parts, minus_i_parts, one_parts, params, witnesses) -> bool:
+    """Certify one role split with a switching witness and record it."""
+    family, perm, relabeled = _family_candidate(graph, shape, i_parts, minus_i_parts, one_parts)
     witness = switching_witness(relabeled, family)
     if witness is None:
-        return
-    theta, took_converse = witness
-    params["thm12_ii"] = {
+        return False
+    n_parts = (*i_parts, *minus_i_parts, *one_parts, *shape.other_parts)
+    params[tag] = {
         "cut_vertex": shape.apex,
-        "r": r,
-        "k": k,
-        "p": p,
+        "r": len(shape.q_parts),
+        "k": len(n_parts),
+        **counts,
         "q_sizes": [len(x) for x in shape.q_parts],
-        "n_sizes": [len(x) for x in shape.adjacent_parts]
-        + [len(x) for x in shape.other_parts],
+        "n_sizes": [len(x) for x in n_parts],
     }
-    witnesses["thm12_ii"] = IsoWitness(perm, theta, took_converse)
-
-
-def _try_case_iii(graph, shape, r, k, params, witnesses) -> None:
-    if r != 2 or len(shape.adjacent_parts) != 2:
-        return
-    # lem38 with a = b = 1 reduces to r = 2; both role orders are tried
-    # because the two adjacent parts may differ in size.
-    for first, second in (
-        (shape.adjacent_parts[0], shape.adjacent_parts[1]),
-        (shape.adjacent_parts[1], shape.adjacent_parts[0]),
-    ):
-        family, perm, relabeled = _family_candidate(graph, shape, (first,), (second,), ())
-        witness = switching_witness(relabeled, family)
-        if witness is None:
-            continue
-        theta, took_converse = witness
-        params["thm12_iii"] = {
-            "cut_vertex": shape.apex,
-            "r": r,
-            "k": k,
-            "a": 1,
-            "b": 1,
-            "s": k - 2,
-            "q_sizes": [len(x) for x in shape.q_parts],
-            "n_sizes": [len(first), len(second)]
-            + [len(x) for x in shape.other_parts],
-        }
-        witnesses["thm12_iii"] = IsoWitness(perm, theta, took_converse)
-        return
-
-
-def _try_case_iv(graph, shape, r, k, params, witnesses) -> None:
-    adj = shape.adjacent_parts
-    total = len(adj)
-    if total < 2:
-        return
-    for mask in range(1, 1 << total):
-        i_parts = [adj[j] for j in range(total) if mask >> j & 1]
-        one_parts = [adj[j] for j in range(total) if not mask >> j & 1]
-        a, c = len(i_parts), len(one_parts)
-        if c < 1 or a < c:
-            continue
-        if not lem310_condition(r, k, a, c):
-            continue
-        family, perm, relabeled = _family_candidate(graph, shape, i_parts, (), one_parts)
-        witness = switching_witness(relabeled, family)
-        if witness is None:
-            continue
-        theta, took_converse = witness
-        params["thm12_iv"] = {
-            "cut_vertex": shape.apex,
-            "r": r,
-            "k": k,
-            "a": a,
-            "c": c,
-            "s": k - a - c,
-            "q_sizes": [len(x) for x in shape.q_parts],
-            "n_sizes": [len(x) for x in i_parts]
-            + [len(x) for x in one_parts]
-            + [len(x) for x in shape.other_parts],
-        }
-        witnesses["thm12_iv"] = IsoWitness(perm, theta, took_converse)
-        return
+    witnesses[tag] = IsoWitness(perm, *witness)
+    return True
 
 
 # -- single-vertex extension law -------------------------------------------------------

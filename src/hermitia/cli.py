@@ -14,9 +14,8 @@ from typing import Optional, Sequence
 
 from .classify import ClassificationResult, p1_characterize, thm11_classify, thm12_classify
 from .enumeration import EnumSpec, enumerate_switching_classes
-from .families import FamilySpecError, parse_family_spec, realize
+from .families import parse_family_spec, realize
 from .graph_core import (
-    GraphFormatError,
     QuartGainGraph,
     cut_vertices,
     is_connected,
@@ -236,13 +235,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, FamilySpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -46,7 +46,11 @@ HARD_CAP = 7
 
 @dataclass(frozen=True)
 class EnumSpec:
-    """What to enumerate: exact order ``n`` plus population filters."""
+    """What to enumerate: exact order ``n`` plus population filters.
+
+    ``limit`` stops the stream after that many classes; 0 emits none and a
+    negative limit is a ``ValueError``.
+    """
 
     n: int
     connected: bool = True
@@ -182,6 +186,10 @@ def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:
         raise ValueError("only connected enumeration is supported")
     if not 1 <= spec.n <= HARD_CAP:
         raise ValueError(f"order {spec.n} outside 1..{HARD_CAP}")
+    if spec.limit is not None and spec.limit < 0:
+        raise ValueError(f"limit must be >= 0, got {spec.limit}")
+    if spec.limit == 0:
+        return
     emitted = 0
     for edges in connected_underlying(spec.n):
         base = QuartGainGraph(spec.n, [(u, v, UNIT_ONE) for u, v in edges])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hermitia import (
+    EnumSpec,
     HypothesisViolation,
     QuartGainGraph,
     UNIT_I,
@@ -14,6 +15,7 @@ from hermitia import (
     converse,
     cor39_condition,
     disjoint_union,
+    enumerate_switching_classes,
     formula_report_310,
     formula_report_38,
     gen_c3t,
@@ -29,12 +31,15 @@ from hermitia import (
     p1_characterize,
     parse_graph,
     relabel,
+    switching_witness,
     thm11_classify,
     thm12_classify,
     unit_conj,
 )
 
-from conftest import random_switch
+import hermitia.classify as classify_module
+from conftest import random_switch, timed_under_alarm
+from thm12_reference import thm12_classify_reference
 
 K3 = "n 3\nU 0 1\nU 0 2\nU 1 2"
 ODD = "n 3\nA 0 1\nU 1 2\nU 0 2"
@@ -289,6 +294,101 @@ def test_thm12_preconditions():
     assert inertia(g).p == 2
     with pytest.raises(ValueError):
         thm12_classify(g)
+
+
+@pytest.fixture
+def failed_witnesses(monkeypatch):
+    """Counts the switching_witness calls of thm12_classify that fail: the
+    role read builds only candidates that fit, so there should be none."""
+    failed = []
+
+    def counted(g1, g2):
+        witness = switching_witness(g1, g2)
+        if witness is None:
+            failed.append(g1)
+        return witness
+
+    monkeypatch.setattr(classify_module, "switching_witness", counted)
+    return failed
+
+
+def _assert_matches_reference(graph):
+    got = thm12_classify(graph)
+    want = thm12_classify_reference(graph)
+    assert got.cases == want.cases, graph
+    # repr keeps the params' key order, which the plain CLI output prints.
+    assert repr(got.params) == repr(want.params), graph
+    assert got.witnesses == want.witnesses, graph
+    assert got.to_json_dict() == want.to_json_dict(), graph
+
+
+def test_thm12_matches_reference_on_corpus(failed_witnesses):
+    count = 0
+    for order in range(3, 7):
+        spec = EnumSpec(n=order, has_cut_vertex=True, no_pendant=True, mixed_only=True)
+        for g in enumerate_switching_classes(spec):
+            _assert_matches_reference(g)
+            count += 1
+    assert count == 432
+    assert failed_witnesses == []
+
+
+def _scrambled_family_instance(rng):
+    """A gen_K_gain instance of order <= 16, relabeled, and sometimes
+    switched, conversed or with one gain changed."""
+    while True:
+        q = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        n = [rng.randint(1, 3) for _ in range(rng.randint(1, 6))]
+        if 1 + sum(q) + sum(n) <= 16:
+            break
+    counts = [0, 0, 0, 0]
+    for _ in range(rng.randint(1, len(n))):
+        counts[rng.choice((0, 0, 1, 1, 2, 2, 3))] += 1
+    g = gen_K_gain(q, n, *counts)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    g = relabel(g, perm)
+    if rng.random() < 0.5:
+        g = apply_switch(g, random_switch(rng, g.n))
+    if rng.random() < 0.5:
+        g = converse(g)
+    if rng.random() < 0.3:
+        edges = list(g.edges)
+        j = rng.randrange(len(edges))
+        u, v, gain = edges[j]
+        edges[j] = (u, v, (gain + rng.randint(1, 3)) % 4)
+        g = QuartGainGraph(g.n, edges)
+    return g
+
+
+def test_thm12_matches_reference_on_scrambled_families(failed_witnesses):
+    rng = random.Random(12)
+    checked = matched = mixed = 0
+    while checked < 600:
+        g = _scrambled_family_instance(rng)
+        try:
+            want = thm12_classify_reference(g)
+        except ValueError:  # a pendant vertex, which the family allows
+            with pytest.raises(ValueError):
+                thm12_classify(g)
+            continue
+        _assert_matches_reference(g)
+        checked += 1
+        matched += bool(want.cases)
+        mixed += g.is_mixed
+    assert 100 < matched < 500
+    assert 100 < mixed < 500
+    assert failed_witnesses == []
+
+
+def test_thm12_apex_over_many_parts_is_fast():
+    # The apex joined to all of K_2 and all of K_20 with gain 1: trying all
+    # 2^20 masks of the adjacent parts took seconds, doubling per part.
+    g = gen_K_plain([1, 1], [1] * 20, 20)
+    result, elapsed = timed_under_alarm(lambda: thm12_classify(g), "thm12_classify on order 23")
+    assert result.cases == ("thm12_i", "thm12_ii")
+    assert result.params["thm12_ii"]["p"] == 20
+    assert elapsed < 1.0
 
 
 def test_classification_json_shape():

@@ -96,6 +96,17 @@ def test_enumerate_command(capsys):
     assert "U 0 1" in capsys.readouterr().out
 
 
+def test_enumerate_limit_zero_and_negative(capsys):
+    assert main(["enumerate", "--n", "3", "--limit", "0", "--count-only"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+    assert main(["enumerate", "--n", "3", "--limit", "0"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["enumerate", "--n", "3", "--limit", "-5", "--count-only"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: limit must be >= 0, got -5\n"
+
+
 def test_verify_command(capsys):
     assert main(["verify", "--suite", "c3t_rank"]) == 0
     out = capsys.readouterr().out

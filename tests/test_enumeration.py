@@ -70,6 +70,13 @@ def test_determinism_and_limit():
     assert [serialize_graph(g) for g in capped] == first[:7]
 
 
+def test_limit_zero_emits_nothing_and_negative_raises():
+    assert list(enumerate_switching_classes(EnumSpec(n=3, limit=0))) == []
+    assert list(enumerate_switching_classes(EnumSpec(n=3, mixed_only=True, limit=0))) == []
+    with pytest.raises(ValueError, match="limit"):
+        list(enumerate_switching_classes(EnumSpec(n=3, limit=-5)))
+
+
 def test_filters():
     for g in enumerate_switching_classes(EnumSpec(n=5, has_pendant=True)):
         assert pendant_vertices(g)
