@@ -9,6 +9,12 @@ with exactly one positive eigenvalue, and :func:`thm11_classify` /
 for connected graphs with a pendant vertex, respectively with a cut vertex
 and no pendant vertex.
 
+Complete multipartite parts are neighborhood classes: one pass groups the
+vertices by neighbor set, and the graph is complete multipartite exactly
+when each group sees everything outside itself.  A block's p = 1 reading
+(its tag and its parts) is computed once and serves the case-i star test,
+the case-i part sizes and the one-vertex extension check alike.
+
 The cut-vertex classifier decomposes the underlying graph at a cut vertex
 into an apex-family shape.  Once both sides of the apex are switched to
 all-1 gains, the apex gain into each adjacent part (its role) is fixed up
@@ -42,7 +48,6 @@ from .numeric import UNIT_ONE, Unit, unit_token
 from .spectra import inertia
 from .switching_twins import (
     IsoWitness,
-    apply_switch,
     is_odd_triangle,
     is_positive,
     switching_witness,
@@ -177,48 +182,39 @@ def complete_multipartite_parts(
     """Partition classes if the underlying graph (restricted to ``vertices``)
     is complete multipartite, else None.  Parts are sorted by smallest member.
 
-    The candidate parts are the connected components of the complement;
-    the graph is complete multipartite exactly when parts are independent
-    and every cross pair is adjacent.
+    The candidate parts are the vertices grouped by their neighborhood
+    inside ``vertices``; the graph is complete multipartite exactly when
+    each group's neighborhood is every vertex outside the group.  A group
+    never meets its own neighborhood, since no vertex is its own neighbor,
+    so comparing sizes suffices.
     """
     vs = sorted(set(range(graph.n) if vertices is None else vertices))
     if not vs:
         return None
-    unassigned = set(vs)
-    parts: list[VertexSet] = []
-    while unassigned:
-        start = min(unassigned)
-        unassigned.discard(start)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            nbrs = set(graph.neighbors(u))
-            for w in list(unassigned):
-                if w not in nbrs:
-                    comp.add(w)
-                    unassigned.discard(w)
-                    frontier.append(w)
-        parts.append(tuple(sorted(comp)))
-    for part in parts:
-        for i, u in enumerate(part):
-            for w in part[i + 1 :]:
-                if graph.has_edge(u, w):
-                    return None
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            for u in parts[i]:
-                for w in parts[j]:
-                    if not graph.has_edge(u, w):
-                        return None
-    return sorted(parts, key=lambda p: p[0])
+    inside = set(vs)
+    groups: dict[frozenset[int], list[int]] = {}
+    for v in vs:
+        groups.setdefault(frozenset(graph.neighbors(v)) & inside, []).append(v)
+    if any(len(nbrs) + len(part) != len(vs) for nbrs, part in groups.items()):
+        return None
+    return [tuple(part) for part in groups.values()]
 
 
-def _is_star(graph: QuartGainGraph) -> bool:
-    n = graph.n
-    if n < 2 or len(graph.edges) != n - 1:
-        return False
-    return max(graph.degree(v) for v in range(n)) == n - 1
+def _p1_reading(graph: QuartGainGraph) -> Optional[tuple[str, list[VertexSet]]]:
+    """The :func:`p1_characterize` tag with the parts of the non-isolated
+    vertices (relabeled 0.. in order), or None."""
+    live = [v for v in range(graph.n) if graph.degree(v) > 0]
+    if not live:
+        return None
+    core = induced_subgraph(graph, live)
+    parts = complete_multipartite_parts(core)
+    if parts is None or len(parts) < 2:
+        return None
+    if is_positive(core):
+        return "multipartite", parts
+    if len(parts) == 3 and is_odd_triangle(twin_reduction(core)):
+        return "c3t", parts
+    return None
 
 
 def p1_characterize(graph: QuartGainGraph) -> Optional[str]:
@@ -229,18 +225,8 @@ def p1_characterize(graph: QuartGainGraph) -> Optional[str]:
     'c3t' means it is complete tripartite with an odd-triangle twin
     reduction, i.e. a blown-up odd triangle up to switching and converse.
     """
-    live = [v for v in range(graph.n) if graph.degree(v) > 0]
-    if not live:
-        return None
-    core = induced_subgraph(graph, live)
-    parts = complete_multipartite_parts(core)
-    if parts is None or len(parts) < 2:
-        return None
-    if is_positive(core):
-        return "multipartite"
-    if len(parts) == 3 and is_odd_triangle(twin_reduction(core)):
-        return "c3t"
-    return None
+    reading = _p1_reading(graph)
+    return None if reading is None else reading[0]
 
 
 # -- classification results --------------------------------------------------------
@@ -486,12 +472,16 @@ def thm12_classify(graph: QuartGainGraph) -> ClassificationResult:
 def _try_case_i(graph, v, comps, params) -> None:
     sides = []
     for comp in comps:
-        side = induced_subgraph(graph, sorted(comp + (v,)))
-        tag = p1_characterize(side)
-        if tag is None or _is_star(side):
+        # Each side is connected, so its p = 1 parts cover all of it, and
+        # it is a star exactly when it has two parts, one a single vertex.
+        reading = _p1_reading(induced_subgraph(graph, sorted(comp + (v,))))
+        if reading is None:
             return
-        parts = complete_multipartite_parts(side)
-        sides.append({"tag": tag, "part_sizes": sorted(len(p) for p in parts)})
+        tag, parts = reading
+        sizes = sorted(len(p) for p in parts)
+        if len(sizes) == 2 and sizes[0] == 1:
+            return
+        sides.append({"tag": tag, "part_sizes": sizes})
     params["thm12_i"] = {"cut_vertex": v, "sides": sides}
 
 
@@ -542,31 +532,17 @@ def lem311_check(f1: QuartGainGraph, f2: QuartGainGraph, v: int) -> bool:
     if in2.p != 2:
         raise HypothesisViolation(f"p(f2) = {in2.p}, need 2")
 
-    if p1_characterize(f1) != "multipartite":
+    # f1 is connected, so its p = 1 parts cover all of it.
+    reading = _p1_reading(f1)
+    if reading is None or reading[0] != "multipartite":
         return False
-    parts = complete_multipartite_parts(f1)
-
-    def to_f2(x: int) -> int:
-        return x if x < v else x + 1
-
-    for part in parts:
-        hits = sum(1 for u in part if f2.has_edge(v, to_f2(u)))
+    hit, missed = [], []
+    for part in reading[1]:
+        part = tuple(u if u < v else u + 1 for u in part)
+        hits = sum(1 for u in part if f2.has_edge(v, u))
         if hits not in (0, len(part)):
             return False
-
-    # Switch f1 to all-1 gains, extend to f2 with v untouched, then the
-    # apex gains must be constant per class.
-    theta1 = tree_normalize(f1).assignment
-    theta2 = [0] * f2.n
-    for x in range(f1.n):
-        theta2[to_f2(x)] = theta1[x]
-    switched = apply_switch(f2, tuple(theta2))
-    for part in parts:
-        gains = {
-            switched.gain(v, to_f2(u))
-            for u in part
-            if switched.has_edge(v, to_f2(u))
-        }
-        if len(gains) > 1:
-            return False
-    return True
+        (hit if hits else missed).append(part)
+    # v is an apex over f1's parts; its gains must be constant per part once
+    # f1 is switched plain.
+    return _apex_roles(f2, _ApexShape(v, (), tuple(hit), tuple(missed))) is not None

@@ -46,14 +46,14 @@ HARD_CAP = 7
 
 @dataclass(frozen=True)
 class EnumSpec:
-    """What to enumerate: exact order ``n`` plus population filters.
+    """What to enumerate: connected graphs of exact order ``n``, plus
+    population filters.
 
     ``limit`` stops the stream after that many classes; 0 emits none and a
     negative limit is a ``ValueError``.
     """
 
     n: int
-    connected: bool = True
     has_cut_vertex: bool = False
     no_pendant: bool = False
     has_pendant: bool = False
@@ -182,8 +182,6 @@ def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:
     in lexicographic order over (1, i, -1, -i).  Every emitted graph
     satisfies the spec's filters and no two are switching equivalent.
     """
-    if not spec.connected:
-        raise ValueError("only connected enumeration is supported")
     if not 1 <= spec.n <= HARD_CAP:
         raise ValueError(f"order {spec.n} outside 1..{HARD_CAP}")
     if spec.limit is not None and spec.limit < 0:

@@ -16,6 +16,7 @@ grammar is documented on :func:`parse_family_spec`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -355,7 +356,7 @@ def format_family_spec(spec: FamilySpec) -> str:
 
 def _int(token: str) -> int:
     token = token.strip()
-    if not token or not token.lstrip("-").isdigit():
+    if not re.fullmatch(r"-?[0-9]+", token):
         raise FamilySpecError(f"expected an integer, got {token!r}")
     return int(token)
 

@@ -161,7 +161,7 @@ def parse_graph(text: str) -> QuartGainGraph:
             continue
         tokens = line.split()
         if n is None:
-            if len(tokens) != 2 or tokens[0] != "n" or not tokens[1].isdigit():
+            if len(tokens) != 2 or tokens[0] != "n" or not _is_ascii_digits(tokens[1]):
                 raise GraphFormatError(f"line {lineno}: expected header 'n <count>'")
             n = int(tokens[1])
             if n > MAX_ORDER:
@@ -205,8 +205,13 @@ def parse_graph(text: str) -> QuartGainGraph:
     return QuartGainGraph(n, edges)
 
 
+def _is_ascii_digits(token: str) -> bool:
+    # str.isdigit also accepts digits such as '²' that int() rejects.
+    return token.isascii() and token.isdigit()
+
+
 def _vertex(token: str, lineno: int) -> int:
-    if not token.isdigit():
+    if not _is_ascii_digits(token):
         raise GraphFormatError(f"line {lineno}: bad vertex id {token!r}")
     return int(token)
 

@@ -50,7 +50,9 @@ from .graph_core import (
 )
 from .numeric import UNITS
 from .spectra import (
+    Grid,
     InertiaTriple,
+    _matmul,
     congruence,
     hermitian_matrix,
     inertia,
@@ -127,7 +129,7 @@ def _suite_sylvester(report: SuiteReport, n: Optional[int], seed: int) -> None:
             report.record(compact_str(g), base, conj)
 
 
-def _random_invertible(rng: random.Random, n: int) -> tuple[list[list[int]], list[list[int]]]:
+def _random_invertible(rng: random.Random, n: int) -> tuple[Grid, Grid]:
     # 4 * L D U as (re, im) int grids, invertible by construction: L unit
     # lower and U unit upper triangular with entries in (1/2)Z + iZ, built
     # as 2L and 2U, and D a nonzero Gaussian-integer diagonal.
@@ -135,22 +137,17 @@ def _random_invertible(rng: random.Random, n: int) -> tuple[list[list[int]], lis
         num, den = rng.randint(-2, 2), rng.randint(1, 2)
         return 2 * num // den, 2 * rng.randint(-1, 1)
 
-    lower = [[(2 * (i == j), 0) for j in range(n)] for i in range(n)]
-    upper = [[(2 * (i == j), 0) for j in range(n)] for i in range(n)]
+    def grid(diagonal: int) -> Grid:
+        return [[diagonal * (i == j) for j in range(n)] for i in range(n)]
+
+    l_re, l_im, u_re, u_im, d_re, d_im = grid(2), grid(0), grid(2), grid(0), grid(0), grid(0)
     for i in range(n):
         for j in range(i):
-            lower[i][j] = small()
-            upper[j][i] = small()
-    diag = [(rng.choice([1, -1, 2]), rng.choice([0, 1])) for _ in range(n)]
-    re = [[0] * n for _ in range(n)]
-    im = [[0] * n for _ in range(n)]
+            l_re[i][j], l_im[i][j] = small()
+            u_re[j][i], u_im[j][i] = small()
     for i in range(n):
-        for j in range(n):
-            for (a, b), (c, d), (e, f) in zip(lower[i], diag, (row[j] for row in upper)):
-                x, y = a * c - b * d, a * d + b * c
-                re[i][j] += x * e - y * f
-                im[i][j] += x * f + y * e
-    return re, im
+        d_re[i][i], d_im[i][i] = rng.choice([1, -1, 2]), rng.choice([0, 1])
+    return _matmul(*_matmul(l_re, l_im, d_re, d_im), u_re, u_im)
 
 
 def _suite_pendant(report: SuiteReport, n: Optional[int], seed: int) -> None:
@@ -523,11 +520,21 @@ _SUITES: dict[str, Callable[[SuiteReport, Optional[int], int], None]] = {
 
 SUITE_NAMES = tuple(_SUITES)
 
+# Suites that read n as a size with no cap of their own: sylvester draws
+# graphs of up to n vertices and cycle_nullity every cycle up to length n.
+# Their bound is cycle_nullity's default.
+_SIZED_SUITES = ("sylvester", "cycle_nullity")
+_MAX_SIZED_N = 12
+
 
 def verify_suite(name: str, n: Optional[int] = None, seed: Optional[int] = None) -> SuiteReport:
     """Run one named suite and report instances checked and failures."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
+    if n is not None and n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n is not None and name in _SIZED_SUITES and n > _MAX_SIZED_N:
+        raise ValueError(f"suite {name!r} needs n <= {_MAX_SIZED_N}, got {n}")
     if seed is None:
         seed = int(os.environ.get("HERMITIA_SEED", DEFAULT_SEED))
     report = SuiteReport(suite=name)

@@ -10,9 +10,11 @@ switches all tree gains to 1; the remaining non-tree gains are exactly the
 fundamental-cycle values of the class, which form a complete invariant.  That
 makes label-preserving equivalence a pair of normal-form comparisons.
 
-Twins are vertices with unit-proportional matrix rows; collapsing each twin
-class to its smallest member produces the twin reduction, which preserves the
-positive and negative inertia counts.
+Twins are vertices with unit-proportional matrix rows, that is, with the
+same neighbor set and the same gains up to one common unit.  Twin classes are
+therefore neighborhood classes, read in one hashed pass over the vertices.
+Collapsing each twin class to its smallest member produces the twin
+reduction, which preserves the positive and negative inertia counts.
 """
 
 from __future__ import annotations
@@ -334,31 +336,35 @@ def switching_equivalent_up_to_iso(g1: QuartGainGraph, g2: QuartGainGraph) -> Op
 # -- twins -------------------------------------------------------------------------
 
 
+def _twin_key(graph: QuartGainGraph, v: int) -> tuple[frozenset[int], Unit]:
+    """v's neighbors x, each packed with v's gain to it relative to the gain
+    to the first neighbor as 4x + relative gain, and that first gain.
+
+    Twins are exactly the vertices with equal keys (adjacent vertices never
+    share a neighbor set), and alpha is the difference of first gains.  A
+    frozenset rather than a tuple, so a pass over many vertices does not
+    leave a tuple free list full of keys.
+    """
+    nbrs = graph.neighbors(v)
+    if not nbrs:
+        return frozenset(), UNIT_ONE
+    base = graph.gain(v, nbrs[0])
+    return frozenset(4 * x + (graph.gain(v, x) - base) % 4 for x in nbrs), base
+
+
 def are_twins(graph: QuartGainGraph, u: int, w: int) -> Optional[Unit]:
     """The unit alpha with row_u = alpha * row_w, or None.
 
-    Twins must be non-adjacent and see the same neighbor set; a nonzero
-    common entry pins alpha uniquely.  Two isolated vertices are twins with
+    Twins are non-adjacent and see the same neighbor set; a nonzero common
+    entry pins alpha uniquely.  Two isolated vertices are twins with
     alpha = 1.
     """
     if u == w:
         raise ValueError("a vertex is not its own twin")
     if not (0 <= u < graph.n and 0 <= w < graph.n):
         raise ValueError("vertex id out of range")
-    if graph.has_edge(u, w):
-        return None
-    nu = set(graph.neighbors(u)) - {w}
-    nw = set(graph.neighbors(w)) - {u}
-    if nu != nw:
-        return None
-    alpha: Optional[Unit] = None
-    for x in nu:
-        delta = (graph.gain(u, x) - graph.gain(w, x)) % 4
-        if alpha is None:
-            alpha = delta
-        elif alpha != delta:
-            return None
-    return UNIT_ONE if alpha is None else alpha
+    (key_u, base_u), (key_w, base_w) = _twin_key(graph, u), _twin_key(graph, w)
+    return (base_u - base_w) % 4 if key_u == key_w else None
 
 
 @dataclass(frozen=True)
@@ -372,22 +378,20 @@ class TwinPartition:
 
 
 def twin_partition(graph: QuartGainGraph) -> TwinPartition:
-    reps: list[int] = []
-    member_lists: list[list[int]] = []
+    """Twin classes in one pass: vertices grouped by :func:`_twin_key`."""
+    firsts: dict[frozenset[int], tuple[list[int], Unit]] = {}
     alphas = [UNIT_ONE] * graph.n
     for v in range(graph.n):
-        for i, rep in enumerate(reps):
-            alpha = are_twins(graph, v, rep)
-            if alpha is not None:
-                member_lists[i].append(v)
-                alphas[v] = alpha
-                break
+        key, base = _twin_key(graph, v)
+        if key in firsts:
+            members, rep_base = firsts[key]
+            members.append(v)
+            alphas[v] = (base - rep_base) % 4
         else:
-            reps.append(v)
-            member_lists.append([v])
+            firsts[key] = ([v], base)
     return TwinPartition(
-        classes=tuple(tuple(ms) for ms in member_lists),
-        representatives=tuple(reps),
+        classes=tuple(tuple(members) for members, _ in firsts.values()),
+        representatives=tuple(members[0] for members, _ in firsts.values()),
         alphas=tuple(alphas),
     )
 

@@ -1,4 +1,7 @@
+import dataclasses
 import types
+
+import pytest
 
 import hermitia
 
@@ -46,3 +49,11 @@ def test_public_api_is_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC_NAMES
+
+
+def test_enum_spec_has_no_connected_option():
+    # Enumeration is of connected graphs only; the option that could only be
+    # True is gone.
+    assert "connected" not in {f.name for f in dataclasses.fields(hermitia.EnumSpec)}
+    with pytest.raises(TypeError):
+        hermitia.EnumSpec(n=3, connected=True)

@@ -5,6 +5,8 @@ import pytest
 
 from hermitia.cli import build_parser, main
 
+from conftest import timed_under_alarm
+
 BOWTIE = "n 5\nU 0 1\nU 0 2\nU 1 2\nU 0 3\nU 0 4\nU 3 4\n"
 
 
@@ -196,3 +198,46 @@ def test_verify_reports_failures(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "c3t_rank: FAIL" in out
     assert "expected expected-thing, got got-thing" in out
+
+
+@pytest.mark.parametrize(
+    "suite, n, message",
+    [
+        ("p1", -1, "n must be >= 1, got -1"),
+        ("pendant", -2, "n must be >= 1, got -2"),
+        ("thm12", 0, "n must be >= 1, got 0"),
+        ("sylvester", 13, "suite 'sylvester' needs n <= 12, got 13"),
+        ("cycle_nullity", 13, "suite 'cycle_nullity' needs n <= 12, got 13"),
+    ],
+)
+def test_verify_out_of_range_n(suite, n, message, capsys):
+    from hermitia import verify_suite
+
+    with pytest.raises(ValueError, match=message):
+        verify_suite(suite, n=n)
+    assert main(["verify", "--suite", suite, "--n", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_verify_all_rejects_oversized_n_before_running(capsys):
+    # Without the bound, --all would go on to enumerate every class up to
+    # order 7 before the order-13 corpus failed.
+    code, elapsed = timed_under_alarm(lambda: main(["verify", "--all", "--n", "13"]), "verify --all --n 13")
+    assert code == 2
+    assert elapsed < 1.0
+    assert "needs n <= 12" in capsys.readouterr().err
+
+
+def test_verify_sized_suite_at_its_cap(capsys):
+    assert main(["verify", "--suite", "cycle_nullity", "--n", "12"]) == 0
+    assert "cycle_nullity: PASS (checked=85," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec", ["star:--5", "star:²", "c3t:1,¹,1", "cycle:-+3"])
+def test_generate_malformed_digit_token_exits_2(spec, capsys):
+    assert main(["generate", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: expected an integer, got ")

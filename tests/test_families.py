@@ -179,3 +179,19 @@ def test_spec_parse_errors():
     ):
         with pytest.raises(FamilySpecError):
             parse_family_spec(bad)
+
+
+@pytest.mark.parametrize(
+    "bad", ["star:--5", "star:²", "star:٣", "c3t:1,¹,1", "star:-", "K:q=1,1;n=1,1;p=--1"]
+)
+def test_spec_rejects_malformed_digit_tokens(bad):
+    with pytest.raises(FamilySpecError, match="expected an integer"):
+        parse_family_spec(bad)
+
+
+def test_spec_accepts_one_leading_minus():
+    # A negative count parses, then fails the family's own range check.
+    spec = parse_family_spec("K:q=1,1;n=1,1;p=-1")
+    assert spec.p == -1
+    with pytest.raises(FamilySpecError, match="a\\+b\\+c\\+d"):
+        realize(spec)

@@ -274,3 +274,18 @@ def test_empty_graph_round_trip():
     g = parse_graph("n 0")
     assert g.n == 0 and g.edges == ()
     assert parse_graph(serialize_graph(g)) == g
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n ²", "line 1: expected header"),
+        ("n 3\nU 0 ¹", "line 2: bad vertex id '¹'"),
+        ("n 3\nA ٣ 1", "line 2: bad vertex id"),
+        ("n -3", "line 1: expected header"),
+        ("n 3\nG 0 -1 i", "line 2: bad vertex id '-1'"),
+    ],
+)
+def test_parse_accepts_only_ascii_digits(text, message):
+    with pytest.raises(GraphFormatError, match=message):
+        parse_graph(text)
