@@ -199,7 +199,9 @@ def parse_graph(text: str) -> QuartGainGraph:
         if key in seen:
             raise GraphFormatError(f"line {lineno}: duplicate edge {key}")
         seen.add(key)
-        edges.append((a, b, gain))
+        # Stored as u < v, so a sorted file such as serialize_graph's output
+        # reaches QuartGainGraph already normalized.
+        edges.append((a, b, gain) if a < b else (b, a, unit_conj(gain)))
     if n is None:
         raise GraphFormatError("missing 'n <count>' header line")
     return QuartGainGraph(n, edges)

@@ -7,9 +7,11 @@ Two fully independent routes compute the signature of H(G):
 
 * :func:`inertia_exact` and :func:`inertia` diagonalize by fraction-free
   congruence over the Gaussian integers Z[i] and count pivot signs.  A
-  pivot scales the rest by |d| > 0 instead of dividing by d, and a zero
-  diagonal is cleared by adding one row/column to another.  Congruent
-  Hermitian matrices share their inertia, so the count is exact.
+  pivot d scales the rest by |d| > 0 instead of dividing by d, then divides
+  it by the previous |d|, a division that Sylvester's identity makes exact
+  (Bareiss); a zero diagonal is cleared by adding one row/column to
+  another.  Congruent Hermitian matrices share their inertia, so the count
+  is exact.
 * :func:`eig_float` runs LAPACK ``eigvalsh`` on a complex floating copy;
   :func:`inertia_float` thresholds its eigenvalues.  This path shares no
   code with the exact one and exists purely as an oracle.
@@ -20,7 +22,6 @@ exploits that to keep matrices small.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -114,28 +115,34 @@ def hermitian_matrix(graph: QuartGainGraph) -> HermitianMatrix:
 # -- exact route ---------------------------------------------------------------
 
 # The kernel works on two parallel lists of Python int rows, the real and the
-# imaginary parts of a Hermitian matrix over the Gaussian integers Z[i].  No
-# division by a matrix entry ever happens, so no fractions appear.
+# imaginary parts of a Hermitian matrix over the Gaussian integers Z[i].  Its
+# only division is Bareiss's, which is exact, so no fractions appear.
 
 
 def _signature(re: list[list[int]], im: list[list[int]]) -> InertiaTriple:
     """Inertia of the Hermitian matrix re + i*im over Z[i]; consumes both lists.
 
     Pivot step: for the smallest-index nonzero diagonal entry d with column
-    c, the rest of the matrix becomes |d|*M - sign(d)*c c*, which is |d|
-    times the Schur complement, so the inertia of the rest is unchanged.  The
-    rest is then divided by the gcd of all its real and imaginary parts;
-    without that, the entries grow doubly exponentially with the order.
+    c, the rest M becomes (|d|*M - sign(d)*c c*) // q, with q the previous
+    pivot's |d| (1 at first): |d|/q times the Schur complement, same inertia.
 
     Zero-diagonal step: when the whole remaining diagonal is zero, take the
     first nonzero off-diagonal entry h = m[s][t] in row-major order and add h
     times row/column t to row/column s.  That congruence makes the diagonal
     entry at s equal to 2|h|^2 > 0, and the pivot step runs on s.
 
+    The division is exact (Bareiss 1968).  With A the input after the
+    zero-diagonal steps so far, the rest holds one sign times the minors of A
+    on the pivots taken plus one more row and column; q is the leading minor
+    up to sign, and Sylvester's identity makes it divide the next ones.
+    Folding sign(d) into c only flips that sign.  A zero-diagonal step is a
+    unimodular congruence on unpivoted indices: each minor bordered by s gains
+    h (or conj h) times the one bordered by t, so the invariant holds.
+
     The dimension left when nothing nonzero remains is the nullity.
     """
     pos = neg = 0
-    gcd = math.gcd
+    q = 1
     while re:
         k = len(re)
         p = next((j for j in range(k) if re[j][j]), None)
@@ -171,22 +178,16 @@ def _signature(re: list[list[int]], im: list[list[int]]) -> InertiaTriple:
             d = -d
             pr = [-v for v in pr]
             pi = [-v for v in pi]
-        g = 0
         for rt, jt in zip(re, im):
             cr = rt.pop(p)
             ci = jt.pop(p)
             if cr or ci:
-                rt[:] = [d * a - (cr * b - ci * c) for a, b, c in zip(rt, pr, pi)]
-                jt[:] = [d * a - (cr * c + ci * b) for a, b, c in zip(jt, pr, pi)]
-            elif d != 1:
-                rt[:] = [d * a for a in rt]
-                jt[:] = [d * a for a in jt]
-            if g != 1:
-                g = gcd(g, *rt, *jt)
-        if g > 1:
-            for rt, jt in zip(re, im):
-                rt[:] = [a // g for a in rt]
-                jt[:] = [a // g for a in jt]
+                rt[:] = [(d * a - (cr * b - ci * c)) // q for a, b, c in zip(rt, pr, pi)]
+                jt[:] = [(d * a - (cr * c + ci * b)) // q for a, b, c in zip(jt, pr, pi)]
+            elif d != q:
+                rt[:] = [d * a // q for a in rt]
+                jt[:] = [d * a // q for a in jt]
+        q = d
     return InertiaTriple(pos, neg, len(re))
 
 

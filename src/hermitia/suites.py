@@ -29,7 +29,7 @@ from .classify import (
     thm11_classify,
     thm12_classify,
 )
-from .enumeration import EnumSpec, classes_up_to, enumerate_switching_classes
+from .enumeration import HARD_CAP, EnumSpec, classes_up_to, enumerate_switching_classes
 from .families import (
     gen_c3t,
     gen_complete_multipartite,
@@ -526,15 +526,28 @@ SUITE_NAMES = tuple(_SUITES)
 _SIZED_SUITES = ("sylvester", "cycle_nullity")
 _MAX_SIZED_N = 12
 
+# Suites whose corpus streams the enumerated classes of every order up to n.
+# The stream would reject the first order past HARD_CAP only after every
+# lower order had run, so that order is rejected up front, with the same text.
+_ENUMERATED_SUITES = (
+    "pendant", "interlacing", "cutvertex", "p1", "twins", "twin_rank3", "thm11", "thm12",
+)
 
-def verify_suite(name: str, n: Optional[int] = None, seed: Optional[int] = None) -> SuiteReport:
-    """Run one named suite and report instances checked and failures."""
+
+def _check_args(name: str, n: Optional[int]) -> None:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
     if n is not None and n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n is not None and name in _SIZED_SUITES and n > _MAX_SIZED_N:
         raise ValueError(f"suite {name!r} needs n <= {_MAX_SIZED_N}, got {n}")
+    if n is not None and name in _ENUMERATED_SUITES and n > HARD_CAP:
+        raise ValueError(f"order {HARD_CAP + 1} outside 1..{HARD_CAP}")
+
+
+def verify_suite(name: str, n: Optional[int] = None, seed: Optional[int] = None) -> SuiteReport:
+    """Run one named suite and report instances checked and failures."""
+    _check_args(name, n)
     if seed is None:
         seed = int(os.environ.get("HERMITIA_SEED", DEFAULT_SEED))
     report = SuiteReport(suite=name)
@@ -546,4 +559,7 @@ def verify_suite(name: str, n: Optional[int] = None, seed: Optional[int] = None)
 
 
 def verify_all(n: Optional[int] = None, seed: Optional[int] = None) -> list[SuiteReport]:
+    """Run every suite, after checking n against each of them."""
+    for name in SUITE_NAMES:
+        _check_args(name, n)
     return [verify_suite(name, n=n, seed=seed) for name in SUITE_NAMES]

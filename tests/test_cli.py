@@ -230,6 +230,30 @@ def test_verify_all_rejects_oversized_n_before_running(capsys):
     assert "needs n <= 12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["--suite", "pendant"], ["--all"]], ids=["pendant", "all"])
+def test_verify_rejects_order_past_enumeration_cap_before_running(args, capsys):
+    # The enumerated corpora stream every order up to n, and the stream only
+    # rejects order 8 after all of order 7; thm11 would run for minutes first.
+    code, elapsed = timed_under_alarm(
+        lambda: main(["verify", *args, "--n", "8"]), f"verify {args[0]} --n 8"
+    )
+    assert code == 2
+    assert elapsed < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: order 8 outside 1..7\n"
+
+
+@pytest.mark.parametrize(
+    "suite", ["pendant", "interlacing", "cutvertex", "p1", "twins", "twin_rank3", "thm11", "thm12"]
+)
+def test_verify_suite_rejects_order_past_enumeration_cap(suite):
+    from hermitia import verify_suite
+
+    with pytest.raises(ValueError, match=r"^order 8 outside 1\.\.7$"):
+        timed_under_alarm(lambda: verify_suite(suite, n=9), f"verify_suite {suite} n=9")
+
+
 def test_verify_sized_suite_at_its_cap(capsys):
     assert main(["verify", "--suite", "cycle_nullity", "--n", "12"]) == 0
     assert "cycle_nullity: PASS (checked=85," in capsys.readouterr().out

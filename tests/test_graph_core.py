@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,8 +27,9 @@ from hermitia import (
     underlying,
     unit_conj,
 )
+from hermitia import graph_core
 
-from conftest import quart_graphs
+from conftest import quart_graphs, random_graph
 
 
 def test_parse_single_undirected_edge():
@@ -86,6 +89,23 @@ def test_serialize_all_gain_kinds():
 @given(quart_graphs())
 def test_parse_serialize_round_trip(g):
     assert parse_graph(serialize_graph(g)) == g
+
+
+def test_parse_canonical_text_takes_sorted_fast_path(monkeypatch):
+    # serialize_graph writes a -i edge as "A v u" with v > u; the parser
+    # orients it back, so canonical text never needs the normalizing pass.
+    rng = random.Random(2024)
+    graphs = [random_graph(rng, 16) for _ in range(200)]
+    texts = [serialize_graph(g) for g in graphs]
+    arcs = [line.split()[1:] for t in texts for line in t.splitlines() if line.startswith("A ")]
+    assert any(int(a) > int(b) for a, b in arcs)
+
+    def _refuse(n, edges):
+        raise AssertionError("canonical .qgg text took the normalizing pass")
+
+    monkeypatch.setattr(graph_core, "_normalized_edges", _refuse)
+    for g, text in zip(graphs, texts):
+        assert parse_graph(text) == g
 
 
 @given(quart_graphs(max_n=9), st.randoms(use_true_random=False))

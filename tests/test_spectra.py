@@ -22,6 +22,7 @@ from hermitia import (
     parse_graph,
 )
 
+from bareiss_reference import bareiss_inertia, graph_grids
 from conftest import random_graph, timed_under_alarm
 from fraction_kernel import inertia_fraction
 
@@ -166,11 +167,17 @@ def _random_bipartite(rng: random.Random, a: int, b: int, edge_prob: float) -> Q
     return QuartGainGraph(a + b, edges)
 
 
-def _assert_kernels_agree(g) -> None:
+def _assert_kernels_agree(g) -> int:
+    """inertia, inertia_exact, the Fraction kernel and the exact-division
+    referee agree on g; returns the referee's count of zero-diagonal steps
+    taken after a pivot, where Bareiss's divisor q is already above 1."""
     h = hermitian_matrix(g)
     want = inertia_fraction(h)
     assert inertia_exact(h) == want, g
     assert inertia(g) == want, g
+    refereed, late_zero_steps = bareiss_inertia(*graph_grids(g))
+    assert refereed == want.as_tuple(), g
+    return late_zero_steps
 
 
 def test_kernel_matches_fraction_reference_random():
@@ -184,7 +191,7 @@ def test_kernel_matches_fraction_reference_all_classes_up_to_5():
         _assert_kernels_agree(g)
 
 
-def test_kernel_matches_fraction_reference_zero_diagonal():
+def _zero_diagonal_corpus():
     # Every H(G) starts with a zero diagonal, and a pivot keeps it zero away
     # from the pivot's neighbours, so matchings, trees and even cycles take
     # a zero-diagonal step every few vertices.
@@ -193,14 +200,28 @@ def test_kernel_matches_fraction_reference_zero_diagonal():
         n = rng.randint(2, 12)
         perm = rng.sample(range(n), n)
         tree = [(perm[rng.randrange(v)], perm[v], rng.choice(UNITS)) for v in range(1, n)]
-        _assert_kernels_agree(QuartGainGraph(n, tree))
+        yield QuartGainGraph(n, tree)
         matching = [(perm[2 * i], perm[2 * i + 1], rng.choice(UNITS)) for i in range(n // 2)]
-        _assert_kernels_agree(QuartGainGraph(n, matching))
+        yield QuartGainGraph(n, matching)
         a, b = rng.randint(1, 6), rng.randint(1, 6)
-        _assert_kernels_agree(_random_bipartite(rng, a, b, rng.choice([0.3, 0.6, 1.0])))
+        yield _random_bipartite(rng, a, b, rng.choice([0.3, 0.6, 1.0]))
     for n in (4, 6, 8, 10, 12):
         for arcs in range(4):
-            _assert_kernels_agree(gen_cycle(n, range(arcs)))
+            yield gen_cycle(n, range(arcs))
+
+
+def test_kernel_matches_fraction_reference_zero_diagonal():
+    assert sum(map(_assert_kernels_agree, _zero_diagonal_corpus())) > 100
+
+
+def test_bareiss_referee_on_bipartite_up_to_40():
+    rng = random.Random(40)
+    late_zero_steps = 0
+    for _ in range(40):
+        a = rng.randint(1, 39)
+        g = _random_bipartite(rng, a, rng.randint(1, 40 - a), rng.choice([0.1, 0.3, 0.6, 1.0]))
+        late_zero_steps += _assert_kernels_agree(g)
+    assert late_zero_steps > 0
 
 
 def test_kernel_matches_fraction_reference_rational_congruence():
@@ -220,6 +241,7 @@ def test_kernel_matches_fraction_reference_rational_congruence():
             s_im.append(row_im)
         c = congruence(h, s_re, s_im)
         assert inertia_exact(c) == inertia_fraction(c)
+        assert bareiss_inertia(c.re, c.im)[0] == inertia_fraction(c).as_tuple()
 
 
 def test_exact_matches_numpy_orders_8_to_24():
@@ -256,13 +278,23 @@ def _dense_graph(n: int) -> QuartGainGraph:
 
 
 def test_inertia_dense_order_64_is_fast():
-    # Without the gcd step the coefficients grow doubly exponentially: order
-    # 24 already takes seconds and order 64 does not finish, so a timer
-    # signal stops the call early.
+    # The exact division by the previous pivot keeps every entry a minor of
+    # the matrix, so Hadamard's bound caps its size.  Without a division the
+    # entries grow doubly exponentially: order 24 already takes seconds and
+    # order 64 does not finish, so a timer signal stops the call early.
     g = _dense_graph(64)
     got, elapsed = timed_under_alarm(lambda: inertia(g), "inertia of a dense order-64 graph")
     assert got.as_tuple() == _numpy_inertia(g)
     assert elapsed < 1.0
+
+
+def test_inertia_dense_order_128_is_fast():
+    # One order up the cubic step count and the growing minors compound:
+    # a dense order-128 graph takes under a second with the exact division.
+    g = _dense_graph(128)
+    got, elapsed = timed_under_alarm(lambda: inertia(g), "inertia of a dense order-128 graph")
+    assert got.as_tuple() == _numpy_inertia(g)
+    assert elapsed < 5.0
 
 
 def test_float_referee_dense_orders_32_to_128():
