@@ -263,14 +263,18 @@ def thm11_classify(graph: QuartGainGraph) -> Optional[ClassificationResult]:
     Looks for a pendant v1 with neighbor v2 such that after removing both,
     the non-isolated remainder has exactly one positive eigenvalue by
     :func:`p1_characterize`, and everything else hangs off v2 as a leaf.
+    Every pendant of one v2 leaves the same non-isolated remainder, so each
+    v2 is tried once, with its first pendant.
     """
     if not is_connected(graph) or graph.n < 2:
         raise ValueError("classification requires a connected graph on >= 2 vertices")
     pendants = pendant_vertices(graph)
     if not pendants:
         raise ValueError("graph has no pendant vertex")
+    first: dict[int, int] = {}
     for v1 in pendants:
-        v2 = graph.neighbors(v1)[0]
+        first.setdefault(graph.neighbors(v1)[0], v1)
+    for v2, v1 in first.items():
         rest = [u for u in range(graph.n) if u not in (v1, v2)]
         remainder = induced_subgraph(graph, rest)
         core = [rest[i] for i in range(len(rest)) if remainder.degree(i) > 0]

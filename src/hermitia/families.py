@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 from .graph_core import MAX_ORDER, QuartGainGraph, coalesce
@@ -26,6 +27,12 @@ from .numeric import UNIT_I, UNIT_MINUS_I, UNIT_MINUS_ONE, UNIT_ONE, Unit
 
 class FamilySpecError(ValueError):
     """Raised for invalid family parameters or malformed spec text."""
+
+
+# Deepest ``coalesce:`` nesting parse_family_spec accepts.  The parser,
+# realize and format_family_spec recurse once per level, so a much deeper
+# spec would end in RecursionError instead of a FamilySpecError.
+MAX_COALESCE_DEPTH = 200
 
 
 def _blocks(sizes: Sequence[int], start: int) -> list[list[int]]:
@@ -224,8 +231,16 @@ def parse_family_spec(text: str) -> FamilySpec:
         K:q=..;n=..;a=A,b=B,c=C,d=D
         coalesce:(SPEC)@V1+(SPEC)@V2
 
+    ``coalesce:`` specs nest at most :data:`MAX_COALESCE_DEPTH` deep.
     Round-trips with :func:`format_family_spec`.
     """
+    nesting = accumulate((ch == "(") - (ch == ")") for ch in text)
+    if max(nesting, default=0) > MAX_COALESCE_DEPTH:
+        raise FamilySpecError(f"coalesce specs nest at most {MAX_COALESCE_DEPTH} deep")
+    return _parse_spec(text)
+
+
+def _parse_spec(text: str) -> FamilySpec:
     text = text.strip()
     head, sep, rest = text.partition(":")
     if not sep:
@@ -319,7 +334,7 @@ def _parse_anchored(piece: str) -> tuple[FamilySpec, int]:
                 tail = piece[i + 1 :]
                 if not tail.startswith("@"):
                     raise FamilySpecError(f"missing '@vertex' in {piece!r}")
-                return parse_family_spec(inner), _int(tail[1:])
+                return _parse_spec(inner), _int(tail[1:])
     raise FamilySpecError(f"unbalanced parentheses in {piece!r}")
 
 

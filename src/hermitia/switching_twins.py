@@ -20,8 +20,9 @@ reduction, which preserves the positive and negative inertia counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
+
+import numpy as np
 
 from .graph_core import (
     QuartGainGraph,
@@ -40,7 +41,7 @@ from .numeric import (
     unit_conj,
     unit_mul,
 )
-from .spectra import inertia
+from .spectra import hermitian_matrix
 
 # One unit per vertex, realizing a four-way switching.
 SwitchAssignment = tuple[Unit, ...]
@@ -231,34 +232,36 @@ class IsoWitness:
     took_converse: bool
 
 
-def _triangle_values(graph: QuartGainGraph) -> list[Unit]:
-    """Sorted triangle cycle values with i and -i merged: invariant under
-    switching, relabeling (which may reverse a traversal) and the converse."""
-    return sorted(
-        min(value, unit_conj(value))
-        for value in (
-            cycle_value(graph, triangle)
-            for triangle in combinations(range(graph.n), 3)
-            if all(graph.has_edge(u, v) for u, v in combinations(triangle, 2))
-        )
-    )
+def _walk_values(graph: QuartGainGraph) -> list[tuple[int, ...]]:
+    """Per vertex v, the closed-walk values (H^k)_vv for k = 2..n.
+
+    Unchanged by switching and the converse, carried along by relabeling;
+    (H^2)_vv is the degree of v, and the traces fix the spectrum.  Exact in
+    int64 since |(H^k)_st| <= (n - 1)^(k - 1) < 2^40 for n <= MAX_ISO_ORDER.
+    """
+    h = hermitian_matrix(graph)
+    re, im = np.array(h.re, dtype=np.int64), np.array(h.im, dtype=np.int64)
+    power_re, power_im, diagonals = re, im, []
+    for _ in range(graph.n - 1):
+        power_re, power_im = power_re @ re - power_im @ im, power_re @ im + power_im @ re
+        diagonals.append(power_re.diagonal().tolist())
+    return list(zip(*diagonals)) or [()] * graph.n
 
 
 def switching_equivalent_up_to_iso(g1: QuartGainGraph, g2: QuartGainGraph) -> Optional[IsoWitness]:
     """Search underlying-graph isomorphisms for a switching-equivalence witness.
 
-    Pairs whose degree sequences, :func:`_triangle_values` or exact
-    inertias differ are rejected first, since all three are invariant under
-    relabeling, switching and the converse.  The triangle values reject K_n
-    against K_n with one edge negated, and the inertia rejects the
-    triangle-free K_{a,a} with one edge negated, on which the search below
-    takes time factorial in a.
+    A witness maps each vertex to one with the same :func:`_walk_values`.
+    So pairs whose sorted values differ are rejected at once, and the
+    search tries no other target, which prunes no witness.  This decides in
+    milliseconds symmetric pairs such as K_{a,a} against a copy with one
+    edge negated, which the search alone takes factorial time on.
 
-    Backtracks over degree-compatible vertex maps with adjacency pruning and
-    carries a partial switch phi_h along for two hypotheses: h = 0 compares
-    against g2, h = 1 against ``converse(g2)``.  Vertices are mapped so that
-    each one after the first of its component has an earlier neighbor; the
-    first mapped neighbor w of v fixes
+    Backtracks over vertex maps with adjacency pruning and carries a
+    partial switch phi_h along for two hypotheses: h = 0 compares against
+    g2, h = 1 against ``converse(g2)``.  Vertices are mapped so that each
+    one after the first of its component has an earlier neighbor; the first
+    mapped neighbor w of v fixes
     ``phi_h(v) = g2_h(m(w), m(v)) - g1(w, v) + phi_h(w)`` (mod 4), every
     other mapped neighbor must agree, and a component's first vertex gets
     phi_h = 0.  A hypothesis dies exactly when the mapped induced subgraphs
@@ -271,22 +274,17 @@ def switching_equivalent_up_to_iso(g1: QuartGainGraph, g2: QuartGainGraph) -> Op
         return None
     if g1.n > MAX_ISO_ORDER:
         raise ValueError(f"graphs too large for isomorphism search (n={g1.n})")
-    if len(g1.edges) != len(g2.edges):
-        return None
-    u1, u2 = underlying(g1), underlying(g2)
-    deg2 = {v: u2.degree(v) for v in range(u2.n)}
-    if sorted(u1.degree(v) for v in range(u1.n)) != sorted(deg2.values()):
-        return None
-    if _triangle_values(g1) != _triangle_values(g2) or inertia(g1) != inertia(g2):
+    c1, c2 = _walk_values(g1), _walk_values(g2)
+    if sorted(c1) != sorted(c2):
         return None
 
     # Map high-degree, already-anchored vertices first.
     order: list[int] = []
-    remaining = set(range(u1.n))
+    remaining = set(range(g1.n))
     while remaining:
-        anchored = [v for v in remaining if any(w not in remaining for w in u1.neighbors(v))]
+        anchored = [v for v in remaining if any(w not in remaining for w in g1.neighbors(v))]
         pool = anchored if anchored else list(remaining)
-        nxt = max(pool, key=lambda v: (u1.degree(v), -v))
+        nxt = max(pool, key=lambda v: (g1.degree(v), -v))
         order.append(nxt)
         remaining.discard(nxt)
 
@@ -297,20 +295,20 @@ def switching_equivalent_up_to_iso(g1: QuartGainGraph, g2: QuartGainGraph) -> Op
 
     def extend(depth: int, alive: list[bool]) -> Optional[IsoWitness]:
         if depth == len(order):
-            perm = tuple(mapping[v] for v in range(u1.n))
+            perm = tuple(mapping[v] for v in range(g1.n))
             witness = switching_witness(relabel(g1, perm), g2)
             if witness is not None:
                 theta, took_converse = witness
                 return IsoWitness(perm, theta, took_converse)
             return None
         v = order[depth]
-        back = [w for w in u1.neighbors(v) if w in mapping]
-        for target in range(u2.n):
+        back = [w for w in g1.neighbors(v) if w in mapping]
+        for target in range(g2.n):
             if (
                 target in used
-                or deg2[target] != u1.degree(v)
-                or len(back) != sum(1 for t in u2.neighbors(target) if t in used)
-                or not all(u2.has_edge(target, mapping[w]) for w in back)
+                or c2[target] != c1[v]
+                or len(back) != sum(1 for t in g2.neighbors(target) if t in used)
+                or not all(g2.has_edge(target, mapping[w]) for w in back)
             ):
                 continue
             still = []

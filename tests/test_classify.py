@@ -9,6 +9,7 @@ from hermitia import (
     QuartGainGraph,
     UNIT_I,
     UNIT_ONE,
+    UNITS,
     apply_switch,
     coalesce,
     complete_multipartite_parts,
@@ -24,12 +25,15 @@ from hermitia import (
     gen_K_gain,
     gen_K_plain,
     gen_star,
+    induced_subgraph,
     inertia,
+    is_connected,
     lem310_condition,
     lem311_check,
     lem38_condition,
     p1_characterize,
     parse_graph,
+    pendant_vertices,
     relabel,
     switching_witness,
     thm11_classify,
@@ -38,7 +42,7 @@ from hermitia import (
 )
 
 import hermitia.classify as classify_module
-from conftest import random_switch, timed_under_alarm
+from conftest import random_graph, random_switch, timed_under_alarm
 from thm12_reference import thm12_classify_reference
 
 K3 = "n 3\nU 0 1\nU 0 2\nU 1 2"
@@ -222,6 +226,83 @@ def test_thm11_preconditions():
         thm11_classify(parse_graph(K3))  # no pendant
     with pytest.raises(ValueError):
         thm11_classify(disjoint_union(gen_star(3), gen_star(3)))  # disconnected
+
+
+def _thm11_params_every_pendant(graph):
+    """thm11 params from trying every pendant in turn, centres repeated."""
+    for v1 in pendant_vertices(graph):
+        v2 = graph.neighbors(v1)[0]
+        rest = [u for u in range(graph.n) if u not in (v1, v2)]
+        remainder = induced_subgraph(graph, rest)
+        core = [rest[i] for i in range(len(rest)) if remainder.degree(i) > 0]
+        if any(graph.neighbors(u) != (v2,) for u in rest if u not in core):
+            continue
+        tag = p1_characterize(remainder)
+        if tag is not None:
+            return {"pendant": v1, "star_center": v2, "core_vertices": core, "core_tag": tag}
+    return None
+
+
+def _several_pendants_per_centre(rng):
+    """A switched p = 1 family core or a random graph, one or two centres
+    joined to it with two or three pendants each, randomly relabeled."""
+    core = rng.choice(
+        (
+            gen_c3t(rng.randint(1, 2), 1, rng.randint(1, 2)),
+            gen_complete_multipartite([rng.randint(1, 2) for _ in range(rng.randint(2, 3))]),
+            random_graph(rng, 5, 0.6),
+        )
+    )
+    core = apply_switch(core, random_switch(rng, core.n))
+    edges, n = list(core.edges), core.n
+    centres = []
+    for _ in range(rng.randint(1, 2)):
+        centres.append(n)
+        anchors = [n - 1] if len(centres) == 2 else rng.sample(range(core.n), rng.randint(1, core.n))
+        edges += [(u, n, rng.choice(UNITS)) for u in anchors]
+        n += 1
+    for centre in centres:
+        for _ in range(rng.randint(2, 3)):
+            edges.append((centre, n, rng.choice(UNITS)))
+            n += 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(QuartGainGraph(n, edges), perm)
+
+
+def test_thm11_params_match_every_pendant_loop():
+    enumerated = [
+        g
+        for order in range(2, 7)
+        for g in enumerate_switching_classes(EnumSpec(n=order, has_pendant=True, mixed_only=True))
+    ]
+    rng = random.Random(17)
+    seeded = [g for g in (_several_pendants_per_centre(rng) for _ in range(400)) if is_connected(g)]
+    matched = []
+    for graphs in (enumerated, seeded):
+        matched.append(0)
+        for g in graphs:
+            result = thm11_classify(g)
+            expected = _thm11_params_every_pendant(g)
+            assert (None if result is None else result.params["thm11"]) == expected, g
+            matched[-1] += expected is not None
+    # 796 of the 8,528 enumerated classes have p = 2.
+    assert matched[0] == 796
+    assert 100 < matched[1] < len(seeded) - 100
+
+
+def test_thm11_hub_with_many_pendants_is_fast():
+    # One hub with 200 pendants, joined to every vertex of a dense
+    # random-gain core of 200: retrying the same centre for each pendant
+    # took about 5 s.
+    rng = random.Random(200)
+    core = range(201, 401)
+    edges = [(0, v, UNIT_ONE) for v in range(1, 201)] + [(0, v, rng.choice(UNITS)) for v in core]
+    edges += [(u, v, rng.choice(UNITS)) for u in core for v in core if u < v and rng.random() < 0.5]
+    g = QuartGainGraph(401, edges)
+    result, elapsed = timed_under_alarm(lambda: thm11_classify(g), "thm11_classify on a 200-pendant hub")
+    assert result is None
+    assert elapsed < 1.0
 
 
 # -- cut-vertex characterization ----------------------------------------------------------

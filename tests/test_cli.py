@@ -4,6 +4,7 @@ import time
 import pytest
 
 from hermitia.cli import build_parser, main
+from hermitia.families import MAX_COALESCE_DEPTH
 
 from conftest import timed_under_alarm
 
@@ -152,6 +153,25 @@ def test_generate_above_max_order_exits_2(spec, capsys):
 def test_generate_at_max_order(capsys):
     assert main(["generate", "star:1024"]) == 0
     assert capsys.readouterr().out.startswith("n 1024\n")
+
+
+def _nested_coalesce(depth: int) -> str:
+    spec = "star:2"
+    for _ in range(depth):
+        spec = f"coalesce:({spec})@0+(star:2)@1"
+    return spec
+
+
+def test_generate_deep_coalesce_exits_2(capsys):
+    # Depth 400 is a 9.6 kB spec of order 402; past about 330 levels the
+    # recursive parser used to end in RecursionError, a traceback and exit 1.
+    assert main(["generate", _nested_coalesce(400)]) == 2
+    assert capsys.readouterr().err.startswith("error: coalesce specs nest at most")
+
+
+def test_generate_at_max_coalesce_depth(capsys):
+    assert main(["generate", _nested_coalesce(MAX_COALESCE_DEPTH)]) == 0
+    assert capsys.readouterr().out.startswith(f"n {MAX_COALESCE_DEPTH + 2}\n")
 
 
 def test_verify_requires_suite_or_all(capsys):

@@ -22,7 +22,7 @@ from hermitia import (
 )
 
 from conftest import anchored_switches, timed_under_alarm
-from connected_reference import connected_underlying_bruteforce
+from connected_reference import connected_underlying_bruteforce, reference_form
 from mixed_reference import mixed_representative_bruteforce
 
 
@@ -33,7 +33,11 @@ def test_connected_graph_counts():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_extension_generation_matches_bruteforce(n):
-    assert connected_underlying(n) == connected_underlying_bruteforce(n)
+    # One graph per class: as many graphs as classes, and every class met.
+    generated = connected_underlying(n)
+    reference = connected_underlying_bruteforce(n)
+    assert len(generated) == len(reference)
+    assert {reference_form(n, edges) for edges in generated} == reference
 
 
 def test_single_edge_is_the_only_order_two_class():

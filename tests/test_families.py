@@ -27,6 +27,8 @@ from hermitia import (
     twin_reduction,
 )
 
+from hermitia.families import MAX_COALESCE_DEPTH
+
 from conftest import random_graph
 
 
@@ -158,6 +160,18 @@ def test_spec_round_trip():
         spec = parse_family_spec(text)
         assert format_family_spec(spec) == text
         realize(spec)
+
+
+def test_nested_coalesce_round_trip_and_depth_cap():
+    spec = "c3t:1,1,1"
+    for depth in range(1, MAX_COALESCE_DEPTH + 2):
+        spec = f"coalesce:(star:3)@1+({spec})@{depth % 3}"
+        if depth in (5, 60, MAX_COALESCE_DEPTH):
+            parsed = parse_family_spec(spec)
+            assert format_family_spec(parsed) == spec
+            assert realize(parsed).n == 3 + 2 * depth
+    with pytest.raises(FamilySpecError, match="nest at most"):
+        parse_family_spec(spec)
 
 
 def test_realize_dispatch():

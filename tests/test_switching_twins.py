@@ -37,6 +37,7 @@ from hermitia import (
     two_way_mixed,
     underlying,
 )
+from hermitia.switching_twins import _walk_values
 
 from conftest import (
     brute_force_equivalent,
@@ -267,11 +268,30 @@ def test_up_to_iso_size_cap():
         switching_equivalent_up_to_iso(big, big)
 
 
+def _circulant_edges(n: int, jumps) -> list[tuple[int, int]]:
+    return sorted({(min(v, (v + j) % n), max(v, (v + j) % n)) for v in range(n) for j in jumps})
+
+
+# Vertex-transitive underlying graphs, on which every vertex has the same
+# degree, so only the gains and the search tell the vertices apart.
+SYMMETRIC = (
+    (6, [(u, v) for u in range(3) for v in range(3, 6)]),  # K_{3,3}
+    (7, _circulant_edges(7, (1, 2))),  # C7(1,2)
+    (6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)]),  # prism(3)
+)
+
+
 def _iso_pair(rng: random.Random, kind: int, max_n: int = 7):
     """A seeded pair of order <= max_n: 0 relabeled switch (half of them also
     conversed), 1 the same with one gain changed, 2 fresh gains on a relabeled
-    copy of the underlying graph, 3 two unrelated graphs."""
-    g1 = random_graph(rng, max_n, rng.choice([0.3, 0.5, 0.7, 0.9]))
+    copy of the underlying graph, 3 two unrelated graphs, 4 kind 0 or 1 on
+    random gains over one of the :data:`SYMMETRIC` graphs."""
+    if kind == 4:
+        n, edges = rng.choice([(n, edges) for n, edges in SYMMETRIC if n <= max_n])
+        g1 = QuartGainGraph(n, [(u, v, rng.choice(UNITS)) for u, v in edges])
+        kind = rng.choice((0, 1))
+    else:
+        g1 = random_graph(rng, max_n, rng.choice([0.3, 0.5, 0.7, 0.9]))
     if kind == 3:
         return g1, random_graph(rng, max_n, rng.choice([0.3, 0.5, 0.7, 0.9]))
     perm = list(range(g1.n))
@@ -297,7 +317,7 @@ def test_up_to_iso_matches_unpruned_reference():
     rng = random.Random(20261018)
     kinds = {"found": 0, "converse": 0, "none": 0}
     for i in range(1000):
-        g1, g2 = _iso_pair(rng, i % 4)
+        g1, g2 = _iso_pair(rng, i % 5)
         expected = switching_equivalent_up_to_iso_unpruned(g1, g2)
         assert switching_equivalent_up_to_iso(g1, g2) == expected, (g1, g2)
         if expected is None:
@@ -330,11 +350,10 @@ def test_up_to_iso_inequivalent_complete_graphs_are_fast(n):
     # Without gain pruning every one of the n! maps of K_n reaches a complete
     # map: K8 alone takes about 12 s, so a timer signal stops the call early.
     # All-ones K_n against K_n with edge (0, 1) negated defeats gain pruning
-    # too, since any map avoiding that edge's triangles survives; without the
-    # triangle-value pre-check K9 takes seconds and K12 hours.  The
-    # triangle-free K_{a,a}, a = n/2, with edge (0, a) negated has no
-    # triangle values to compare, and without the inertia pre-check took
-    # 0.5 s at a = 5 and 8 s at a = 6.
+    # too, since any map avoiding that edge's triangles survives; the search
+    # alone takes seconds on K9 and hours on K12.  So does the triangle-free
+    # K_{a,a}, a = n/2, with edge (0, a) negated: 0.5 s at a = 5 and 8 s at
+    # a = 6.  The closed-walk values reject all of these before searching.
     rng = random.Random(n)
     edges = list(itertools.combinations(range(n), 2))
 
@@ -376,6 +395,86 @@ def test_up_to_iso_inequivalent_complete_graphs_are_fast(n):
         )
         assert got is None
         assert elapsed < 1.0
+
+
+def _equal_inertia_pairs(n, edges, negated, more, count, seed):
+    """count seeded pairs of signed graphs on ``edges``: ``negated`` random
+    edges negated, against a copy with ``more`` further edges negated, kept
+    when the two inertias agree.  Triangle-free or vertex-transitive
+    underlying graphs then leave nothing but the search to tell them apart
+    without the closed-walk values."""
+    rng = random.Random(seed)
+
+    def signed(minus):
+        return QuartGainGraph(n, [(u, v, UNIT_MINUS_ONE if (u, v) in minus else UNIT_ONE) for u, v in edges])
+
+    pairs = []
+    while len(pairs) < count:
+        minus = set(rng.sample(edges, negated))
+        g1, g2 = signed(minus), signed(minus | set(rng.sample([e for e in edges if e not in minus], more)))
+        if inertia(g1) == inertia(g2):
+            pairs.append((g1, g2))
+    return pairs
+
+
+PETERSEN = sorted(
+    (min(u, v), max(u, v))
+    for i in range(5)
+    for u, v in ((i, (i + 1) % 5), (i, i + 5), (5 + i, 5 + (i + 2) % 5))
+)
+
+
+@pytest.mark.parametrize(
+    "n, edges, negated, more, count",
+    [
+        (12, [(u, v) for u in range(6) for v in range(6, 12)], 3, 2, 40),
+        (10, PETERSEN, 7, 1, 10),
+        (12, _circulant_edges(12, (1, 3, 5)), 18, 1, 10),
+    ],
+    ids=["K6,6", "Petersen", "C12(1,3,5)"],
+)
+def test_up_to_iso_equal_inertia_symmetric_pairs_are_fast(n, edges, negated, more, count):
+    # Without the closed-walk values these pairs agree on degrees, triangle
+    # values and inertia, and the search decided the K6,6 pairs in up to 3 s
+    # and the C12(1,3,5) pairs in up to 0.36 s each.
+    for g1, g2 in _equal_inertia_pairs(n, edges, negated, more, count, seed=7):
+        witness, elapsed = timed_under_alarm(
+            lambda: switching_equivalent_up_to_iso(g1, g2), "iso search on an equal-inertia signed pair"
+        )
+        assert elapsed < 0.05
+        if witness is not None:
+            replay = apply_switch(relabel(g1, witness.perm), witness.theta)
+            assert (converse(replay) if witness.took_converse else replay) == g2
+
+
+def test_walk_values_follow_switch_relabel_and_converse():
+    rng = random.Random(11)
+    for _ in range(200):
+        g = random_graph(rng, 8, rng.choice([0.3, 0.6, 0.9]))
+        values = _walk_values(g)
+        assert len(values) == g.n and all(len(row) == max(g.n - 1, 0) for row in values)
+        assert all(row[0] == g.degree(v) for v, row in enumerate(values) if row)
+        assert _walk_values(apply_switch(g, random_switch(rng, g.n))) == values
+        assert _walk_values(converse(g)) == values
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        moved = _walk_values(relabel(g, perm))
+        assert [moved[perm[v]] for v in range(g.n)] == values
+
+
+def test_walk_value_sums_are_eigenvalue_power_sums():
+    # All-ones K12 has the largest values below the cap, (11^12 + 11) / 12
+    # at k = 12, and H = J - I gives them in closed form.
+    ones = QuartGainGraph(12, [(u, v, UNIT_ONE) for u, v in itertools.combinations(range(12), 2)])
+    assert _walk_values(ones) == [tuple((11**k + 11 * (-1) ** k) // 12 for k in range(2, 13))] * 12
+    rng = random.Random(12)
+    for _ in range(100):
+        g = random_graph(rng, 9, rng.choice([0.3, 0.6, 0.9]))
+        eigs = eig_float(hermitian_matrix(g))
+        values = _walk_values(g)
+        for k in range(2, g.n + 1):
+            expected = sum(x**k for x in eigs)
+            assert sum(row[k - 2] for row in values) == pytest.approx(expected, rel=1e-9, abs=1e-6)
 
 
 def test_twins_examples():
