@@ -11,9 +11,11 @@ and no pendant vertex.
 
 Complete multipartite parts are neighborhood classes: one pass groups the
 vertices by neighbor set, and the graph is complete multipartite exactly
-when each group sees everything outside itself.  A block's p = 1 reading
-(its tag and its parts) is computed once and serves the case-i star test,
-the case-i part sizes and the one-vertex extension check alike.
+when each group sees everything outside itself.  Each vertex set is read
+once: at a cut vertex v, each side's parts are split into those v meets
+whole and those v misses.  That split gives the apex shape and case i, as
+side + v is complete multipartite exactly when v misses at most one part
+and meets none partly.  :func:`lem311_check` splits f1's parts the same way.
 
 The cut-vertex classifier decomposes the underlying graph at a cut vertex
 into an apex-family shape.  Once both sides of the apex are switched to
@@ -191,6 +193,9 @@ def complete_multipartite_parts(
     vs = sorted(set(range(graph.n) if vertices is None else vertices))
     if not vs:
         return None
+    for v in (vs[0], vs[-1]):
+        if not 0 <= v < graph.n:
+            raise ValueError(f"vertex id {v} out of range")
     inside = set(vs)
     groups: dict[frozenset[int], list[int]] = {}
     for v in vs:
@@ -200,21 +205,29 @@ def complete_multipartite_parts(
     return [tuple(part) for part in groups.values()]
 
 
-def _p1_reading(graph: QuartGainGraph) -> Optional[tuple[str, list[VertexSet]]]:
-    """The :func:`p1_characterize` tag with the parts of the non-isolated
-    vertices (relabeled 0.. in order), or None."""
-    live = [v for v in range(graph.n) if graph.degree(v) > 0]
-    if not live:
-        return None
-    core = induced_subgraph(graph, live)
-    parts = complete_multipartite_parts(core)
-    if parts is None or len(parts) < 2:
-        return None
+def _p1_tag(graph: QuartGainGraph, vertices: Sequence[int], n_parts: int) -> Optional[str]:
+    """The p = 1 tag of ``graph[vertices]``, a complete multipartite graph
+    with ``n_parts`` parts and no isolated vertex, or None."""
+    core = induced_subgraph(graph, vertices)
     if is_positive(core):
-        return "multipartite", parts
-    if len(parts) == 3 and is_odd_triangle(twin_reduction(core)):
-        return "c3t", parts
+        return "multipartite"
+    if n_parts == 3 and is_odd_triangle(twin_reduction(core)):
+        return "c3t"
     return None
+
+
+def _p1_reading(graph: QuartGainGraph, vertices: Optional[Sequence[int]] = None):
+    """The :func:`p1_characterize` tag of the non-isolated part of
+    ``graph[vertices]`` with its parts in ``graph``'s labels, or None.
+    Every live vertex has a live neighbor, so there are two parts or more."""
+    vs = range(graph.n) if vertices is None else vertices
+    inside = set(vs)
+    live = [u for u in vs if not inside.isdisjoint(graph.neighbors(u))]
+    parts = complete_multipartite_parts(graph, live)
+    if parts is None:
+        return None
+    tag = _p1_tag(graph, live, len(parts))
+    return None if tag is None else (tag, parts)
 
 
 def p1_characterize(graph: QuartGainGraph) -> Optional[str]:
@@ -275,19 +288,15 @@ def thm11_classify(graph: QuartGainGraph) -> Optional[ClassificationResult]:
     for v1 in pendants:
         first.setdefault(graph.neighbors(v1)[0], v1)
     for v2, v1 in first.items():
-        rest = [u for u in range(graph.n) if u not in (v1, v2)]
-        remainder = induced_subgraph(graph, rest)
-        core = [rest[i] for i in range(len(rest)) if remainder.degree(i) > 0]
-        stray = [u for u in rest if u not in set(core)]
-        if any(graph.neighbors(u) != (v2,) for u in stray):
+        # A vertex isolated in G - v1 - v2 can only neighbor v2: it is a leaf.
+        reading = _p1_reading(graph, [u for u in range(graph.n) if u not in (v1, v2)])
+        if reading is None:
             continue
-        tag = p1_characterize(remainder)
-        if tag is None:
-            continue
+        tag, parts = reading
         params = {
             "pendant": v1,
             "star_center": v2,
-            "core_vertices": list(core),
+            "core_vertices": sorted(u for part in parts for u in part),
             "core_tag": tag,
         }
         return ClassificationResult(("thm11",), {"thm11": params}, {})
@@ -307,36 +316,16 @@ class _ApexShape:
     other_parts: tuple[VertexSet, ...]
 
 
-def _apex_shapes(
-    graph: QuartGainGraph, v: int, comps: Sequence[VertexSet]
-) -> list[_ApexShape]:
-    shapes = []
-    part_cache = {
-        comp: complete_multipartite_parts(graph, comp) for comp in comps
-    }
-    for q_comp, n_comp in ((comps[0], comps[1]), (comps[1], comps[0])):
-        q_parts = part_cache[q_comp]
-        n_parts = part_cache[n_comp]
-        if q_parts is None or n_parts is None:
-            continue
-        if not all(graph.has_edge(v, u) for u in q_comp):
-            continue
-        adjacent = []
-        other = []
-        whole = True
-        for part in n_parts:
-            hits = sum(1 for u in part if graph.has_edge(v, u))
-            if hits == len(part):
-                adjacent.append(part)
-            elif hits == 0:
-                other.append(part)
-            else:
-                whole = False
-                break
-        if not whole or not adjacent:
-            continue
-        shapes.append(_ApexShape(v, tuple(q_parts), tuple(adjacent), tuple(other)))
-    return shapes
+def _split(graph: QuartGainGraph, v: int, parts: Sequence[VertexSet]):
+    """The parts v meets whole and the parts v misses; None when v meets a
+    part only partly."""
+    hit, missed = [], []
+    for part in parts:
+        hits = sum(1 for u in part if graph.has_edge(v, u))
+        if hits not in (0, len(part)):
+            return None
+        (hit if hits else missed).append(part)
+    return tuple(hit), tuple(missed)
 
 
 def _family_candidate(
@@ -424,24 +413,31 @@ def thm12_classify(graph: QuartGainGraph) -> ClassificationResult:
         comps = components_avoiding(graph, v)
         if len(comps) != 2:
             continue
+        # Each side is read once.  A side that v meets only partly fits
+        # neither case i nor an apex shape.
+        sides = []
+        for comp in comps:
+            parts = complete_multipartite_parts(graph, comp)
+            split = None if parts is None else _split(graph, v, parts)
+            if split is None:
+                break
+            sides.append((comp, *split))
+        if len(sides) != 2:
+            continue
         if "thm12_i" not in params:
-            _try_case_i(graph, v, comps, params)
-        for shape in _apex_shapes(graph, v, comps):
-            adj = shape.adjacent_parts
-            r = len(shape.q_parts)
-            k = len(adj) + len(shape.other_parts)
-            if r < 2 or k < 2:
+            _try_case_i(graph, v, sides, params)
+        # v meets every component of G - v, so adj is never empty, and a
+        # one-part side would be a pendant vertex, so r, k >= 2.
+        for (_, q_parts, q_missed), (_, adj, other) in (sides, sides[::-1]):
+            if q_missed:
                 continue
+            shape = _ApexShape(v, q_parts, adj, other)
+            r, k = len(q_parts), len(adj) + len(other)
             roles = _apex_roles(graph, shape)
             if roles is None:
                 continue
             values = set(roles)
-            if (
-                "thm12_ii" not in params
-                and len(values) == 1
-                and cor39_condition(r, k, len(adj))
-                and not (len(adj) == 1 and len(adj[0]) < 2 and k < 3)
-            ):
+            if "thm12_ii" not in params and len(values) == 1 and cor39_condition(r, k, len(adj)):
                 _match(graph, shape, "thm12_ii", {"p": len(adj)}, (), (), adj, params, witnesses)
             # lem38 with a = b = 1 reduces to r = 2.  Gains i and -i differ
             # by 2, which is symmetric in the two parts, so the first role
@@ -473,20 +469,22 @@ def thm12_classify(graph: QuartGainGraph) -> ClassificationResult:
     return ClassificationResult(cases, params, witnesses)
 
 
-def _try_case_i(graph, v, comps, params) -> None:
-    sides = []
-    for comp in comps:
-        # Each side is connected, so its p = 1 parts cover all of it, and
+def _try_case_i(graph, v, sides, params) -> None:
+    found = []
+    for comp, hit, missed in sides:
+        # comp + v is complete multipartite exactly when v misses at most
+        # one part of comp, which v then joins.  The block is connected, so
         # it is a star exactly when it has two parts, one a single vertex.
-        reading = _p1_reading(induced_subgraph(graph, sorted(comp + (v,))))
-        if reading is None:
+        if len(missed) > 1:
             return
-        tag, parts = reading
-        sizes = sorted(len(p) for p in parts)
+        sizes = sorted([len(p) for p in hit] + [1 + sum(map(len, missed))])
         if len(sizes) == 2 and sizes[0] == 1:
             return
-        sides.append({"tag": tag, "part_sizes": sizes})
-    params["thm12_i"] = {"cut_vertex": v, "sides": sides}
+        tag = _p1_tag(graph, comp + (v,), len(sizes))
+        if tag is None:
+            return
+        found.append({"tag": tag, "part_sizes": sizes})
+    params["thm12_i"] = {"cut_vertex": v, "sides": found}
 
 
 def _match(graph, shape, tag, counts, i_parts, minus_i_parts, one_parts, params, witnesses) -> bool:
@@ -536,17 +534,11 @@ def lem311_check(f1: QuartGainGraph, f2: QuartGainGraph, v: int) -> bool:
     if in2.p != 2:
         raise HypothesisViolation(f"p(f2) = {in2.p}, need 2")
 
-    # f1 is connected, so its p = 1 parts cover all of it.
-    reading = _p1_reading(f1)
+    # f1 is connected, so its p = 1 parts cover all of it.  v must be an
+    # apex over whole parts, with gains constant per part once f1 is
+    # switched plain.
+    reading = _p1_reading(f2, [u for u in range(f2.n) if u != v])
     if reading is None or reading[0] != "multipartite":
         return False
-    hit, missed = [], []
-    for part in reading[1]:
-        part = tuple(u if u < v else u + 1 for u in part)
-        hits = sum(1 for u in part if f2.has_edge(v, u))
-        if hits not in (0, len(part)):
-            return False
-        (hit if hits else missed).append(part)
-    # v is an apex over f1's parts; its gains must be constant per part once
-    # f1 is switched plain.
-    return _apex_roles(f2, _ApexShape(v, (), tuple(hit), tuple(missed))) is not None
+    split = _split(f2, v, reading[1])
+    return split is not None and _apex_roles(f2, _ApexShape(v, (), *split)) is not None

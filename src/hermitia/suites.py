@@ -29,7 +29,7 @@ from .classify import (
     thm11_classify,
     thm12_classify,
 )
-from .enumeration import HARD_CAP, EnumSpec, classes_up_to, enumerate_switching_classes
+from .enumeration import HARD_CAP, classes_up_to
 from .families import (
     gen_c3t,
     gen_complete_multipartite,
@@ -460,29 +460,23 @@ def _check_lem311_instance(
 
 def _suite_thm11(report: SuiteReport, n: Optional[int], seed: int) -> None:
     """Over every mixed class with a pendant vertex: classified iff p = 2."""
-    top = n or 5
-    for order in range(2, top + 1):
-        spec = EnumSpec(n=order, has_pendant=True, mixed_only=True)
-        for g in enumerate_switching_classes(spec):
-            report.checked += 1
-            classified = thm11_classify(g) is not None
-            is_p2 = inertia(g).p == 2
-            if classified != is_p2:
-                report.record(compact_str(g), f"p2={is_p2}", f"classified={classified}")
+    for g in classes_up_to(n or 5, has_pendant=True, mixed_only=True):
+        report.checked += 1
+        classified = thm11_classify(g) is not None
+        is_p2 = inertia(g).p == 2
+        if classified != is_p2:
+            report.record(compact_str(g), f"p2={is_p2}", f"classified={classified}")
 
 
 def _suite_thm12(report: SuiteReport, n: Optional[int], seed: int) -> None:
     """Over every mixed class with a cut vertex and no pendant vertex:
     at least one family case matches iff p = 2."""
-    top = n or 6
-    for order in range(3, top + 1):
-        spec = EnumSpec(n=order, has_cut_vertex=True, no_pendant=True, mixed_only=True)
-        for g in enumerate_switching_classes(spec):
-            report.checked += 1
-            matched = bool(thm12_classify(g).cases)
-            is_p2 = inertia(g).p == 2
-            if matched != is_p2:
-                report.record(compact_str(g), f"p2={is_p2}", f"matched={matched}")
+    for g in classes_up_to(n or 6, has_cut_vertex=True, no_pendant=True, mixed_only=True):
+        report.checked += 1
+        matched = bool(thm12_classify(g).cases)
+        is_p2 = inertia(g).p == 2
+        if matched != is_p2:
+            report.record(compact_str(g), f"p2={is_p2}", f"matched={matched}")
 
 
 def _suite_oracle_agreement(report: SuiteReport, n: Optional[int], seed: int) -> None:
