@@ -21,11 +21,11 @@ The cut-vertex classifier decomposes the underlying graph at a cut vertex
 into an apex-family shape.  Once both sides of the apex are switched to
 all-1 gains, the apex gain into each adjacent part (its role) is fixed up
 to a common shift and the converse, and a family fits exactly when its own
-apex gains are those roles.  So each case reads its role split off once
-and builds one concrete family instance.  Because the family graphs have
-gains constant on part pairs, a part-respecting relabeling and one
-switching witness certify the match: no general isomorphism search is
-needed, and each match comes with an explicit witness.
+apex gains are those roles.  So each case reads its role split off once.
+The family graphs have gains constant on part pairs, so the witness is a
+part-respecting relabeling and the switch that read the roles, shifted on
+the n side onto the family's apex gains: no family instance is built, no
+isomorphism search is needed, and each match comes with its witness.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .families import gen_K_gain
 from .graph_core import (
     QuartGainGraph,
     VertexSet,
@@ -44,15 +43,14 @@ from .graph_core import (
     induced_subgraph,
     is_connected,
     pendant_vertices,
-    relabel,
 )
-from .numeric import UNIT_ONE, Unit, unit_token
+from .numeric import UNIT_I, UNIT_MINUS_I, UNIT_ONE, Unit, unit_token
 from .spectra import inertia
 from .switching_twins import (
     IsoWitness,
+    SwitchAssignment,
     is_odd_triangle,
     is_positive,
-    switching_witness,
     tree_normalize,
     twin_reduction,
 )
@@ -328,38 +326,12 @@ def _split(graph: QuartGainGraph, v: int, parts: Sequence[VertexSet]):
     return tuple(hit), tuple(missed)
 
 
-def _family_candidate(
-    graph: QuartGainGraph,
-    shape: _ApexShape,
-    i_parts: Sequence[VertexSet],
-    minus_i_parts: Sequence[VertexSet],
-    one_parts: Sequence[VertexSet],
-) -> tuple[QuartGainGraph, tuple[int, ...], QuartGainGraph]:
-    """The family instance matching the shape with the given gain roles,
-    together with the relabeling of ``graph`` onto the family layout."""
-    order = [shape.apex]
-    for group in (shape.q_parts, i_parts, minus_i_parts, one_parts, shape.other_parts):
-        for part in group:
-            order.extend(part)
-    perm = [0] * graph.n
-    for new, old in enumerate(order):
-        perm[old] = new
-    q_sizes = [len(p) for p in shape.q_parts]
-    n_sizes = (
-        [len(p) for p in i_parts]
-        + [len(p) for p in minus_i_parts]
-        + [len(p) for p in one_parts]
-        + [len(p) for p in shape.other_parts]
-    )
-    family = gen_K_gain(
-        q_sizes, n_sizes, len(i_parts), len(minus_i_parts), len(one_parts), 0
-    )
-    return family, tuple(perm), relabel(graph, perm)
-
-
-def _apex_roles(graph: QuartGainGraph, shape: _ApexShape) -> Optional[list[Unit]]:
+def _apex_roles(
+    graph: QuartGainGraph, shape: _ApexShape
+) -> Optional[tuple[list[Unit], SwitchAssignment]]:
     """The apex gain into each adjacent part once both sides are switched
-    to all-1 gains; None when a side is not positive or a part sees two gains.
+    to all-1 gains, with the switch sigma that does it; None when a side is
+    not positive or a part sees two gains.
 
     Without the apex edges into the n side, the graph has two components,
     the q side with the apex and the n side.  Switches that keep both all-1
@@ -375,14 +347,14 @@ def _apex_roles(graph: QuartGainGraph, shape: _ApexShape) -> Optional[list[Unit]
     normal = tree_normalize(sides)
     if any(g != UNIT_ONE for _, _, g in normal.graph.edges):
         return None
-    theta = normal.assignment
+    sigma = normal.assignment
     roles = []
     for part in shape.adjacent_parts:
-        values = {(graph.gain(apex, u) - theta[apex] + theta[u]) % 4 for u in part}
+        values = {(graph.gain(apex, u) - sigma[apex] + sigma[u]) % 4 for u in part}
         if len(values) != 1:
             return None
         roles.extend(values)
-    return roles
+    return roles, sigma
 
 
 def thm12_classify(graph: QuartGainGraph) -> ClassificationResult:
@@ -396,8 +368,8 @@ def thm12_classify(graph: QuartGainGraph) -> ClassificationResult:
     the stated inequalities.  A family fits exactly when its apex gains
     (1 for case ii; i and -i for case iii; i and 1 for case iv) equal the
     :func:`_apex_roles` of the graph up to a common shift and the converse,
-    so each case reads its role split off those values and certifies it
-    with one switching witness.
+    so each case reads its role split off those values, and the switch
+    that read them gives the witness.
     """
     if not is_connected(graph):
         raise ValueError("classification requires a connected graph")
@@ -433,18 +405,20 @@ def thm12_classify(graph: QuartGainGraph) -> ClassificationResult:
                 continue
             shape = _ApexShape(v, q_parts, adj, other)
             r, k = len(q_parts), len(adj) + len(other)
-            roles = _apex_roles(graph, shape)
-            if roles is None:
+            reading = _apex_roles(graph, shape)
+            if reading is None:
                 continue
+            roles = reading[0]
             values = set(roles)
             if "thm12_ii" not in params and len(values) == 1 and cor39_condition(r, k, len(adj)):
-                _match(graph, shape, "thm12_ii", {"p": len(adj)}, (), (), adj, params, witnesses)
+                gains = [UNIT_ONE] * len(adj)
+                _match(graph, shape, reading, gains, "thm12_ii", {"p": len(adj)}, params, witnesses)
             # lem38 with a = b = 1 reduces to r = 2.  Gains i and -i differ
             # by 2, which is symmetric in the two parts, so the first role
             # order fits whenever either does.
             if "thm12_iii" not in params and r == 2 and len(adj) == 2 and (roles[0] - roles[1]) % 4 == 2:
                 counts = {"a": 1, "b": 1, "s": k - 2}
-                _match(graph, shape, "thm12_iii", counts, adj[:1], adj[1:], (), params, witnesses)
+                _match(graph, shape, reading, [UNIT_I, UNIT_MINUS_I], "thm12_iii", counts, params, witnesses)
             # Gains i and 1 differ by one, in either direction under the
             # converse: either value's parts may play i.  Of the two masks
             # over the adjacent parts, the smaller is tried first.
@@ -453,15 +427,12 @@ def thm12_classify(graph: QuartGainGraph) -> ClassificationResult:
                     sum(1 << j for j, role in enumerate(roles) if role == value) for value in values
                 )
                 for mask in masks:
-                    i_parts = [part for j, part in enumerate(adj) if mask >> j & 1]
-                    one_parts = [part for j, part in enumerate(adj) if not mask >> j & 1]
-                    a, c = len(i_parts), len(one_parts)
-                    if a < c or not lem310_condition(r, k, a, c):
-                        continue
-                    counts = {"a": a, "c": c, "s": k - a - c}
-                    if _match(
-                        graph, shape, "thm12_iv", counts, i_parts, (), one_parts, params, witnesses
-                    ):
+                    gains = [UNIT_I if mask >> j & 1 else UNIT_ONE for j in range(len(adj))]
+                    a = gains.count(UNIT_I)
+                    c = len(adj) - a
+                    if a >= c and lem310_condition(r, k, a, c):
+                        counts = {"a": a, "c": c, "s": k - a - c}
+                        _match(graph, shape, reading, gains, "thm12_iv", counts, params, witnesses)
                         break
 
     order = ("thm12_i", "thm12_ii", "thm12_iii", "thm12_iv")
@@ -487,13 +458,37 @@ def _try_case_i(graph, v, sides, params) -> None:
     params["thm12_i"] = {"cut_vertex": v, "sides": found}
 
 
-def _match(graph, shape, tag, counts, i_parts, minus_i_parts, one_parts, params, witnesses) -> bool:
-    """Certify one role split with a switching witness and record it."""
-    family, perm, relabeled = _family_candidate(graph, shape, i_parts, minus_i_parts, one_parts)
-    witness = switching_witness(relabeled, family)
-    if witness is None:
-        return False
-    n_parts = (*i_parts, *minus_i_parts, *one_parts, *shape.other_parts)
+def _match(graph, shape, reading, gains, tag, counts, params, witnesses) -> None:
+    """Record the family whose apex gain into adjacent part j is
+    ``gains[j]``, with its witness.
+
+    sigma, from :func:`_apex_roles`, switches both sides to all-1 gains, so
+    a further shift s on the n side turns each apex gain into role + s.
+    The witness is sigma - sigma(apex), plus s on the n side, where s takes
+    every role to its family gain, or else every role to the negated gain
+    under the converse.  The graph is connected, so no other switch onto
+    the family is 1 at the apex.  The callers' role checks make s exist.
+    """
+    roles, sigma = reading
+    shifts = {(gain - role) % 4 for gain, role in zip(gains, roles)}
+    took_converse = len(shifts) > 1
+    shift = (-gains[0] - roles[0]) % 4 if took_converse else shifts.pop()
+    n_parts = [
+        part
+        for gain in (UNIT_I, UNIT_MINUS_I, UNIT_ONE)
+        for part, part_gain in zip(shape.adjacent_parts, gains)
+        if part_gain == gain
+    ] + list(shape.other_parts)
+    order = [shape.apex, *(u for part in shape.q_parts for u in part)]
+    q_end = len(order)
+    order += [u for part in n_parts for u in part]
+    perm = [0] * graph.n
+    for new, old in enumerate(order):
+        perm[old] = new
+    base = sigma[shape.apex]
+    theta = tuple(
+        (sigma[old] - base + (shift if new >= q_end else 0)) % 4 for new, old in enumerate(order)
+    )
     params[tag] = {
         "cut_vertex": shape.apex,
         "r": len(shape.q_parts),
@@ -502,8 +497,7 @@ def _match(graph, shape, tag, counts, i_parts, minus_i_parts, one_parts, params,
         "q_sizes": [len(x) for x in shape.q_parts],
         "n_sizes": [len(x) for x in n_parts],
     }
-    witnesses[tag] = IsoWitness(perm, *witness)
-    return True
+    witnesses[tag] = IsoWitness(tuple(perm), theta, took_converse)
 
 
 # -- single-vertex extension law -------------------------------------------------------

@@ -483,7 +483,7 @@ def _suite_oracle_agreement(report: SuiteReport, n: Optional[int], seed: int) ->
     """Exact congruence inertia equals the LAPACK ``eigvalsh`` float inertia at 1e-9."""
     rng = random.Random(seed)
     for _ in range(10000):
-        g = _random_graph(rng, min(n or 10, 10))
+        g = _random_graph(rng, n or 10)
         h = hermitian_matrix(g)
         report.checked += 1
         exact = inertia_exact(h)
@@ -514,11 +514,11 @@ _SUITES: dict[str, Callable[[SuiteReport, Optional[int], int], None]] = {
 
 SUITE_NAMES = tuple(_SUITES)
 
-# Suites that read n as a size with no cap of their own: sylvester draws
-# graphs of up to n vertices and cycle_nullity every cycle up to length n.
-# Their bound is cycle_nullity's default.
-_SIZED_SUITES = ("sylvester", "cycle_nullity")
-_MAX_SIZED_N = 12
+# Suites that read n as a size, with the largest n each accepts: sylvester
+# and oracle_agreement draw graphs of up to n vertices, and cycle_nullity
+# checks every cycle up to length n.  sylvester and cycle_nullity stop at
+# cycle_nullity's default, oracle_agreement at its own.
+_SIZE_CAPS = {"sylvester": 12, "cycle_nullity": 12, "oracle_agreement": 10}
 
 # Suites whose corpus streams the enumerated classes of every order up to n.
 # The stream would reject the first order past HARD_CAP only after every
@@ -533,8 +533,8 @@ def _check_args(name: str, n: Optional[int]) -> None:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
     if n is not None and n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n is not None and name in _SIZED_SUITES and n > _MAX_SIZED_N:
-        raise ValueError(f"suite {name!r} needs n <= {_MAX_SIZED_N}, got {n}")
+    if n is not None and n > _SIZE_CAPS.get(name, n):
+        raise ValueError(f"suite {name!r} needs n <= {_SIZE_CAPS[name]}, got {n}")
     if n is not None and name in _ENUMERATED_SUITES and n > HARD_CAP:
         raise ValueError(f"order {HARD_CAP + 1} outside 1..{HARD_CAP}")
 

@@ -30,7 +30,6 @@ from .graph_core import (
     bfs_forest,
     induced_subgraph,
     relabel,
-    underlying,
 )
 from .numeric import (
     UNIT_I,
@@ -203,22 +202,21 @@ def switching_equivalent(g1: QuartGainGraph, g2: QuartGainGraph) -> bool:
 def switching_witness(
     g1: QuartGainGraph, g2: QuartGainGraph
 ) -> Optional[tuple[SwitchAssignment, bool]]:
-    """A (theta, took_converse) pair with maybe_converse(switch(g1)) == g2."""
-    if g1.n != g2.n or underlying(g1) != underlying(g2):
-        return None
+    """A (theta, took_converse) pair with maybe_converse(switch(g1)) == g2.
+
+    Each graph is normalized once; equal normal forms already imply equal
+    orders and edge pairs.  ``converse(g2)`` has the same BFS forest and
+    negated gains, so its normal form is ``converse`` of g2's with the
+    switch negated: theta = a1 - a2 directly, or a1 + a2 under the converse.
+    Either way theta is 1 at each component's smallest vertex, and the
+    direct hypothesis is tried first.
+    """
     nf1 = tree_normalize(g1)
     nf2 = tree_normalize(g2)
     if nf1.graph == nf2.graph:
-        theta = tuple(
-            unit_mul(a, unit_conj(b)) for a, b in zip(nf1.assignment, nf2.assignment)
-        )
-        return theta, False
-    nf2c = tree_normalize(converse(g2))
-    if nf1.graph == nf2c.graph:
-        theta = tuple(
-            unit_mul(a, unit_conj(b)) for a, b in zip(nf1.assignment, nf2c.assignment)
-        )
-        return theta, True
+        return tuple((a - b) % 4 for a, b in zip(nf1.assignment, nf2.assignment)), False
+    if nf1.graph == converse(nf2.graph):
+        return tuple((a + b) % 4 for a, b in zip(nf1.assignment, nf2.assignment)), True
     return None
 
 

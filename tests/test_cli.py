@@ -228,6 +228,7 @@ def test_verify_reports_failures(monkeypatch, capsys):
         ("thm12", 0, "n must be >= 1, got 0"),
         ("sylvester", 13, "suite 'sylvester' needs n <= 12, got 13"),
         ("cycle_nullity", 13, "suite 'cycle_nullity' needs n <= 12, got 13"),
+        ("oracle_agreement", 12, "suite 'oracle_agreement' needs n <= 10, got 12"),
     ],
 )
 def test_verify_out_of_range_n(suite, n, message, capsys):

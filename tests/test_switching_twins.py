@@ -14,6 +14,8 @@ from hermitia import (
     UNITS,
     apply_switch,
     are_twins,
+    classes_up_to,
+    components,
     converse,
     cycle_signature,
     cycle_value,
@@ -182,24 +184,60 @@ def test_switching_witness_semantics():
     assert result == g2
 
 
+def _pair_for_witness(rng, style):
+    """g1 and a g2 that is: a switch of g1; a converse switch of g1; g1's
+    edge set with new gains; a graph of another order; or a different edge
+    set with as many edges."""
+    g1 = random_graph(rng, 5)
+    if style == "switched":
+        return g1, apply_switch(g1, random_switch(rng, g1.n))
+    if style == "converse":
+        return g1, converse(apply_switch(g1, random_switch(rng, g1.n)))
+    if style == "regained":
+        return g1, QuartGainGraph(g1.n, [(u, v, rng.choice(UNITS)) for u, v, _ in g1.edges])
+    if style == "order":
+        g2 = random_graph(rng, 5)
+        while g2.n == g1.n:
+            g2 = random_graph(rng, 5)
+        return g1, g2
+    pairs = list(itertools.combinations(range(g1.n), 2))
+    while not 0 < len(g1.edges) < len(pairs):
+        g1 = random_graph(rng, 5)
+        pairs = list(itertools.combinations(range(g1.n), 2))
+    chosen = rng.sample(pairs, len(g1.edges))
+    while set(chosen) == {(u, v) for u, v, _ in g1.edges}:
+        chosen = rng.sample(pairs, len(g1.edges))
+    return g1, QuartGainGraph(g1.n, [(u, v, rng.choice(UNITS)) for u, v in chosen])
+
+
 def test_switching_equivalent_agrees_with_brute_force():
     rng = random.Random(11)
-    checked = agreements = 0
-    for _ in range(250):
-        g1 = random_graph(rng, 5)
-        style = rng.random()
-        if style < 0.4:
-            g2 = apply_switch(g1, random_switch(rng, g1.n))
-        elif style < 0.6:
-            g2 = converse(apply_switch(g1, random_switch(rng, g1.n)))
-        else:
-            g2 = QuartGainGraph(
-                g1.n, [(u, v, rng.choice((0, 1, 2, 3))) for u, v, _ in g1.edges]
-            )
-        checked += 1
-        assert switching_equivalent(g1, g2) == brute_force_equivalent(g1, g2)
-        agreements += 1
-    assert checked == agreements
+    found = {}
+    for _ in range(100):
+        for style in ("switched", "converse", "regained", "order", "edges"):
+            g1, g2 = _pair_for_witness(rng, style)
+            witness = switching_witness(g1, g2)
+            assert (witness is not None) == brute_force_equivalent(g1, g2), (g1, g2)
+            assert switching_equivalent(g1, g2) == (witness is not None)
+            found[style] = found.get(style, 0) + (witness is not None)
+            if witness is None:
+                continue
+            theta, took_converse = witness
+            replayed = apply_switch(g1, theta)
+            assert (converse(replayed) if took_converse else replayed) == g2
+            # As `equiv --iso` prints it: 1 at each component's smallest vertex.
+            assert all(theta[min(comp)] == UNIT_ONE for comp in components(g1))
+    assert found["switched"] == found["converse"] == 100
+    assert found["order"] == found["edges"] == 0
+
+
+def test_converse_normal_form_negates_the_switch():
+    rng = random.Random(13)
+    for g in classes_up_to(5):
+        g = apply_switch(g, random_switch(rng, g.n))
+        nf = tree_normalize(g)
+        negated = tuple((-a) % 4 for a in nf.assignment)
+        assert tree_normalize(converse(g)) == (converse(nf.graph), negated)
 
 
 def test_equivalence_implies_equal_spectra():
