@@ -23,7 +23,7 @@ lines ``U a b`` (gain 1), ``A a b`` (arc a -> b) or ``G a b <gain>``.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .numeric import (
     UNIT_I,
@@ -146,6 +146,15 @@ def _normalized_edges(n: int, edges: Iterable[tuple[int, int, Unit]]) -> list[Ed
 MAX_ORDER = 1024
 
 
+# Per record type: its usage line, its token count and its gain (None: read
+# from the line).  An arc a -> b has gain i for the stored a < b orientation.
+_RECORDS = {
+    "U": ("U a b", 3, UNIT_ONE),
+    "A": ("A a b", 3, UNIT_I),
+    "G": ("G a b <gain>", 4, None),
+}
+
+
 def parse_graph(text: str) -> QuartGainGraph:
     """Parse .qgg text into a graph.
 
@@ -154,12 +163,13 @@ def parse_graph(text: str) -> QuartGainGraph:
     """
     n: int | None = None
     edges: list[Edge] = []
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        # split() drops the same whitespace strip() would, so the first
+        # token starts the stripped line.
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split()
         if n is None:
             if len(tokens) != 2 or tokens[0] != "n" or not _is_ascii_digits(tokens[1]):
                 raise GraphFormatError(f"line {lineno}: expected header 'n <count>'")
@@ -170,38 +180,37 @@ def parse_graph(text: str) -> QuartGainGraph:
                 )
             continue
         kind = tokens[0]
-        if kind in ("U", "A"):
-            if len(tokens) != 3:
-                raise GraphFormatError(f"line {lineno}: expected '{kind} a b'")
-            a, b = _vertex(tokens[1], lineno), _vertex(tokens[2], lineno)
-            if kind == "U":
-                gain = UNIT_ONE
-            else:
-                # Arc a -> b: gain i for the stored a < b orientation.
-                gain = UNIT_I
-        elif kind == "G":
-            if len(tokens) != 4:
-                raise GraphFormatError(f"line {lineno}: expected 'G a b <gain>'")
-            a, b = _vertex(tokens[1], lineno), _vertex(tokens[2], lineno)
+        record = _RECORDS.get(kind)
+        if record is None:
+            raise GraphFormatError(f"line {lineno}: unknown record type {kind!r}")
+        usage, arity, gain = record
+        if len(tokens) != arity:
+            raise GraphFormatError(f"line {lineno}: expected '{usage}'")
+        ta, tb = tokens[1], tokens[2]
+        if not (ta.isdigit() and tb.isdigit() and ta.isascii() and tb.isascii()):
+            bad = ta if not _is_ascii_digits(ta) else tb
+            raise GraphFormatError(f"line {lineno}: bad vertex id {bad!r}")
+        a, b = int(ta), int(tb)
+        if gain is None:
             try:
                 gain = unit_from_token(tokens[3])
             except ValueError:
                 raise GraphFormatError(
                     f"line {lineno}: unknown gain token {tokens[3]!r}"
                 ) from None
-        else:
-            raise GraphFormatError(f"line {lineno}: unknown record type {kind!r}")
         if a == b:
             raise GraphFormatError(f"line {lineno}: self-loop at vertex {a}")
         if not (a < n and b < n):
             raise GraphFormatError(f"line {lineno}: vertex id >= n")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise GraphFormatError(f"line {lineno}: duplicate edge {key}")
-        seen.add(key)
-        # Stored as u < v, so a sorted file such as serialize_graph's output
+        # Stored as a < b, so a sorted file such as serialize_graph's output
         # reaches QuartGainGraph already normalized.
-        edges.append((a, b, gain) if a < b else (b, a, unit_conj(gain)))
+        if a > b:
+            a, b, gain = b, a, unit_conj(gain)
+        key = a * n + b
+        if key in seen:
+            raise GraphFormatError(f"line {lineno}: duplicate edge {(a, b)}")
+        seen.add(key)
+        edges.append((a, b, gain))
     if n is None:
         raise GraphFormatError("missing 'n <count>' header line")
     return QuartGainGraph(n, edges)
@@ -210,12 +219,6 @@ def parse_graph(text: str) -> QuartGainGraph:
 def _is_ascii_digits(token: str) -> bool:
     # str.isdigit also accepts digits such as '²' that int() rejects.
     return token.isascii() and token.isdigit()
-
-
-def _vertex(token: str, lineno: int) -> int:
-    if not _is_ascii_digits(token):
-        raise GraphFormatError(f"line {lineno}: bad vertex id {token!r}")
-    return int(token)
 
 
 def serialize_graph(graph: QuartGainGraph) -> str:
@@ -259,6 +262,31 @@ def induced_subgraph(graph: QuartGainGraph, vertices: Sequence[int]) -> QuartGai
         if u in index and v in index
     ]
     return QuartGainGraph(len(vs), edges)
+
+
+# The unit i**k as (re, im).
+_UNIT_PARTS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def gain_grids(
+    graph: QuartGainGraph, index: Mapping[int, int] | range
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The (re, im) int grids of H(G) on ``index``, a map from vertex to row.
+
+    Entry (s, t) is the gain of the edge oriented s -> t, else 0.  Edges with
+    an end outside ``index`` are skipped, so the grids are those of the
+    induced subgraph in row order.
+    """
+    size = len(index)
+    re = [[0] * size for _ in range(size)]
+    im = [[0] * size for _ in range(size)]
+    for u, v, g in graph.edges:
+        if u in index and v in index:
+            s, t = index[u], index[v]
+            a, b = _UNIT_PARTS[g]
+            re[s][t] = re[t][s] = a
+            im[s][t], im[t][s] = b, -b
+    return re, im
 
 
 def delete_vertex(graph: QuartGainGraph, v: int) -> QuartGainGraph:

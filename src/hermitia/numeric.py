@@ -2,7 +2,8 @@
 
 A unit is encoded compactly as its exponent of i (an int in 0..3), with tiny
 helper functions for multiplication, conjugation and text tokens.  Its value
-as a Gaussian integer, needed only to build H(G), lives in :mod:`spectra`.
+as a Gaussian integer, needed only to build H(G), lives in
+:func:`graph_core.gain_grids`.
 """
 
 from __future__ import annotations

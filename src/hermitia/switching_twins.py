@@ -28,6 +28,7 @@ from .graph_core import (
     QuartGainGraph,
     VertexSet,
     bfs_forest,
+    gain_grids,
     induced_subgraph,
     relabel,
 )
@@ -40,7 +41,6 @@ from .numeric import (
     unit_conj,
     unit_mul,
 )
-from .spectra import hermitian_matrix
 
 # One unit per vertex, realizing a four-way switching.
 SwitchAssignment = tuple[Unit, ...]
@@ -237,8 +237,7 @@ def _walk_values(graph: QuartGainGraph) -> list[tuple[int, ...]]:
     (H^2)_vv is the degree of v, and the traces fix the spectrum.  Exact in
     int64 since |(H^k)_st| <= (n - 1)^(k - 1) < 2^40 for n <= MAX_ISO_ORDER.
     """
-    h = hermitian_matrix(graph)
-    re, im = np.array(h.re, dtype=np.int64), np.array(h.im, dtype=np.int64)
+    re, im = (np.array(grid, dtype=np.int64) for grid in gain_grids(graph, range(graph.n)))
     power_re, power_im, diagonals = re, im, []
     for _ in range(graph.n - 1):
         power_re, power_im = power_re @ re - power_im @ im, power_re @ im + power_im @ re

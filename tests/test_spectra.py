@@ -297,6 +297,26 @@ def test_inertia_dense_order_128_is_fast():
     assert elapsed < 5.0
 
 
+def test_inertia_dense_order_256_is_certified_fast():
+    # The exact kernel takes about 15 s here; the congruence guessed from a
+    # float eigenbasis and checked in exact integers takes well under 1 s.
+    g = _dense_graph(256)
+    got, elapsed = timed_under_alarm(lambda: inertia(g), "inertia of a dense order-256 graph")
+    assert got.as_tuple() == _numpy_inertia(g)
+    assert elapsed < 2.0
+
+
+def test_exact_kernel_dense_order_64_is_fast():
+    # inertia certifies dense order 64 without the kernel, so the kernel's
+    # own guard calls it directly: without the exact division by the
+    # previous pivot its entries grow doubly exponentially.
+    g = _dense_graph(64)
+    h = hermitian_matrix(g)
+    got, elapsed = timed_under_alarm(lambda: inertia_exact(h), "exact kernel on a dense order-64 matrix")
+    assert got.as_tuple() == _numpy_inertia(g)
+    assert elapsed < 1.0
+
+
 def test_float_referee_dense_orders_32_to_128():
     # The referee must stay cheap next to the exact kernel at large orders; a
     # hand-rolled Python eigensolver needs seconds at order 128, so a timer
