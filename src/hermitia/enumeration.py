@@ -36,6 +36,7 @@ from .graph_core import (
     pendant_vertices,
 )
 from .numeric import UNIT_MINUS_ONE, UNIT_ONE, UNITS, Unit
+from .switching_twins import apply_switch
 
 Pair = tuple[int, int]
 EdgeTuple = tuple[Pair, ...]
@@ -145,6 +146,11 @@ def mixed_representative(graph: QuartGainGraph) -> Optional[QuartGainGraph]:
     (mod 4).  A vertex with no value left sends the search back to the one
     before it.  The first complete switch found is the least one, the first
     that the 4^(n-1) product over ``UNITS`` would meet.
+
+    Its exponential worst case is inherent unless P = NP: with every gain
+    -1, a switch leaves no -1 gain exactly when theta_u != theta_v on every
+    edge, a proper 4-colouring of the underlying graph, which is NP-complete
+    to decide.  :data:`HARD_CAP` bounds it.
     """
     edges = graph.edges
     if all(g != UNIT_MINUS_ONE for _, _, g in edges):
@@ -172,7 +178,7 @@ def mixed_representative(graph: QuartGainGraph) -> Optional[QuartGainGraph]:
             v -= 1
             if v == 0:
                 return None
-    return QuartGainGraph(n, [(u, w, (g - theta[u] + theta[w]) % 4) for u, w, g in edges])
+    return apply_switch(graph, theta)
 
 
 def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:

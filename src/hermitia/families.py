@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Sequence
 
 from .graph_core import MAX_ORDER, QuartGainGraph, coalesce
@@ -33,6 +33,10 @@ class FamilySpecError(ValueError):
 # realize and format_family_spec recurse once per level, so a much deeper
 # spec would end in RecursionError instead of a FamilySpecError.
 MAX_COALESCE_DEPTH = 200
+
+# Change of parenthesis depth per character, every other one 0; _depths reads
+# it through dict.get, which keeps its scan out of Python bytecode.
+_DEPTH_STEP = {"(": 1, ")": -1}
 
 
 def _blocks(sizes: Sequence[int], start: int) -> list[list[int]]:
@@ -234,8 +238,7 @@ def parse_family_spec(text: str) -> FamilySpec:
     ``coalesce:`` specs nest at most :data:`MAX_COALESCE_DEPTH` deep.
     Round-trips with :func:`format_family_spec`.
     """
-    nesting = accumulate((ch == "(") - (ch == ")") for ch in text)
-    if max(nesting, default=0) > MAX_COALESCE_DEPTH:
+    if max(_depths(text), default=0) > MAX_COALESCE_DEPTH:
         raise FamilySpecError(f"coalesce specs nest at most {MAX_COALESCE_DEPTH} deep")
     return _parse_spec(text)
 
@@ -301,41 +304,33 @@ def _parse_spec(text: str) -> FamilySpec:
 
 
 def _parse_coalesce(rest: str) -> FamilySpec:
-    first, plus, second = _split_coalesce(rest)
-    spec1, v1 = _parse_anchored(first)
-    spec2, v2 = _parse_anchored(second)
-    return FamilySpec("coalescence", sub=(spec1, v1, spec2, v2))
-
-
-def _split_coalesce(rest: str) -> tuple[str, str, str]:
-    depth = 0
-    for i, ch in enumerate(rest):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "+" and depth == 0:
-            return rest[:i], "+", rest[i + 1 :]
+    # A "+" leaves the depth as it was, so the first one at depth 0 is the top-level one.
+    for i, (ch, depth) in enumerate(zip(rest, _depths(rest))):
+        if ch == "+" and depth == 0:
+            spec1, v1 = _parse_anchored(rest[:i])
+            spec2, v2 = _parse_anchored(rest[i + 1 :])
+            return FamilySpec("coalescence", sub=(spec1, v1, spec2, v2))
     raise FamilySpecError("coalesce spec needs '(A)@i+(B)@j'")
+
+
+def _depths(text: str) -> list[int]:
+    """Parenthesis depth after each character of ``text``."""
+    return list(accumulate(map(_DEPTH_STEP.get, text, repeat(0))))
 
 
 def _parse_anchored(piece: str) -> tuple[FamilySpec, int]:
     piece = piece.strip()
     if not piece.startswith("("):
         raise FamilySpecError(f"expected parenthesized sub-spec in {piece!r}")
-    depth = 0
-    for i, ch in enumerate(piece):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                inner = piece[1:i]
-                tail = piece[i + 1 :]
-                if not tail.startswith("@"):
-                    raise FamilySpecError(f"missing '@vertex' in {piece!r}")
-                return _parse_spec(inner), _int(tail[1:])
-    raise FamilySpecError(f"unbalanced parentheses in {piece!r}")
+    # The leading "(" opens at depth 1, so depth 0 first comes back at its ")".
+    depths = _depths(piece)
+    if 0 not in depths:
+        raise FamilySpecError(f"unbalanced parentheses in {piece!r}")
+    close = depths.index(0)
+    tail = piece[close + 1 :]
+    if not tail.startswith("@"):
+        raise FamilySpecError(f"missing '@vertex' in {piece!r}")
+    return _parse_spec(piece[1:close]), _int(tail[1:])
 
 
 def format_family_spec(spec: FamilySpec) -> str:

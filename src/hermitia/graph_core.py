@@ -289,6 +289,13 @@ def gain_grids(
     return re, im
 
 
+def gaussian_matmul(a_re, a_im, b_re, b_im):
+    """(a_re + i*a_im)(b_re + i*b_im) over Z[i], parts as 2-D numpy arrays of one
+    dtype: exact at any size for object arrays of Python ints, and for int64
+    or float64 only while the caller bounds every partial sum."""
+    return a_re @ b_re - a_im @ b_im, a_re @ b_im + a_im @ b_re
+
+
 def delete_vertex(graph: QuartGainGraph, v: int) -> QuartGainGraph:
     if not (0 <= v < graph.n):
         raise ValueError(f"vertex id {v} out of range")

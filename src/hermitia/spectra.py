@@ -34,13 +34,12 @@ minutes.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph_core import QuartGainGraph, components, gain_grids
+from .graph_core import QuartGainGraph, components, gain_grids, gaussian_matmul
 from .switching_twins import twin_partition
 
 
@@ -232,10 +231,8 @@ def _certified_signature(re: Grid, im: Grid) -> Optional[InertiaTriple]:
     bound = int((np.abs(s_re) + np.abs(s_im)).sum(axis=0).max())
     if bound * bound >= 2**53 or m * bound * bound >= 2**63:
         return None
-    a_re = h_re @ s_re - h_im @ s_im
-    a_im = h_re @ s_im + h_im @ s_re
-    d_re = (s_re.T @ a_re + s_im.T @ a_im).astype(np.int64)
-    d_im = (s_re.T @ a_im - s_im.T @ a_re).astype(np.int64)
+    hs = gaussian_matmul(h_re, h_im, s_re, s_im)
+    d_re, d_im = (part.astype(np.int64) for part in gaussian_matmul(s_re.T, -s_im.T, *hs))
     diagonal = d_re.diagonal()
     off = (np.abs(d_re) + np.abs(d_im)).sum(axis=1) - np.abs(diagonal)
     if not (np.abs(diagonal) > off).all():
@@ -275,19 +272,6 @@ def inertia(graph: QuartGainGraph) -> InertiaTriple:
     return total
 
 
-def _dot(xs: Iterable[int], ys: Iterable[int]) -> int:
-    return sum(map(operator.mul, xs, ys))
-
-
-def _matmul(ar, ai, br, bi) -> tuple[Grid, Grid]:
-    """The product (ar + i*ai)(br + i*bi) of two matrices over Z[i]."""
-    cols = list(zip(zip(*br), zip(*bi)))
-    rows = list(zip(ar, ai))
-    re = [[_dot(xr, yr) - _dot(xi, yi) for yr, yi in cols] for xr, xi in rows]
-    im = [[_dot(xr, yi) + _dot(xi, yr) for yr, yi in cols] for xr, xi in rows]
-    return re, im
-
-
 def congruence(
     matrix: HermitianMatrix, s_re: Sequence[Sequence[int]], s_im: Sequence[Sequence[int]]
 ) -> HermitianMatrix:
@@ -295,11 +279,12 @@ def congruence(
     n = matrix.n
     if len(s_re) != n or len(s_im) != n or any(len(row) != n for row in (*s_re, *s_im)):
         raise ValueError("congruence matrix has wrong shape")
-    hs = _matmul(matrix.re, matrix.im, s_re, s_im)
+    h_re, h_im, s_re, s_im = (
+        np.array(grid, dtype=object).reshape(n, n) for grid in (matrix.re, matrix.im, s_re, s_im)
+    )
     # S* is transpose(s_re) - i*transpose(s_im).
-    star_re = list(zip(*s_re))
-    star_im = [[-x for x in col] for col in zip(*s_im)]
-    return HermitianMatrix(*_matmul(star_re, star_im, *hs))
+    star_hs = gaussian_matmul(s_re.T, -s_im.T, *gaussian_matmul(h_re, h_im, s_re, s_im))
+    return HermitianMatrix(*(part.tolist() for part in star_hs))
 
 
 # -- float oracle --------------------------------------------------------------

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
+import numpy as np
+
 from .classify import (
     HypothesisViolation,
     cor39_condition,
@@ -45,14 +47,13 @@ from .graph_core import (
     coalesce,
     delete_vertex,
     disjoint_union,
+    gaussian_matmul,
     induced_subgraph,
     pendant_vertices,
 )
 from .numeric import UNITS
 from .spectra import (
-    Grid,
     InertiaTriple,
-    _matmul,
     congruence,
     hermitian_matrix,
     inertia,
@@ -129,25 +130,23 @@ def _suite_sylvester(report: SuiteReport, n: Optional[int], seed: int) -> None:
             report.record(compact_str(g), base, conj)
 
 
-def _random_invertible(rng: random.Random, n: int) -> tuple[Grid, Grid]:
-    # 4 * L D U as (re, im) int grids, invertible by construction: L unit
-    # lower and U unit upper triangular with entries in (1/2)Z + iZ, built
-    # as 2L and 2U, and D a nonzero Gaussian-integer diagonal.
+def _random_invertible(rng: random.Random, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # 4 * L D U as (re, im) arrays of Python ints, invertible by
+    # construction: L unit lower and U unit upper triangular with entries in
+    # (1/2)Z + iZ, built as 2L and 2U, and D a nonzero Gaussian-integer diagonal.
     def small() -> tuple[int, int]:
         num, den = rng.randint(-2, 2), rng.randint(1, 2)
         return 2 * num // den, 2 * rng.randint(-1, 1)
 
-    def grid(diagonal: int) -> Grid:
-        return [[diagonal * (i == j) for j in range(n)] for i in range(n)]
-
-    l_re, l_im, u_re, u_im, d_re, d_im = grid(2), grid(0), grid(2), grid(0), grid(0), grid(0)
+    l_re, l_im, u_re, u_im, d_re, d_im = (np.zeros((n, n), dtype=object) for _ in range(6))
     for i in range(n):
+        l_re[i][i] = u_re[i][i] = 2
         for j in range(i):
             l_re[i][j], l_im[i][j] = small()
             u_re[j][i], u_im[j][i] = small()
     for i in range(n):
         d_re[i][i], d_im[i][i] = rng.choice([1, -1, 2]), rng.choice([0, 1])
-    return _matmul(*_matmul(l_re, l_im, d_re, d_im), u_re, u_im)
+    return gaussian_matmul(*gaussian_matmul(l_re, l_im, d_re, d_im), u_re, u_im)
 
 
 def _suite_pendant(report: SuiteReport, n: Optional[int], seed: int) -> None:
@@ -225,7 +224,7 @@ def _cycle_nullity_expected(n: int, sigma: int) -> int:
 def _suite_cycle_nullity(report: SuiteReport, n: Optional[int], seed: int) -> None:
     """Nullity of every mixed cycle follows the five-case parity table."""
     top = n or 12
-    for length in range(3, max(top, 3) + 1):
+    for length in range(3, top + 1):
         for arcs in range(0, length + 1):
             g = gen_cycle(length, range(arcs))
             report.checked += 1

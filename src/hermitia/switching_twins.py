@@ -29,6 +29,7 @@ from .graph_core import (
     VertexSet,
     bfs_forest,
     gain_grids,
+    gaussian_matmul,
     induced_subgraph,
     relabel,
 )
@@ -39,7 +40,6 @@ from .numeric import (
     UNIT_ONE,
     Unit,
     unit_conj,
-    unit_mul,
 )
 
 # One unit per vertex, realizing a four-way switching.
@@ -123,22 +123,22 @@ def two_way_mixed(graph: QuartGainGraph, cut: VertexSet) -> QuartGainGraph:
 # -- cycles ---------------------------------------------------------------------
 
 
-def _check_cycle(graph: QuartGainGraph, cycle: tuple[int, ...]) -> None:
+def _cycle_steps(graph: QuartGainGraph, cycle: tuple[int, ...]) -> list[tuple[int, int, Unit]]:
+    """The (u, v, gain of u -> v) steps of the traversal, closing edge last;
+    raises ValueError unless ``cycle`` is a cycle of ``graph``."""
     if len(cycle) < 3 or len(set(cycle)) != len(cycle):
         raise ValueError("not a cycle: need at least 3 distinct vertices")
-    for i, u in enumerate(cycle):
-        v = cycle[(i + 1) % len(cycle)]
+    steps = []
+    for u, v in zip(cycle, (*cycle[1:], cycle[0])):
         if not graph.has_edge(u, v):
             raise ValueError(f"not a cycle: missing edge ({u}, {v})")
+        steps.append((u, v, graph.gain(u, v)))
+    return steps
 
 
 def cycle_value(graph: QuartGainGraph, cycle: tuple[int, ...]) -> Unit:
     """Product of gains along the traversal; conjugated by reversal."""
-    _check_cycle(graph, cycle)
-    total = UNIT_ONE
-    for i, u in enumerate(cycle):
-        total = unit_mul(total, graph.gain(u, cycle[(i + 1) % len(cycle)]))
-    return total
+    return sum(g for _, _, g in _cycle_steps(graph, cycle)) % 4
 
 
 def cycle_signature(graph: QuartGainGraph, cycle: tuple[int, ...]) -> int:
@@ -147,17 +147,11 @@ def cycle_signature(graph: QuartGainGraph, cycle: tuple[int, ...]) -> int:
     Only defined when every cycle edge is mixed-representable (gain in
     {1, i, -i}); undirected edges contribute 0.
     """
-    _check_cycle(graph, cycle)
-    sig = 0
-    for i, u in enumerate(cycle):
-        g = graph.gain(u, cycle[(i + 1) % len(cycle)])
-        if g == UNIT_I:
-            sig += 1
-        elif g == UNIT_MINUS_I:
-            sig -= 1
-        elif g == UNIT_MINUS_ONE:
-            raise ValueError(f"edge ({u}, {cycle[(i + 1) % len(cycle)]}) has gain -1")
-    return sig
+    steps = _cycle_steps(graph, cycle)
+    for u, v, g in steps:
+        if g == UNIT_MINUS_ONE:
+            raise ValueError(f"edge ({u}, {v}) has gain -1")
+    return sum((g == UNIT_I) - (g == UNIT_MINUS_I) for _, _, g in steps)
 
 
 # -- canonical forms --------------------------------------------------------------
@@ -240,7 +234,7 @@ def _walk_values(graph: QuartGainGraph) -> list[tuple[int, ...]]:
     re, im = (np.array(grid, dtype=np.int64) for grid in gain_grids(graph, range(graph.n)))
     power_re, power_im, diagonals = re, im, []
     for _ in range(graph.n - 1):
-        power_re, power_im = power_re @ re - power_im @ im, power_re @ im + power_im @ re
+        power_re, power_im = gaussian_matmul(power_re, power_im, re, im)
         diagonals.append(power_re.diagonal().tolist())
     return list(zip(*diagonals)) or [()] * graph.n
 

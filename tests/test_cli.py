@@ -280,6 +280,20 @@ def test_verify_sized_suite_at_its_cap(capsys):
     assert "cycle_nullity: PASS (checked=85," in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_verify_cycle_nullity_checks_lengths_3_to_n_only(n, capsys):
+    # A cycle needs 3 vertices, so n < 3 checks nothing; length 3 has 4 arc counts.
+    assert main(["verify", "--suite", "cycle_nullity", "--n", str(n), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["checked"] == (4 if n == 3 else 0)
+
+
+def test_verify_all_at_order_2(capsys):
+    assert main(["verify", "--all", "--n", "2", "--json"]) == 0
+    reports = {r["suite"]: r for r in json.loads(capsys.readouterr().out)}
+    assert len(reports) == 17 and not any(r["failures"] for r in reports.values())
+    assert reports["cycle_nullity"]["checked"] == 0
+
+
 @pytest.mark.parametrize("spec", ["star:--5", "star:²", "c3t:1,¹,1", "cycle:-+3"])
 def test_generate_malformed_digit_token_exits_2(spec, capsys):
     assert main(["generate", spec]) == 2

@@ -2,7 +2,8 @@
 
 Each module of ``src/hermitia`` other than ``__init__.py`` uses every name
 it imports, and every private module-level name it defines is referenced
-somewhere in the package.
+somewhere in the package.  No module imports an underscore name from
+another package module: a helper two modules share is public.
 """
 
 import ast
@@ -24,6 +25,17 @@ def unused_imports(tree: ast.Module) -> list[str]:
             imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in imported if name not in read]
+
+
+def private_imports(tree: ast.Module) -> list[str]:
+    """Underscore names a module imports from the package, relatively or by name."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level or (node.module or "").split(".")[0] == "hermitia":
+            found += [alias.name for alias in node.names if alias.name.startswith("_")]
+    return found
 
 
 def private_definitions(tree: ast.Module) -> list[str]:
@@ -76,6 +88,11 @@ def test_module_uses_its_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_imports_no_private_package_name(path):
+    assert private_imports(ast.parse(path.read_text())) == []
+
+
 def test_private_names_are_referenced():
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unreferenced_private_names(sources, [path.name for path in MODULES]) == []
@@ -85,6 +102,10 @@ def test_guard_sees_dead_names():
     assert unused_imports(ast.parse("from __future__ import annotations\nimport os\nos.sep")) == []
     assert unused_imports(ast.parse("from .numeric import Unit, unit_token\nunit_token(0)")) == ["Unit"]
     assert unused_imports(ast.parse("import numpy as np\nx = 1")) == ["np"]
+    assert private_imports(ast.parse("from __future__ import annotations\nfrom .spectra import Grid, _matmul")) == [
+        "_matmul"
+    ]
+    assert private_imports(ast.parse("from hermitia.classify import _split\nfrom os import _exit")) == ["_split"]
     sources = {
         "a.py": "_CAP = 3\n_dead = 4\n__version__ = '1'\ndef _helper():\n    return _CAP\n",
         "b.py": "from .a import _helper\n",

@@ -29,6 +29,8 @@ from hermitia import (
 
 from hermitia.families import MAX_COALESCE_DEPTH
 
+from family_spec_reference import reference_parse
+
 from conftest import random_graph
 
 
@@ -193,6 +195,54 @@ def test_spec_parse_errors():
     ):
         with pytest.raises(FamilySpecError):
             parse_family_spec(bad)
+
+
+_FUZZ_SEEDS = (
+    "coalesce:(c3t:1,1,1)@0+(star:4)@0",
+    "coalesce:(multipartite:1,2)@1+(coalesce:(star:3)@1+(cycle:4;arcs=0,2)@2)@0",
+    "coalesce:(coalesce:(c3t:2,1,1)@3+(K:q=1;n=2,1;p=1)@0)@2+(K:q=;n=1,1;a=1,b=0,c=1,d=0)@1",
+    "K:q=3,2;n=3,1;p=2",
+    "K:q=;n=2,2;a=1,b=1,c=0,d=0",
+    "cycle:6;arcs=0,2,5",
+)
+_FUZZ_ALPHABET = "()+@,:;=-0123456789"
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """One to four random insertions, deletions, replacements or swaps of characters."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(chars) + 1)
+        op = rng.randrange(4) if i < len(chars) else 0
+        if op == 0:
+            chars.insert(i, rng.choice(_FUZZ_ALPHABET))
+        elif op == 1:
+            del chars[i]
+        elif op == 2:
+            chars[i] = rng.choice(_FUZZ_ALPHABET)
+        else:
+            j = rng.randrange(len(chars))
+            chars[i], chars[j] = chars[j], chars[i]
+    return "".join(chars)
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        return parse(text)
+    except FamilySpecError as exc:
+        return str(exc)
+
+
+def test_spec_parser_matches_hand_counted_reference_on_fuzzed_specs():
+    rng = random.Random(1515)
+    parsed = 0
+    for _ in range(20000):
+        text = _mutate(rng, rng.choice(_FUZZ_SEEDS))
+        got = _parse_outcome(parse_family_spec, text)
+        assert got == _parse_outcome(reference_parse, text), text
+        parsed += isinstance(got, FamilySpec)
+    # Both outcomes are common, so each path of the scans is compared.
+    assert 500 < parsed < 19500
 
 
 @pytest.mark.parametrize(

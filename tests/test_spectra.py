@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -343,3 +344,41 @@ def test_congruence_shape_check():
     h = hermitian_matrix(parse_graph("n 2\nU 0 1"))
     with pytest.raises(ValueError):
         congruence(h, [[1]], [[0]])
+
+
+def _congruence_by_definition(h_re, h_im, s_re, s_im):
+    """(S* H S)_ij as the sum of conj(S_ki) H_kl S_lj, in Python ints."""
+    n = len(h_re)
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        ar, ai = s_re[k][i], -s_im[k][i]
+        br = ar * h_re[k][l] - ai * h_im[k][l]
+        bi = ar * h_im[k][l] + ai * h_re[k][l]
+        re[i][j] += br * s_re[l][j] - bi * s_im[l][j]
+        im[i][j] += br * s_im[l][j] + bi * s_re[l][j]
+    return re, im
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_congruence_is_exact_beyond_int64(n):
+    rng = random.Random(4100 + n)
+
+    def big() -> int:
+        return rng.randint(-(2**70), 2**70)
+
+    for _ in range(3):
+        h_re = [[0] * n for _ in range(n)]
+        h_im = [[0] * n for _ in range(n)]
+        for s in range(n):
+            h_re[s][s] = big()
+            for t in range(s + 1, n):
+                h_re[s][t] = h_re[t][s] = big()
+                h_im[s][t] = big()
+                h_im[t][s] = -h_im[s][t]
+        s_re = [[big() for _ in range(n)] for _ in range(n)]
+        s_im = [[big() for _ in range(n)] for _ in range(n)]
+        got = congruence(HermitianMatrix(h_re, h_im), s_re, s_im)
+        assert got == HermitianMatrix(*_congruence_by_definition(h_re, h_im, s_re, s_im))
+        assert all(type(x) is int for row in got.re + got.im for x in row)
+        assert n == 0 or max(abs(x) for row in got.re for x in row) > 2**63

@@ -39,7 +39,7 @@ from hermitia import (
     two_way_mixed,
     underlying,
 )
-from hermitia.switching_twins import _walk_values
+from hermitia.switching_twins import MAX_ISO_ORDER, _walk_values
 
 from conftest import (
     brute_force_equivalent,
@@ -513,6 +513,37 @@ def test_walk_value_sums_are_eigenvalue_power_sums():
         for k in range(2, g.n + 1):
             expected = sum(x**k for x in eigs)
             assert sum(row[k - 2] for row in values) == pytest.approx(expected, rel=1e-9, abs=1e-6)
+
+
+def _walk_values_by_powers(g):
+    """(H^k)_vv for k = 2..n, by repeated products of Python-int (re, im) pairs."""
+    parts = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    h = [[parts[g.gain(u, v)] if g.has_edge(u, v) else (0, 0) for v in range(g.n)] for u in range(g.n)]
+    cols = list(zip(*h))
+    power, diagonals = h, []
+    for _ in range(g.n - 1):
+        power = [
+            [
+                (
+                    sum(a[0] * b[0] - a[1] * b[1] for a, b in zip(row, col)),
+                    sum(a[0] * b[1] + a[1] * b[0] for a, b in zip(row, col)),
+                )
+                for col in cols
+            ]
+            for row in power
+        ]
+        assert all(power[v][v][1] == 0 for v in range(g.n))
+        diagonals.append([power[v][v][0] for v in range(g.n)])
+    return [tuple(d[v] for d in diagonals) for v in range(g.n)]
+
+
+def test_walk_values_match_python_int_powers():
+    rng = random.Random(13)
+    n = MAX_ISO_ORDER
+    graphs = [QuartGainGraph(n, [(u, v, UNIT_ONE) for u, v in itertools.combinations(range(n), 2)])]
+    graphs += [random_graph(rng, n, rng.choice([0.3, 0.6, 0.9, 1.0])) for _ in range(60)]
+    for g in graphs:
+        assert _walk_values(g) == _walk_values_by_powers(g)
 
 
 def test_twins_examples():
