@@ -19,7 +19,9 @@ of it has no -1 gain, and :func:`mixed_representative` emits the switching
 by the lexicographically least such switch, pinned to 1 on vertex 0 (a
 global phase acts trivially on gains).  It finds that switch by a
 depth-first search over the vertices in order, where each edge rules out
-one value at its larger end, instead of trying all 4^(n-1) switches.
+one value at its larger end, instead of trying all 4^(n-1) switches.  The
+stream runs the same search on each candidate's gain list and switches the
+list, so every emitted class is built as a graph exactly once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .graph_core import (
     QuartGainGraph,
@@ -93,26 +95,21 @@ def canonical_form(n: int, edges: EdgeTuple) -> EdgeTuple:
     classes: list[list[int]] = []
     for color in sorted(set(colors)):
         classes.append([v for v in range(n) if colors[v] == color])
-    best: Optional[EdgeTuple] = None
+    # Codes min * n + max order like the pairs they stand for, so the least
+    # sorted code list is the least sorted edge tuple.
+    codes = [[min(a, b) * n + max(a, b) for b in range(n)] for a in range(n)]
+    position = [0] * n
+    best: Optional[list[int]] = None
     for arrangement in itertools.product(
         *(itertools.permutations(cls) for cls in classes)
     ):
-        position: dict[int, int] = {}
-        idx = 0
-        for group in arrangement:
-            for old in group:
-                position[old] = idx
-                idx += 1
-        mapped = tuple(
-            sorted(
-                (min(position[u], position[v]), max(position[u], position[v]))
-                for u, v in edges
-            )
-        )
+        for idx, old in enumerate(itertools.chain.from_iterable(arrangement)):
+            position[old] = idx
+        mapped = sorted([codes[position[u]][position[v]] for u, v in edges])
         if best is None or mapped < best:
             best = mapped
     assert best is not None
-    return best
+    return tuple(divmod(code, n) for code in best)
 
 
 @lru_cache(maxsize=None)
@@ -139,13 +136,9 @@ def mixed_representative(graph: QuartGainGraph) -> Optional[QuartGainGraph]:
     that leaves no -1 gain, or None when no switch does.
 
     Vertex 0 is pinned to 1; that suffices because rescaling a whole
-    component leaves every gain unchanged.  A depth-first search assigns
-    theta to vertices 1, 2, ... in turn, trying units in ``UNITS`` order,
-    and checks each edge (u, v, g), u < v, once theta[v] is set: switching
-    turns g into -1 for exactly one value, theta[v] = theta[u] - g + 2
-    (mod 4).  A vertex with no value left sends the search back to the one
-    before it.  The first complete switch found is the least one, the first
-    that the 4^(n-1) product over ``UNITS`` would meet.
+    component leaves every gain unchanged.  :func:`_least_switch` finds the
+    switch by a depth-first search whose first complete switch is the one
+    that the 4^(n-1) product over ``UNITS`` would meet first.
 
     Its exponential worst case is inherent unless P = NP: with every gain
     -1, a switch leaves no -1 gain exactly when theta_u != theta_v on every
@@ -155,10 +148,29 @@ def mixed_representative(graph: QuartGainGraph) -> Optional[QuartGainGraph]:
     edges = graph.edges
     if all(g != UNIT_MINUS_ONE for _, _, g in edges):
         return graph
-    n = graph.n
-    back: list[list[tuple[int, Unit]]] = [[] for _ in range(n)]
-    for u, v, g in edges:
-        back[v].append((u, g))
+    back = _back_lists(graph.n, [(u, v) for u, v, _ in edges])
+    theta = _least_switch(graph.n, back, [g for _, _, g in edges])
+    return None if theta is None else apply_switch(graph, theta)
+
+
+def _back_lists(n: int, pairs: Sequence[Pair]) -> list[list[Pair]]:
+    """Per vertex v, (u, k) for each k-th pair (u, v), u < v."""
+    back: list[list[Pair]] = [[] for _ in range(n)]
+    for k, (u, v) in enumerate(pairs):
+        back[v].append((u, k))
+    return back
+
+
+def _least_switch(n: int, back: list[list[Pair]], gains: list[Unit]) -> Optional[list[Unit]]:
+    """The least switch theta, theta[0] = 1, that leaves no -1 gain, or None.
+
+    ``gains[k]`` is the gain of the k-th edge, and ``back`` is
+    :func:`_back_lists` of the edges' (u, v) pairs.  The search assigns
+    theta to vertices 1, 2, ... in turn, trying units in ``UNITS`` order, and
+    checks each edge once theta[v] is set: switching turns g into -1 for
+    exactly one value, theta[v] = theta[u] - g + 2 (mod 4).  A vertex with no
+    value left sends the search back to the one before it.
+    """
     theta = [UNIT_ONE] * n
     # Bit k of untried[v] is set while unit k is still to be tried at v; the
     # codes are UNITS = (0, 1, 2, 3), so the lowest bit is the next in order.
@@ -166,8 +178,8 @@ def mixed_representative(graph: QuartGainGraph) -> Optional[QuartGainGraph]:
     v = 1
     while v < n:
         free = untried[v]
-        for u, g in back[v]:
-            free &= ~(1 << (theta[u] - g + UNIT_MINUS_ONE) % 4)
+        for u, k in back[v]:
+            free &= ~(1 << (theta[u] - gains[k] + UNIT_MINUS_ONE) % 4)
         if free:
             lowest = free & -free
             theta[v] = lowest.bit_length() - 1
@@ -178,7 +190,7 @@ def mixed_representative(graph: QuartGainGraph) -> Optional[QuartGainGraph]:
             v -= 1
             if v == 0:
                 return None
-    return apply_switch(graph, theta)
+    return theta
 
 
 def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:
@@ -187,6 +199,9 @@ def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:
     Deterministic: underlying graphs in canonical order, gain assignments
     in lexicographic order over (1, i, -1, -i).  Every emitted graph
     satisfies the spec's filters and no two are switching equivalent.
+    With ``mixed_only``, the least switch of :func:`mixed_representative`
+    is found and applied on the gain list, so each emitted class is built
+    as a graph once.
     """
     if not 1 <= spec.n <= HARD_CAP:
         raise ValueError(f"order {spec.n} outside 1..{HARD_CAP}")
@@ -194,9 +209,10 @@ def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:
         raise ValueError(f"limit must be >= 0, got {spec.limit}")
     if spec.limit == 0:
         return
+    n = spec.n
     emitted = 0
-    for edges in connected_underlying(spec.n):
-        base = QuartGainGraph(spec.n, [(u, v, UNIT_ONE) for u, v in edges])
+    for edges in connected_underlying(n):
+        base = QuartGainGraph(n, [(u, v, UNIT_ONE) for u, v in edges])
         if spec.has_cut_vertex and not cut_vertices(base):
             continue
         pendants = pendant_vertices(base)
@@ -209,16 +225,20 @@ def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:
         non_tree = [pair for pair in edges if pair not in tree]
         # Edges keep their sorted order: the k-th non-tree edge reads
         # gains[k], and each tree edge the 1 appended after the last.
-        slots = [(u, v, -1 if (u, v) in tree else non_tree.index((u, v))) for u, v in edges]
+        slots = [-1 if pair in tree else non_tree.index(pair) for pair in edges]
+        us = [u for u, _ in edges]
+        vs = [v for _, v in edges]
+        back = _back_lists(n, edges)
         for gains in itertools.product(UNITS, repeat=len(non_tree)):
+            switch = spec.mixed_only and UNIT_MINUS_ONE in gains
             gains += (UNIT_ONE,)
-            candidate = QuartGainGraph(spec.n, [(u, v, gains[i]) for u, v, i in slots])
-            if spec.mixed_only:
-                rep = mixed_representative(candidate)
-                if rep is None:
+            edge_gains = [gains[i] for i in slots]
+            if switch:
+                theta = _least_switch(n, back, edge_gains)
+                if theta is None:
                     continue
-                candidate = rep
-            yield candidate
+                edge_gains = [(g - theta[u] + theta[v]) % 4 for u, v, g in zip(us, vs, edge_gains)]
+            yield QuartGainGraph(n, zip(us, vs, edge_gains))
             emitted += 1
             if spec.limit is not None and emitted >= spec.limit:
                 return

@@ -17,6 +17,7 @@ grammar is documented on :func:`parse_family_spec`.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from typing import Sequence
@@ -34,7 +35,7 @@ class FamilySpecError(ValueError):
 # spec would end in RecursionError instead of a FamilySpecError.
 MAX_COALESCE_DEPTH = 200
 
-# Change of parenthesis depth per character, every other one 0; _depths reads
+# Change of parenthesis depth per character, every other one 0; _Scan reads
 # it through dict.get, which keeps its scan out of Python bytecode.
 _DEPTH_STEP = {"(": 1, ")": -1}
 
@@ -238,16 +239,65 @@ def parse_family_spec(text: str) -> FamilySpec:
     ``coalesce:`` specs nest at most :data:`MAX_COALESCE_DEPTH` deep.
     Round-trips with :func:`format_family_spec`.
     """
-    if max(_depths(text), default=0) > MAX_COALESCE_DEPTH:
+    scan = _Scan(text)
+    if max(scan.depths, default=0) > MAX_COALESCE_DEPTH:
         raise FamilySpecError(f"coalesce specs nest at most {MAX_COALESCE_DEPTH} deep")
-    return _parse_spec(text)
+    return _parse_spec(scan, 0, len(text))
 
 
-def _parse_spec(text: str) -> FamilySpec:
-    text = text.strip()
-    head, sep, rest = text.partition(":")
-    if not sep:
-        raise FamilySpecError(f"missing ':' in family spec {text!r}")
+class _Scan:
+    """A spec text with the parenthesis depth after each character, and the
+    offsets of each "+" and ")" filed by that depth, computed once.
+
+    The parser passes (start, end) offsets into the one text, so finding a
+    nesting level's "+" or closing ")" is a bisection instead of a rescan of
+    the rest of the spec, and parsing is linear in its length.
+    """
+
+    __slots__ = ("text", "depths", "pluses", "closes")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.depths = list(accumulate(map(_DEPTH_STEP.get, text, repeat(0))))
+        self.pluses = self._by_depth("+")
+        self.closes = self._by_depth(")")
+
+    def _by_depth(self, ch: str) -> dict[int, list[int]]:
+        found: dict[int, list[int]] = {}
+        i = self.text.find(ch)
+        while i >= 0:
+            found.setdefault(self.depths[i], []).append(i)
+            i = self.text.find(ch, i + 1)
+        return found
+
+    def first(self, found: dict[int, list[int]], start: int, end: int) -> int:
+        """First offset in [start, end) of ``found`` at the depth before
+        ``start``, or -1."""
+        offsets = found.get(self.depths[start - 1] if start else 0, [])
+        k = bisect_left(offsets, start)
+        return offsets[k] if k < len(offsets) and offsets[k] < end else -1
+
+    def strip(self, start: int, end: int) -> tuple[int, int]:
+        """Offsets of ``text[start:end].strip()``."""
+        while start < end and self.text[start].isspace():
+            start += 1
+        while end > start and self.text[end - 1].isspace():
+            end -= 1
+        return start, end
+
+
+def _parse_spec(scan: _Scan, start: int, end: int) -> FamilySpec:
+    start, end = scan.strip(start, end)
+    colon = scan.text.find(":", start, end)
+    if colon < 0:
+        raise FamilySpecError(f"missing ':' in family spec {scan.text[start:end]!r}")
+    head = scan.text[start:colon]
+    if head == "coalesce":
+        return _parse_coalesce(scan, colon + 1, end)
+    return _parse_kind(head, scan.text[colon + 1 : end])
+
+
+def _parse_kind(head: str, rest: str) -> FamilySpec:
     if head == "c3t":
         sizes = _int_list(rest)
         if len(sizes) != 3:
@@ -298,39 +348,31 @@ def _parse_spec(text: str) -> FamilySpec:
             raise FamilySpecError("K gain spec needs exactly a=, b=, c=, d=")
         abcd = (counts["a"], counts["b"], counts["c"], counts["d"])
         return FamilySpec("k_gain", q=q, parts=parts, gain_counts=abcd)
-    if head == "coalesce":
-        return _parse_coalesce(rest)
     raise FamilySpecError(f"unknown family kind {head!r}")
 
 
-def _parse_coalesce(rest: str) -> FamilySpec:
-    # A "+" leaves the depth as it was, so the first one at depth 0 is the top-level one.
-    for i, (ch, depth) in enumerate(zip(rest, _depths(rest))):
-        if ch == "+" and depth == 0:
-            spec1, v1 = _parse_anchored(rest[:i])
-            spec2, v2 = _parse_anchored(rest[i + 1 :])
-            return FamilySpec("coalescence", sub=(spec1, v1, spec2, v2))
-    raise FamilySpecError("coalesce spec needs '(A)@i+(B)@j'")
+def _parse_coalesce(scan: _Scan, start: int, end: int) -> FamilySpec:
+    # A "+" leaves the depth as it was, so the first one at the depth before start is the top-level one.
+    plus = scan.first(scan.pluses, start, end)
+    if plus < 0:
+        raise FamilySpecError("coalesce spec needs '(A)@i+(B)@j'")
+    spec1, v1 = _parse_anchored(scan, start, plus)
+    spec2, v2 = _parse_anchored(scan, plus + 1, end)
+    return FamilySpec("coalescence", sub=(spec1, v1, spec2, v2))
 
 
-def _depths(text: str) -> list[int]:
-    """Parenthesis depth after each character of ``text``."""
-    return list(accumulate(map(_DEPTH_STEP.get, text, repeat(0))))
-
-
-def _parse_anchored(piece: str) -> tuple[FamilySpec, int]:
-    piece = piece.strip()
-    if not piece.startswith("("):
-        raise FamilySpecError(f"expected parenthesized sub-spec in {piece!r}")
-    # The leading "(" opens at depth 1, so depth 0 first comes back at its ")".
-    depths = _depths(piece)
-    if 0 not in depths:
-        raise FamilySpecError(f"unbalanced parentheses in {piece!r}")
-    close = depths.index(0)
-    tail = piece[close + 1 :]
-    if not tail.startswith("@"):
-        raise FamilySpecError(f"missing '@vertex' in {piece!r}")
-    return _parse_spec(piece[1:close]), _int(tail[1:])
+def _parse_anchored(scan: _Scan, start: int, end: int) -> tuple[FamilySpec, int]:
+    start, end = scan.strip(start, end)
+    text = scan.text
+    if not text.startswith("(", start, end):
+        raise FamilySpecError(f"expected parenthesized sub-spec in {text[start:end]!r}")
+    # The leading "(" opens one level deeper, so the depth before it first comes back at its ")".
+    close = scan.first(scan.closes, start, end)
+    if close < 0:
+        raise FamilySpecError(f"unbalanced parentheses in {text[start:end]!r}")
+    if not text.startswith("@", close + 1, end):
+        raise FamilySpecError(f"missing '@vertex' in {text[start:end]!r}")
+    return _parse_spec(scan, start + 1, close), _int(text[close + 2 : end])
 
 
 def format_family_spec(spec: FamilySpec) -> str:

@@ -23,7 +23,7 @@ lines ``U a b`` (gain 1), ``A a b`` (arc a -> b) or ``G a b <gain>``.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import ItemsView, Iterable, Mapping, Sequence
 
 from .numeric import (
     UNIT_I,
@@ -99,6 +99,11 @@ class QuartGainGraph:
     def neighbors(self, u: int) -> tuple[int, ...]:
         # Already increasing: _adj[u] is filled from the sorted edges, every (w, u) before (u, x).
         return tuple(self._adj[u])
+
+    def neighbor_gains(self, u: int) -> ItemsView[int, Unit]:
+        """Read-only (neighbor x, gain of u -> x) pairs, x increasing as in
+        :meth:`neighbors`."""
+        return self._adj[u].items()
 
     def degree(self, u: int) -> int:
         return len(self._adj[u])

@@ -266,7 +266,7 @@ def _suite_p1(report: SuiteReport, n: Optional[int], seed: int) -> None:
 
 
 def _add_twin(g: QuartGainGraph, u: int) -> QuartGainGraph:
-    edges = list(g.edges) + [(g.n, x, g.gain(u, x)) for x in g.neighbors(u)]
+    edges = list(g.edges) + [(g.n, x, gain) for x, gain in g.neighbor_gains(u)]
     return QuartGainGraph(g.n + 1, edges)
 
 

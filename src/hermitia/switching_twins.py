@@ -334,11 +334,11 @@ def _twin_key(graph: QuartGainGraph, v: int) -> tuple[frozenset[int], Unit]:
     frozenset rather than a tuple, so a pass over many vertices does not
     leave a tuple free list full of keys.
     """
-    nbrs = graph.neighbors(v)
-    if not nbrs:
+    gains = graph.neighbor_gains(v)
+    if not gains:
         return frozenset(), UNIT_ONE
-    base = graph.gain(v, nbrs[0])
-    return frozenset(4 * x + (graph.gain(v, x) - base) % 4 for x in nbrs), base
+    _, base = next(iter(gains))
+    return frozenset(4 * x + (g - base) % 4 for x, g in gains), base
 
 
 def are_twins(graph: QuartGainGraph, u: int, w: int) -> Optional[Unit]:

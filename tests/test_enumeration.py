@@ -20,7 +20,9 @@ from hermitia import (
     tree_normalize,
     underlying,
 )
+from hermitia.enumeration import canonical_form
 
+import enumeration_reference
 from conftest import anchored_switches, timed_under_alarm
 from connected_reference import connected_underlying_bruteforce, reference_form
 from mixed_reference import mixed_representative_bruteforce
@@ -242,3 +244,36 @@ def test_mixed_only_emits_mixed_members_of_same_class():
 def test_order_seven_underlying_count():
     # 853 connected graphs on 7 vertices up to isomorphism (the hard cap).
     assert len(connected_underlying(7)) == 853
+
+
+def _stream(enumerate_classes, spec, limit=None):
+    return [serialize_graph(g) for g in itertools.islice(enumerate_classes(spec), limit)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_streams_match_reference_for_every_filter_combination(n):
+    # The reference builds each candidate as a graph and switches it with
+    # the brute-force least switch; the package switches the gain list.
+    for cut, no_pendant, pendant, mixed in itertools.product((False, True), repeat=4):
+        spec = EnumSpec(n=n, has_cut_vertex=cut, no_pendant=no_pendant, has_pendant=pendant, mixed_only=mixed)
+        assert _stream(enumerate_switching_classes, spec) == _stream(
+            enumeration_reference.enumerate_switching_classes, spec
+        ), spec
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_order_six_stream_prefix_matches_reference(mixed):
+    spec = EnumSpec(n=6, mixed_only=mixed)
+    got = _stream(enumerate_switching_classes, spec, 20000)
+    assert len(got) == 20000
+    assert got == _stream(enumeration_reference.enumerate_switching_classes, spec, 20000)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_canonical_forms_match_reference(n):
+    # Every form that generating connected_underlying(n) asks for.
+    for smaller in connected_underlying(n - 1):
+        for bits in range(1, 1 << (n - 1)):
+            edges = smaller + tuple((u, n - 1) for u in range(n - 1) if bits >> u & 1)
+            assert canonical_form(n, edges) == enumeration_reference.canonical_form(n, edges), edges
+    assert connected_underlying(n) == enumeration_reference.connected_underlying(n)

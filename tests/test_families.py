@@ -245,6 +245,23 @@ def test_spec_parser_matches_hand_counted_reference_on_fuzzed_specs():
     assert 500 < parsed < 19500
 
 
+def test_spec_parser_matches_reference_with_whitespace_and_deep_nesting():
+    # Whitespace around pieces is stripped by offsets, so fuzz with it too.
+    rng = random.Random(1616)
+    for _ in range(5000):
+        text = _mutate(rng, rng.choice(_FUZZ_SEEDS))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(" \t\n\u3000") + text[i:]
+        assert _parse_outcome(parse_family_spec, text) == _parse_outcome(reference_parse, text), text
+    right = left = "star:3"
+    for depth in range(1, MAX_COALESCE_DEPTH + 1):
+        right = f"coalesce:(star:3)@1+( {right} )@{depth % 3}"
+        left = f"coalesce:({left})@{depth % 3} + (star:3)@1"
+    for text in (right, left, left + ")", "(" + left, left.replace("@1", "@", 1)):
+        assert _parse_outcome(parse_family_spec, text) == _parse_outcome(reference_parse, text)
+
+
 @pytest.mark.parametrize(
     "bad", ["star:--5", "star:²", "star:٣", "c3t:1,¹,1", "star:-", "K:q=1,1;n=1,1;p=--1"]
 )

@@ -121,6 +121,7 @@ def test_neighbors_increasing_from_shuffled_edges(g, rng):
         assert got == g.neighbors(u)
         assert all(a < b for a, b in zip(got, got[1:]))
         assert list(got) == sorted(v for v in range(g.n) if rebuilt.has_edge(u, v))
+        assert list(rebuilt.neighbor_gains(u)) == [(x, rebuilt.gain(u, x)) for x in got]
 
 
 def test_edge_records_are_stored_as_tuples():
