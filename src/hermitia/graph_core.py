@@ -6,14 +6,16 @@ opposite orientation conjugates it.  Mixed graphs are exactly the members
 with no -1 gain: gain 1 is an undirected edge, gain i an arc u -> v, gain -i
 an arc v -> u.
 
-Graphs are immutable values after construction, so any number of concurrent
-readers is safe.  All structural queries (components, cut vertices, pendant
-vertices) are judged on the underlying simple graph.  Components are read
-off one canonical BFS spanning forest, :func:`bfs_forest` (each component
-rooted at its smallest vertex, neighbors in increasing order), which also
-fixes the spanning tree behind the switching canonical form and the
-enumeration of switching classes.  Cut vertices come from one lowpoint
-depth-first search.
+A graph's value is its order and its sorted edge tuple, fixed at
+construction.  The neighbour index that structural queries read is filled
+once, on the first query; two threads that race there build equal indexes
+and store one of them, so any number of concurrent readers is safe.  All
+structural queries (components, cut vertices, pendant vertices) are judged
+on the underlying simple graph.  Components are read off one canonical BFS
+spanning forest, :func:`bfs_forest` (each component rooted at its smallest
+vertex, neighbors in increasing order), which also fixes the spanning tree
+behind the switching canonical form and the enumeration of switching
+classes.  Cut vertices come from one lowpoint depth-first search.
 
 The on-disk format is ``.qgg``: line-oriented ASCII, '#" comments, a header
 line ``n <count>`` with count at most :data:`MAX_ORDER`, followed by edge
@@ -23,7 +25,10 @@ lines ``U a b`` (gain 1), ``A a b`` (arc a -> b) or ``G a b <gain>``.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import ItemsView, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .numeric import (
     UNIT_I,
@@ -50,9 +55,13 @@ class QuartGainGraph:
     """Immutable gain graph on vertices 0..n-1.
 
     ``edges`` is a sorted tuple of (u, v, gain) records with u < v and the
-    gain given for the orientation u -> v.  Construction normalizes edge
-    orientation, rejects self-loops and duplicate pairs, and precomputes the
-    adjacency structure.
+    gain given for the orientation u -> v; with ``n`` it is the graph's
+    whole value.  Construction normalizes edge orientation and rejects
+    self-loops, duplicate pairs and ids or gains that are not integers (a
+    bool is not one; numpy integers are stored as int).  The neighbour index behind :meth:`has_edge`, :meth:`gain`,
+    :meth:`neighbors`, :meth:`neighbor_gains` and :meth:`degree` is built
+    from ``edges`` on the first such query, so a graph that is only
+    serialized, hashed, compared or turned into a matrix never builds it.
 
     Records already in that form, in strictly increasing (u, v) order, are
     stored as they come: the switch, converse, subgraph and enumeration
@@ -64,49 +73,84 @@ class QuartGainGraph:
     __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, Unit]] = ()):
+        if type(n) is not int:
+            n = _integer(n, "vertex count")
         if n < 0:
             raise GraphFormatError(f"vertex count must be nonnegative, got {n}")
         kept: list[Edge] = []
-        adj: list[dict[int, Unit]] = [{} for _ in range(n)]
         last_u = last_v = 0
         rest = iter(edges)
         for edge in rest:
             u, v, gain = edge
-            if not ((u > last_u or (u == last_u and v > last_v)) and 0 <= u < v < n and gain in (0, 1, 2, 3)):
-                # Normalize every record, then store them through this loop.
-                self.__init__(n, _normalized_edges(n, itertools.chain(kept, (edge,), rest)))
-                return
+            if not (
+                type(u) is type(v) is type(gain) is int
+                and (u > last_u or (u == last_u and v > last_v))
+                and 0 <= u < v < n
+                and gain in (0, 1, 2, 3)
+            ):
+                kept = _normalized_edges(n, itertools.chain(kept, (edge,), rest))
+                break
             kept.append((u, v, gain))
-            adj[u][v] = gain
-            adj[v][u] = -gain % 4  # unit_conj, inlined on this hot path
             last_u, last_v = u, v
         self.n = n
         self.edges = tuple(kept)
-        self._adj = tuple(adj)
 
     # -- basic queries ------------------------------------------------------
 
+    # Each query reads the _adj slot and, while it is unset, builds the index
+    # and asks again.  A try costs nothing when nothing is raised, so once
+    # the index exists a query pays no check.  (A __getattr__ fallback would
+    # also turn off CPython's fast attribute reads on every graph.)
+
+    def _build_index(self) -> None:
+        """Fill the _adj slot from ``edges``: per vertex, neighbour -> gain.
+        Two threads racing here build equal indexes and one of them is kept."""
+        adj: list[dict[int, Unit]] = [{} for _ in range(self.n)]
+        for u, v, gain in self.edges:
+            adj[u][v] = gain
+            adj[v][u] = -gain % 4  # unit_conj, inlined on this hot path
+        self._adj = tuple(adj)
+
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        try:
+            return v in self._adj[u]
+        except AttributeError:
+            self._build_index()
+            return self.has_edge(u, v)
 
     def gain(self, u: int, v: int) -> Unit:
         """Gain of the edge oriented u -> v; raises if not adjacent."""
         try:
             return self._adj[u][v]
+        except AttributeError:
+            self._build_index()
+            return self.gain(u, v)
         except KeyError:
             raise ValueError(f"no edge between {u} and {v}") from None
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         # Already increasing: _adj[u] is filled from the sorted edges, every (w, u) before (u, x).
-        return tuple(self._adj[u])
+        try:
+            return tuple(self._adj[u])
+        except AttributeError:
+            self._build_index()
+            return self.neighbors(u)
 
     def neighbor_gains(self, u: int) -> ItemsView[int, Unit]:
         """Read-only (neighbor x, gain of u -> x) pairs, x increasing as in
         :meth:`neighbors`."""
-        return self._adj[u].items()
+        try:
+            return self._adj[u].items()
+        except AttributeError:
+            self._build_index()
+            return self.neighbor_gains(u)
 
     def degree(self, u: int) -> int:
-        return len(self._adj[u])
+        try:
+            return len(self._adj[u])
+        except AttributeError:
+            self._build_index()
+            return self.degree(u)
 
     @property
     def is_mixed(self) -> bool:
@@ -125,10 +169,22 @@ class QuartGainGraph:
         return f"QuartGainGraph(n={self.n}, edges={self.edges!r})"
 
 
+def _integer(value: object, what: str) -> int:
+    """``value`` as a plain int; a bool or a non-integer is a format error."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise GraphFormatError(f"{what} must be an integer, got {value!r}")
+
+
 def _normalized_edges(n: int, edges: Iterable[tuple[int, int, Unit]]) -> list[Edge]:
     """Validate edge records, orient each as u < v and sort them."""
     normalized: dict[tuple[int, int], Unit] = {}
     for u, v, gain in edges:
+        if not type(u) is type(v) is type(gain) is int:
+            u, v, gain = _integer(u, "vertex id"), _integer(v, "vertex id"), _integer(gain, "gain code")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"vertex id out of range in edge ({u}, {v})")
         if u == v:
@@ -145,9 +201,9 @@ def _normalized_edges(n: int, edges: Iterable[tuple[int, int, Unit]]) -> list[Ed
 
 # -- .qgg parsing and serialization ------------------------------------------
 
-# Largest vertex count a .qgg header may declare.  The graph allocates one
-# adjacency dict per vertex, so without a bound a ten-byte file such as
-# "n 1000000000" would ask for tens of gigabytes before any edge is read.
+# Largest vertex count a .qgg header may declare.  The first structural query
+# fills one neighbour dict per vertex, so without a bound a ten-byte file such
+# as "n 1000000000" would ask for tens of gigabytes before any answer.
 MAX_ORDER = 1024
 
 
@@ -294,6 +350,31 @@ def gain_grids(
     return re, im
 
 
+_UNIT_PART_ARRAY = np.array(_UNIT_PARTS, dtype=float)
+
+
+def gain_arrays(graph: QuartGainGraph, vertices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The (re, im) float64 arrays of H(G) on ``vertices``, row s for vertices[s].
+
+    The entries of :func:`gain_grids` on the same rows, set by numpy
+    indexing from ``graph.edges`` in one pass, with no Python-int grid.
+    """
+    size = len(vertices)
+    row = np.full(graph.n, -1, dtype=np.intp)
+    row[np.asarray(vertices, dtype=np.intp)] = np.arange(size)
+    records = np.fromiter(
+        itertools.chain.from_iterable(graph.edges), dtype=np.intp, count=3 * len(graph.edges)
+    ).reshape(-1, 3)
+    s, t = row[records[:, 0]], row[records[:, 1]]
+    inside = (s >= 0) & (t >= 0)
+    s, t = s[inside], t[inside]
+    a, b = _UNIT_PART_ARRAY[records[inside, 2]].T
+    re, im = np.zeros((size, size)), np.zeros((size, size))
+    re[s, t] = re[t, s] = a
+    im[s, t], im[t, s] = b, -b
+    return re, im
+
+
 def gaussian_matmul(a_re, a_im, b_re, b_im):
     """(a_re + i*a_im)(b_re + i*b_im) over Z[i], parts as 2-D numpy arrays of one
     dtype: exact at any size for object arrays of Python ints, and for int64
@@ -405,7 +486,14 @@ def is_connected(graph: QuartGainGraph) -> bool:
 
 
 def pendant_vertices(graph: QuartGainGraph) -> VertexSet:
-    return tuple(v for v in range(graph.n) if graph.degree(v) == 1)
+    # Degrees are counted off the edge tuple, so a graph that is only tested
+    # for pendants (most enumerated classes in the law suites) builds no
+    # neighbour index.
+    degree = [0] * graph.n
+    for u, v, _ in graph.edges:
+        degree[u] += 1
+        degree[v] += 1
+    return tuple(v for v in range(graph.n) if degree[v] == 1)
 
 
 def cut_vertices(graph: QuartGainGraph) -> VertexSet:

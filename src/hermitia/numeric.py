@@ -2,8 +2,8 @@
 
 A unit is encoded compactly as its exponent of i (an int in 0..3), with tiny
 helper functions for multiplication, conjugation and text tokens.  Its value
-as a Gaussian integer, needed only to build H(G), lives in
-:func:`graph_core.gain_grids`.
+as a Gaussian integer, needed only to build H(G), lives in ``graph_core``
+(:func:`graph_core.gain_grids`, :func:`graph_core.gain_arrays`).
 """
 
 from __future__ import annotations

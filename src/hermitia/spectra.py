@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph_core import QuartGainGraph, components, gain_grids, gaussian_matmul
+from .graph_core import QuartGainGraph, components, gain_arrays, gain_grids, gaussian_matmul
 from .switching_twins import twin_partition
 
 
@@ -95,9 +95,6 @@ class HermitianMatrix:
     def to_complex_array(self) -> np.ndarray:
         array = np.array(self.re, dtype=float) + 1j * np.array(self.im, dtype=float)
         return array.reshape(self.n, self.n)
-
-
-Grid = list[list[int]]
 
 
 def hermitian_matrix(graph: QuartGainGraph) -> HermitianMatrix:
@@ -200,9 +197,10 @@ def inertia_exact(matrix: HermitianMatrix) -> InertiaTriple:
 CERT_ORDER = 16
 
 
-def _certified_signature(re: Grid, im: Grid) -> Optional[InertiaTriple]:
-    """Inertia of H = re + i*im (zero diagonal, other entries 0 or a unit)
-    proved by one congruence guessed in floating point, or None.
+def _certified_signature(h_re: np.ndarray, h_im: np.ndarray) -> Optional[InertiaTriple]:
+    """Inertia of H = h_re + i*h_im (float64 arrays, zero diagonal, other
+    entries 0 or a unit) proved by one congruence guessed in floating point,
+    or None.
 
     V from LAPACK ``eigh`` is nearly unitary with V* H V nearly diagonal, so
     S = round(2^k V) is a Gaussian-integer matrix and D = S* H S is computed
@@ -218,8 +216,7 @@ def _certified_signature(re: Grid, im: Grid) -> Optional[InertiaTriple]:
     summation order; each row of |Re D| + |Im D| then sums to at most
     m N^2 < 2^63, exact in int64.
     """
-    m = len(re)
-    h_re, h_im = np.array(re, dtype=float), np.array(im, dtype=float)
+    m = len(h_re)
     try:
         v = np.linalg.eigh(h_re + 1j * h_im)[1]
     except np.linalg.LinAlgError:
@@ -244,14 +241,15 @@ def _certified_signature(re: Grid, im: Grid) -> Optional[InertiaTriple]:
 def inertia(graph: QuartGainGraph) -> InertiaTriple:
     """Inertia of H(G), computed per connected component and summed.
 
-    Each component's int grids are built straight from ``graph.edges``; a
-    one-vertex component contributes (0, 0, 1).  A component below
+    Each component's matrix is built straight from ``graph.edges``, as
+    float arrays for the certificate and as int grids only when the kernel
+    runs; a one-vertex component contributes (0, 0, 1).  A component below
     :data:`CERT_ORDER` goes to the exact kernel :func:`_signature`.  A
     larger one keeps one vertex per twin class: H is congruent to the
     reduced matrix plus a zero block, so (p, n) are unchanged and eta gains
     the removed vertices.  If the reduced order is still at least
     :data:`CERT_ORDER`, :func:`_certified_signature` tries to prove its
-    inertia; the kernel runs on the reduced grids when it declines.
+    inertia; the kernel runs on the reduced component when it declines.
     """
     total = InertiaTriple(0, 0, 0)
     representatives = None
@@ -264,10 +262,9 @@ def inertia(graph: QuartGainGraph) -> InertiaTriple:
             if representatives is None:
                 representatives = set(twin_partition(graph).representatives)
             kept = [v for v in comp if v in representatives]
-            re, im = gain_grids(graph, {v: i for i, v in enumerate(kept)})
-            part = _certified_signature(re, im) if len(kept) >= CERT_ORDER else None
+            part = _certified_signature(*gain_arrays(graph, kept)) if len(kept) >= CERT_ORDER else None
             if part is None:
-                part = _signature(re, im)
+                part = _signature(*gain_grids(graph, {v: i for i, v in enumerate(kept)}))
             total = total + part + InertiaTriple(0, 0, len(comp) - len(kept))
     return total
 

@@ -28,7 +28,7 @@ from hermitia import (
     verify_suite,
 )
 from hermitia import spectra
-from hermitia.graph_core import gain_grids
+from hermitia.graph_core import gain_arrays
 
 from fraction_kernel import inertia_fraction
 
@@ -113,7 +113,7 @@ def test_inertia_matches_fraction_kernel(refereed):
 def test_certificate_declines_every_singular_matrix(refereed):
     accepted = 0
     for name, g, expected in refereed:
-        got = spectra._certified_signature(*gain_grids(g, range(g.n)))
+        got = spectra._certified_signature(*gain_arrays(g, range(g.n)))
         if expected.eta:
             assert got is None, name
         elif got is not None:
@@ -148,7 +148,7 @@ def test_certificate_declines_singular_signed_graphs():
     for g in _signed_graphs(random.Random(3)):
         if inertia_exact(hermitian_matrix(g)).eta:
             singular += 1
-            assert spectra._certified_signature(*gain_grids(g, range(g.n))) is None, g
+            assert spectra._certified_signature(*gain_arrays(g, range(g.n))) is None, g
     assert singular > 150
 
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -157,6 +158,49 @@ def test_one_reversed_record_in_sorted_input():
         got = QuartGainGraph(5, reversed_one)
         assert got == expected and got.edges == tuple(good)
         assert [got.neighbors(w) for w in range(5)] == [expected.neighbors(w) for w in range(5)]
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((0, 1, 1.0), "gain code must be an integer, got 1.0"),
+        ((0, 1, True), "gain code must be an integer, got True"),
+        ((0, 1, None), "gain code must be an integer, got None"),
+        ((0.0, 1, 0), "vertex id must be an integer, got 0.0"),
+        ((0, 1.0, 0), "vertex id must be an integer, got 1.0"),
+        ((False, 1, 0), "vertex id must be an integer, got False"),
+        (("0", 1, 0), "vertex id must be an integer, got '0'"),
+    ],
+)
+def test_non_integer_records_rejected(bad, message, k):
+    # Stored, such a record would serialize wrongly or break a later query,
+    # so it must fail at construction wherever it sits in sorted input.
+    good = [(0, 2, UNIT_ONE), (0, 3, UNIT_I), (1, 2, UNIT_MINUS_I), (2, 4, UNIT_ONE), (3, 4, UNIT_MINUS_ONE)]
+    with pytest.raises(GraphFormatError) as info:
+        QuartGainGraph(5, good[:k] + [bad] + good[k:])
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n", [2.0, True, "2", None])
+def test_non_integer_order_rejected(n):
+    with pytest.raises(GraphFormatError, match="vertex count must be an integer"):
+        QuartGainGraph(n)
+
+
+def test_integer_like_records_stored_as_ints():
+    g = QuartGainGraph(np.int64(3), [(np.int64(1), np.int32(2), np.int8(3)), (0, 1, 0)])
+    assert g == QuartGainGraph(3, [(0, 1, 0), (1, 2, 3)])
+    assert type(g.n) is int and all(type(x) is int for edge in g.edges for x in edge)
+
+
+@given(quart_graphs(max_n=9), st.randoms(use_true_random=False))
+def test_gain_arrays_match_gain_grids(g, rng):
+    vertices = sorted(rng.sample(range(g.n), rng.randint(0, g.n)))
+    re, im = graph_core.gain_arrays(g, vertices)
+    grid_re, grid_im = graph_core.gain_grids(g, {v: s for s, v in enumerate(vertices)})
+    assert re.dtype == im.dtype == float and re.shape == (len(vertices), len(vertices))
+    assert re.tolist() == grid_re and im.tolist() == grid_im
 
 
 def test_underlying():
