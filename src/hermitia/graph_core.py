@@ -25,8 +25,7 @@ lines ``U a b`` (gain 1), ``A a b`` (arc a -> b) or ``G a b <gain>``.
 from __future__ import annotations
 
 import itertools
-import operator
-from typing import ItemsView, Iterable, Mapping, Sequence
+from typing import ItemsView, Iterable, Sequence
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .numeric import (
     UNIT_MINUS_ONE,
     UNIT_ONE,
     Unit,
+    as_int,
     unit_conj,
     unit_from_token,
     unit_token,
@@ -74,7 +74,7 @@ class QuartGainGraph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, Unit]] = ()):
         if type(n) is not int:
-            n = _integer(n, "vertex count")
+            n = as_int(n, "vertex count", GraphFormatError)
         if n < 0:
             raise GraphFormatError(f"vertex count must be nonnegative, got {n}")
         kept: list[Edge] = []
@@ -169,22 +169,16 @@ class QuartGainGraph:
         return f"QuartGainGraph(n={self.n}, edges={self.edges!r})"
 
 
-def _integer(value: object, what: str) -> int:
-    """``value`` as a plain int; a bool or a non-integer is a format error."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise GraphFormatError(f"{what} must be an integer, got {value!r}")
-
-
 def _normalized_edges(n: int, edges: Iterable[tuple[int, int, Unit]]) -> list[Edge]:
     """Validate edge records, orient each as u < v and sort them."""
     normalized: dict[tuple[int, int], Unit] = {}
     for u, v, gain in edges:
         if not type(u) is type(v) is type(gain) is int:
-            u, v, gain = _integer(u, "vertex id"), _integer(v, "vertex id"), _integer(gain, "gain code")
+            u, v, gain = (
+                as_int(u, "vertex id", GraphFormatError),
+                as_int(v, "vertex id", GraphFormatError),
+                as_int(gain, "gain code", GraphFormatError),
+            )
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"vertex id out of range in edge ({u}, {v})")
         if u == v:
@@ -329,47 +323,35 @@ def induced_subgraph(graph: QuartGainGraph, vertices: Sequence[int]) -> QuartGai
 _UNIT_PARTS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def gain_grids(
-    graph: QuartGainGraph, index: Mapping[int, int] | range
-) -> tuple[list[list[int]], list[list[int]]]:
-    """The (re, im) int grids of H(G) on ``index``, a map from vertex to row.
-
-    Entry (s, t) is the gain of the edge oriented s -> t, else 0.  Edges with
-    an end outside ``index`` are skipped, so the grids are those of the
-    induced subgraph in row order.
-    """
-    size = len(index)
-    re = [[0] * size for _ in range(size)]
-    im = [[0] * size for _ in range(size)]
-    for u, v, g in graph.edges:
-        if u in index and v in index:
-            s, t = index[u], index[v]
-            a, b = _UNIT_PARTS[g]
-            re[s][t] = re[t][s] = a
-            im[s][t], im[t][s] = b, -b
+def gain_grids(graph: QuartGainGraph) -> tuple[list[list[int]], list[list[int]]]:
+    """The (re, im) int grids of H(G): entry (s, t) is the gain of the edge
+    oriented s -> t, else 0."""
+    n = graph.n
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
+    for s, t, g in graph.edges:
+        a, b = _UNIT_PARTS[g]
+        re[s][t] = re[t][s] = a
+        im[s][t], im[t][s] = b, -b
     return re, im
 
 
 _UNIT_PART_ARRAY = np.array(_UNIT_PARTS, dtype=float)
 
 
-def gain_arrays(graph: QuartGainGraph, vertices: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The (re, im) float64 arrays of H(G) on ``vertices``, row s for vertices[s].
+def gain_arrays(graph: QuartGainGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The (re, im) float64 arrays of H(G).
 
-    The entries of :func:`gain_grids` on the same rows, set by numpy
-    indexing from ``graph.edges`` in one pass, with no Python-int grid.
+    The entries of :func:`gain_grids`, set by numpy indexing from
+    ``graph.edges`` in one pass, with no Python-int grid.
     """
-    size = len(vertices)
-    row = np.full(graph.n, -1, dtype=np.intp)
-    row[np.asarray(vertices, dtype=np.intp)] = np.arange(size)
+    n = graph.n
     records = np.fromiter(
         itertools.chain.from_iterable(graph.edges), dtype=np.intp, count=3 * len(graph.edges)
     ).reshape(-1, 3)
-    s, t = row[records[:, 0]], row[records[:, 1]]
-    inside = (s >= 0) & (t >= 0)
-    s, t = s[inside], t[inside]
-    a, b = _UNIT_PART_ARRAY[records[inside, 2]].T
-    re, im = np.zeros((size, size)), np.zeros((size, size))
+    s, t = records[:, 0], records[:, 1]
+    a, b = _UNIT_PART_ARRAY[records[:, 2]].T
+    re, im = np.zeros((n, n)), np.zeros((n, n))
     re[s, t] = re[t, s] = a
     im[s, t], im[t, s] = b, -b
     return re, im

@@ -4,9 +4,14 @@ A unit is encoded compactly as its exponent of i (an int in 0..3), with tiny
 helper functions for multiplication, conjugation and text tokens.  Its value
 as a Gaussian integer, needed only to build H(G), lives in ``graph_core``
 (:func:`graph_core.gain_grids`, :func:`graph_core.gain_arrays`).
+
+:func:`as_int` is the one rule for integer input, shared by graph records
+and matrix entries.
 """
 
 from __future__ import annotations
+
+import operator
 
 # A unit is i**k, stored as the exponent k in 0..3.
 Unit = int
@@ -39,3 +44,14 @@ def unit_from_token(token: str) -> Unit:
         return _TOKEN_TO_UNIT[token]
     except KeyError:
         raise ValueError(f"unknown unit token {token!r}") from None
+
+
+def as_int(value: object, what: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` as a plain int, else ``error``: a bool is not an integer, and a
+    numpy integer becomes an int."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")

@@ -16,31 +16,41 @@ Two fully independent routes compute the signature of H(G):
   code with the exact one and exists purely as an oracle.
 
 Spectral quantities are additive over connected components, and
-:func:`inertia` dispatches per component.  Below :data:`CERT_ORDER` (16)
-vertices, the exact kernel runs as in :func:`inertia_exact`.  From that
-order up, the component is twin-reduced first; if the reduced order is
-still at least :data:`CERT_ORDER`, a congruence S guessed from a float
-eigenbasis is checked in exact integers (:func:`_certified_signature`),
-and the kernel runs only when that check declines.  Every answer stays
-exact.  The kernel's cost grows faster than n^3: on a dense (edge
-probability 0.9) matrix it takes about 15 s at order 256 and 5 minutes at
-order 512, where ``hermitia inertia`` with the certificate takes 0.4 s,
-1.0 s, and 4 s at order 1024, start-up included (2-core VM).  Singular residues, such as odd paths and most trees, and
-inputs whose smallest eigenvalues are too close to 0 for the certificate,
-still fall back to the kernel, so dense order 512 and up can still take
-minutes.
+:func:`inertia` runs one pipeline per component: the component as a graph
+of its own, then its twin reduction from :data:`CERT_ORDER` (16) vertices
+up, then the certificate while the order is still at least
+:data:`CERT_ORDER`, then the exact kernel of :func:`inertia_exact` below
+that order or when the certificate declines.  The certificate is a
+congruence S guessed from a float eigenbasis and checked in exact integers
+(:func:`_certified_signature`).  Every answer stays exact.  The kernel's
+cost grows faster than n^3: on a dense (edge probability 0.9) matrix it
+takes about 15 s at order 256 and 5 minutes at order 512, where
+``hermitia inertia`` with the certificate takes 0.4 s, 1.0 s, and 4 s at
+order 1024, start-up included (2-core VM).  Singular residues, such as odd
+paths and most trees, and inputs whose smallest eigenvalues are too close
+to 0 for the certificate, still fall back to the kernel, so dense order
+512 and up can still take minutes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph_core import QuartGainGraph, components, gain_arrays, gain_grids, gaussian_matmul
-from .switching_twins import twin_partition
+from .graph_core import (
+    QuartGainGraph,
+    components,
+    gain_arrays,
+    gain_grids,
+    gaussian_matmul,
+    induced_subgraph,
+)
+from .numeric import as_int
+from .switching_twins import twin_reduction
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,7 +76,11 @@ class InertiaTriple:
 
 
 class HermitianMatrix:
-    """A square matrix re + i*im over Z[i], tuples of int rows, with H* = H checked."""
+    """A square matrix re + i*im over Z[i], tuples of int rows, with H* = H checked.
+
+    Every entry must be an integer, as for :class:`QuartGainGraph` records: a
+    bool or a float raises ValueError, and numpy integers are stored as int.
+    """
 
     __slots__ = ("n", "re", "im")
 
@@ -76,6 +90,10 @@ class HermitianMatrix:
         n = len(re)
         if len(im) != n or any(len(row) != n for row in re + im):
             raise ValueError("matrix is not square")
+        if not set(map(type, itertools.chain.from_iterable(re + im))) <= {int}:
+            re, im = (
+                tuple(tuple(as_int(x, "matrix entry") for x in row) for row in grid) for grid in (re, im)
+            )
         for s in range(n):
             for t in range(s, n):
                 if re[s][t] != re[t][s] or im[s][t] != -im[t][s]:
@@ -99,7 +117,7 @@ class HermitianMatrix:
 
 def hermitian_matrix(graph: QuartGainGraph) -> HermitianMatrix:
     """H(G): entry (s, t) is the gain of the edge oriented s -> t, else 0."""
-    return HermitianMatrix(*gain_grids(graph, range(graph.n)))
+    return HermitianMatrix(*gain_grids(graph))
 
 
 # -- exact route ---------------------------------------------------------------
@@ -241,31 +259,31 @@ def _certified_signature(h_re: np.ndarray, h_im: np.ndarray) -> Optional[Inertia
 def inertia(graph: QuartGainGraph) -> InertiaTriple:
     """Inertia of H(G), computed per connected component and summed.
 
-    Each component's matrix is built straight from ``graph.edges``, as
-    float arrays for the certificate and as int grids only when the kernel
-    runs; a one-vertex component contributes (0, 0, 1).  A component below
-    :data:`CERT_ORDER` goes to the exact kernel :func:`_signature`.  A
-    larger one keeps one vertex per twin class: H is congruent to the
-    reduced matrix plus a zero block, so (p, n) are unchanged and eta gains
-    the removed vertices.  If the reduced order is still at least
-    :data:`CERT_ORDER`, :func:`_certified_signature` tries to prove its
-    inertia; the kernel runs on the reduced component when it declines.
+    A one-vertex component contributes (0, 0, 1).  Every other one becomes
+    a graph of its own: ``graph`` itself when it is connected, else its
+    :func:`induced_subgraph`.  From :data:`CERT_ORDER` up, that graph is
+    replaced by its :func:`twin_reduction`: H is congruent to the reduced
+    matrix plus a zero block, so (p, n) are unchanged and eta gains the
+    removed vertices.  If the order is still at least :data:`CERT_ORDER`,
+    :func:`_certified_signature` tries to prove the inertia from the float
+    arrays of :func:`gain_arrays`.  Otherwise, or when it declines, the
+    exact kernel :func:`_signature` runs on the int grids of
+    :func:`gain_grids`.
     """
     total = InertiaTriple(0, 0, 0)
-    representatives = None
     for comp in components(graph):
         if len(comp) == 1:
             total = total + InertiaTriple(0, 0, 1)
-        elif len(comp) < CERT_ORDER:
-            total = total + _signature(*gain_grids(graph, {v: i for i, v in enumerate(comp)}))
-        else:
-            if representatives is None:
-                representatives = set(twin_partition(graph).representatives)
-            kept = [v for v in comp if v in representatives]
-            part = _certified_signature(*gain_arrays(graph, kept)) if len(kept) >= CERT_ORDER else None
-            if part is None:
-                part = _signature(*gain_grids(graph, {v: i for i, v in enumerate(kept)}))
-            total = total + part + InertiaTriple(0, 0, len(comp) - len(kept))
+            continue
+        sub = graph if len(comp) == graph.n else induced_subgraph(graph, comp)
+        if sub.n >= CERT_ORDER:
+            reduced = twin_reduction(sub)
+            total = total + InertiaTriple(0, 0, sub.n - reduced.n)
+            sub = reduced
+        part = _certified_signature(*gain_arrays(sub)) if sub.n >= CERT_ORDER else None
+        if part is None:
+            part = _signature(*gain_grids(sub))
+        total = total + part
     return total
 
 

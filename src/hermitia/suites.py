@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -116,9 +116,8 @@ def _random_switch(rng: random.Random, n: int) -> tuple[int, ...]:
 def _suite_sylvester(report: SuiteReport, n: Optional[int], seed: int) -> None:
     """Inertia is invariant under congruence by random invertible matrices."""
     rng = random.Random(seed)
-    max_n = n or 7
     for _ in range(120):
-        g = _random_graph(rng, max_n)
+        g = _random_graph(rng, n)
         if g.n == 0:
             continue
         h = hermitian_matrix(g)
@@ -151,7 +150,7 @@ def _random_invertible(rng: random.Random, n: int) -> tuple[np.ndarray, np.ndarr
 
 def _suite_pendant(report: SuiteReport, n: Optional[int], seed: int) -> None:
     """Deleting a pendant vertex and its neighbor costs exactly (1, 1, 0)."""
-    for g in classes_up_to(n or 5):
+    for g in classes_up_to(n):
         for v1 in pendant_vertices(g):
             v2 = g.neighbors(v1)[0]
             report.checked += 1
@@ -164,7 +163,7 @@ def _suite_pendant(report: SuiteReport, n: Optional[int], seed: int) -> None:
 
 def _suite_interlacing(report: SuiteReport, n: Optional[int], seed: int) -> None:
     """Vertex deletion changes p and n by at most one, never upward."""
-    for g in classes_up_to(n or 5):
+    for g in classes_up_to(n):
         if g.n < 2:
             continue
         whole = inertia(g)
@@ -181,7 +180,7 @@ def _suite_interlacing(report: SuiteReport, n: Optional[int], seed: int) -> None
 
 def _suite_cutvertex(report: SuiteReport, n: Optional[int], seed: int) -> None:
     """Cut-vertex composition laws for the rank of the augmented components."""
-    for g in classes_up_to(n or 5):
+    for g in classes_up_to(n):
         for v in cut_vertices(g):
             comps = components_avoiding(g, v)
             ranks = []
@@ -223,8 +222,7 @@ def _cycle_nullity_expected(n: int, sigma: int) -> int:
 
 def _suite_cycle_nullity(report: SuiteReport, n: Optional[int], seed: int) -> None:
     """Nullity of every mixed cycle follows the five-case parity table."""
-    top = n or 12
-    for length in range(3, top + 1):
+    for length in range(3, n + 1):
         for arcs in range(0, length + 1):
             g = gen_cycle(length, range(arcs))
             report.checked += 1
@@ -242,11 +240,10 @@ def _suite_p1(report: SuiteReport, n: Optional[int], seed: int) -> None:
     """p = 1 holds exactly for blown-up odd triangles and positive
     complete multipartite graphs (plus isolated vertices)."""
     rng = random.Random(seed)
-    top = n or 5
-    connected = list(classes_up_to(top, mixed_only=True))
+    connected = list(classes_up_to(n, mixed_only=True))
     corpus: list[QuartGainGraph] = list(connected)
     # Disconnected composites: unions of two small classes, padded unions.
-    small = [g for g in connected if g.n <= max(2, top - 2)]
+    small = [g for g in connected if g.n <= max(2, n - 2)]
     for _ in range(300):
         a = rng.choice(small)
         b = rng.choice(small)
@@ -274,7 +271,7 @@ def _suite_twins(report: SuiteReport, n: Optional[int], seed: int) -> None:
     """Duplicating a vertex into its twin class fixes (p, n) and bumps eta;
     removing a singleton class from a positive multipartite graph drops the
     rank by one."""
-    for g in classes_up_to(n or 5):
+    for g in classes_up_to(n):
         base = inertia(g)
         for u in range(g.n):
             report.checked += 1
@@ -296,7 +293,7 @@ def _suite_twins(report: SuiteReport, n: Optional[int], seed: int) -> None:
 def _suite_twin_rank3(report: SuiteReport, n: Optional[int], seed: int) -> None:
     """Connected mixed graphs have rank 3 exactly when the twin reduction
     is an even triangle."""
-    for g in classes_up_to(n or 5, mixed_only=True):
+    for g in classes_up_to(n, mixed_only=True):
         report.checked += 1
         rank3 = inertia(g).rank == 3
         reduced = is_even_triangle(twin_reduction(g))
@@ -459,7 +456,7 @@ def _check_lem311_instance(
 
 def _suite_thm11(report: SuiteReport, n: Optional[int], seed: int) -> None:
     """Over every mixed class with a pendant vertex: classified iff p = 2."""
-    for g in classes_up_to(n or 5, has_pendant=True, mixed_only=True):
+    for g in classes_up_to(n, has_pendant=True, mixed_only=True):
         report.checked += 1
         classified = thm11_classify(g) is not None
         is_p2 = inertia(g).p == 2
@@ -470,7 +467,7 @@ def _suite_thm11(report: SuiteReport, n: Optional[int], seed: int) -> None:
 def _suite_thm12(report: SuiteReport, n: Optional[int], seed: int) -> None:
     """Over every mixed class with a cut vertex and no pendant vertex:
     at least one family case matches iff p = 2."""
-    for g in classes_up_to(n or 6, has_cut_vertex=True, no_pendant=True, mixed_only=True):
+    for g in classes_up_to(n, has_cut_vertex=True, no_pendant=True, mixed_only=True):
         report.checked += 1
         matched = bool(thm12_classify(g).cases)
         is_p2 = inertia(g).p == 2
@@ -482,7 +479,7 @@ def _suite_oracle_agreement(report: SuiteReport, n: Optional[int], seed: int) ->
     """Exact congruence inertia equals the LAPACK ``eigvalsh`` float inertia at 1e-9."""
     rng = random.Random(seed)
     for _ in range(10000):
-        g = _random_graph(rng, n or 10)
+        g = _random_graph(rng, n)
         h = hermitian_matrix(g)
         report.checked += 1
         exact = inertia_exact(h)
@@ -491,61 +488,65 @@ def _suite_oracle_agreement(report: SuiteReport, n: Optional[int], seed: int) ->
             report.record(compact_str(g), exact, floated)
 
 
-_SUITES: dict[str, Callable[[SuiteReport, Optional[int], int], None]] = {
-    "sylvester": _suite_sylvester,
-    "pendant": _suite_pendant,
-    "interlacing": _suite_interlacing,
-    "cutvertex": _suite_cutvertex,
-    "cycle_nullity": _suite_cycle_nullity,
-    "p1": _suite_p1,
-    "twins": _suite_twins,
-    "twin_rank3": _suite_twin_rank3,
-    "c3t_rank": _suite_c3t_rank,
-    "coalescence_bounds": _suite_coalescence_bounds,
-    "lem38": partial(_suite_apex, "lem38"),
-    "cor39": partial(_suite_apex, "cor39"),
-    "lem310": partial(_suite_apex, "lem310"),
-    "lem311": _suite_lem311,
-    "thm11": _suite_thm11,
-    "thm12": _suite_thm12,
-    "oracle_agreement": _suite_oracle_agreement,
+class _Suite(NamedTuple):
+    run: Callable[[SuiteReport, Optional[int], int], None]
+    default_n: Optional[int]  # None: the suite ignores n
+    max_n: Optional[int]  # None: any n >= 1
+
+
+# Each largest n is one at which a run still ends in minutes (README,
+# "Verification suites").  The enumerated corpora stream every order up to
+# n.  Order 7 holds 1.6 billion plain classes, about 1,000 times order 6, so
+# the suites that walk every class stop at 6; thm11 and thm12 keep a small
+# filtered part of each order and stop at the enumerator's HARD_CAP.
+# sylvester and oracle_agreement draw graphs of up to n vertices, and
+# cycle_nullity checks every cycle up to length n.
+_SUITES: dict[str, _Suite] = {
+    "sylvester": _Suite(_suite_sylvester, 7, 12),
+    "pendant": _Suite(_suite_pendant, 5, 6),
+    "interlacing": _Suite(_suite_interlacing, 5, 6),
+    "cutvertex": _Suite(_suite_cutvertex, 5, 6),
+    "cycle_nullity": _Suite(_suite_cycle_nullity, 12, 12),
+    "p1": _Suite(_suite_p1, 5, 6),
+    "twins": _Suite(_suite_twins, 5, 6),
+    "twin_rank3": _Suite(_suite_twin_rank3, 5, 6),
+    "c3t_rank": _Suite(_suite_c3t_rank, None, None),
+    "coalescence_bounds": _Suite(_suite_coalescence_bounds, None, None),
+    "lem38": _Suite(partial(_suite_apex, "lem38"), None, None),
+    "cor39": _Suite(partial(_suite_apex, "cor39"), None, None),
+    "lem310": _Suite(partial(_suite_apex, "lem310"), None, None),
+    "lem311": _Suite(_suite_lem311, None, None),
+    "thm11": _Suite(_suite_thm11, 5, HARD_CAP),
+    "thm12": _Suite(_suite_thm12, 6, HARD_CAP),
+    "oracle_agreement": _Suite(_suite_oracle_agreement, 10, 10),
 }
 
 SUITE_NAMES = tuple(_SUITES)
 
-# Suites that read n as a size, with the largest n each accepts: sylvester
-# and oracle_agreement draw graphs of up to n vertices, and cycle_nullity
-# checks every cycle up to length n.  sylvester and cycle_nullity stop at
-# cycle_nullity's default, oracle_agreement at its own.
-_SIZE_CAPS = {"sylvester": 12, "cycle_nullity": 12, "oracle_agreement": 10}
 
-# Suites whose corpus streams the enumerated classes of every order up to n.
-# The stream would reject the first order past HARD_CAP only after every
-# lower order had run, so that order is rejected up front, with the same text.
-_ENUMERATED_SUITES = (
-    "pendant", "interlacing", "cutvertex", "p1", "twins", "twin_rank3", "thm11", "thm12",
-)
-
-
-def _check_args(name: str, n: Optional[int]) -> None:
+def _resolve_n(name: str, n: Optional[int]) -> Optional[int]:
+    """The n suite ``name`` runs at: its default when n is None, else n checked
+    against the suite's largest."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    if n is not None and n < 1:
+    suite = _SUITES[name]
+    if n is None:
+        return suite.default_n
+    if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n is not None and n > _SIZE_CAPS.get(name, n):
-        raise ValueError(f"suite {name!r} needs n <= {_SIZE_CAPS[name]}, got {n}")
-    if n is not None and name in _ENUMERATED_SUITES and n > HARD_CAP:
-        raise ValueError(f"order {HARD_CAP + 1} outside 1..{HARD_CAP}")
+    if suite.max_n is not None and n > suite.max_n:
+        raise ValueError(f"suite {name!r} needs n <= {suite.max_n}, got {n}")
+    return n
 
 
 def verify_suite(name: str, n: Optional[int] = None, seed: Optional[int] = None) -> SuiteReport:
     """Run one named suite and report instances checked and failures."""
-    _check_args(name, n)
+    n = _resolve_n(name, n)
     if seed is None:
         seed = int(os.environ.get("HERMITIA_SEED", DEFAULT_SEED))
     report = SuiteReport(suite=name)
     start = time.perf_counter()
-    _SUITES[name](report, n, seed)
+    _SUITES[name].run(report, n, seed)
     report.millis = int((time.perf_counter() - start) * 1000)
     report.failures.sort()
     return report
@@ -554,5 +555,5 @@ def verify_suite(name: str, n: Optional[int] = None, seed: Optional[int] = None)
 def verify_all(n: Optional[int] = None, seed: Optional[int] = None) -> list[SuiteReport]:
     """Run every suite, after checking n against each of them."""
     for name in SUITE_NAMES:
-        _check_args(name, n)
+        _resolve_n(name, n)
     return [verify_suite(name, n=n, seed=seed) for name in SUITE_NAMES]

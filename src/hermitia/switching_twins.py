@@ -126,6 +126,9 @@ def two_way_mixed(graph: QuartGainGraph, cut: VertexSet) -> QuartGainGraph:
 def _cycle_steps(graph: QuartGainGraph, cycle: tuple[int, ...]) -> list[tuple[int, int, Unit]]:
     """The (u, v, gain of u -> v) steps of the traversal, closing edge last;
     raises ValueError unless ``cycle`` is a cycle of ``graph``."""
+    for v in cycle:
+        if not 0 <= v < graph.n:
+            raise ValueError(f"vertex id {v} out of range")
     if len(cycle) < 3 or len(set(cycle)) != len(cycle):
         raise ValueError("not a cycle: need at least 3 distinct vertices")
     steps = []
@@ -231,7 +234,7 @@ def _walk_values(graph: QuartGainGraph) -> list[tuple[int, ...]]:
     (H^2)_vv is the degree of v, and the traces fix the spectrum.  Exact in
     int64 since |(H^k)_st| <= (n - 1)^(k - 1) < 2^40 for n <= MAX_ISO_ORDER.
     """
-    re, im = (np.array(grid, dtype=np.int64) for grid in gain_grids(graph, range(graph.n)))
+    re, im = (np.array(grid, dtype=np.int64) for grid in gain_grids(graph))
     power_re, power_im, diagonals = re, im, []
     for _ in range(graph.n - 1):
         power_re, power_im = gaussian_matmul(power_re, power_im, re, im)
@@ -386,8 +389,12 @@ def twin_partition(graph: QuartGainGraph) -> TwinPartition:
 
 
 def twin_reduction(graph: QuartGainGraph) -> QuartGainGraph:
-    """One vertex per twin class: the induced subgraph on class representatives."""
-    return induced_subgraph(graph, twin_partition(graph).representatives)
+    """One vertex per twin class: the induced subgraph on class representatives,
+    or ``graph`` itself when every class is a singleton."""
+    representatives = twin_partition(graph).representatives
+    if len(representatives) == graph.n:
+        return graph
+    return induced_subgraph(graph, representatives)
 
 
 # -- triangles ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from hermitia import (
     QuartGainGraph,
     UNITS,
     coalesce,
+    disjoint_union,
     gen_c3t,
     gen_complete_multipartite,
     gen_cycle,
@@ -25,6 +26,7 @@ from hermitia import (
     hermitian_matrix,
     inertia,
     inertia_exact,
+    relabel,
     verify_suite,
 )
 from hermitia import spectra
@@ -113,7 +115,7 @@ def test_inertia_matches_fraction_kernel(refereed):
 def test_certificate_declines_every_singular_matrix(refereed):
     accepted = 0
     for name, g, expected in refereed:
-        got = spectra._certified_signature(*gain_arrays(g, range(g.n)))
+        got = spectra._certified_signature(*gain_arrays(g))
         if expected.eta:
             assert got is None, name
         elif got is not None:
@@ -123,6 +125,30 @@ def test_certificate_declines_every_singular_matrix(refereed):
     # would only exercise the kernel.
     nonsingular = sum(1 for _, _, expected in refereed if not expected.eta)
     assert accepted * 2 > nonsingular
+
+
+def _disconnected(rng: random.Random) -> QuartGainGraph:
+    """One component of order 16-24 (twin-free or with twins), one to three
+    small components of order 2-5 and up to three isolated vertices, with
+    every vertex relabeled at random so the components interleave."""
+    big = _random(rng, rng.randint(16, 20), rng.choice((0.3, 0.5, 0.8)))
+    if rng.random() < 0.5:
+        big = _with_twins(rng, big, rng.randint(1, 4))
+    parts = [big] + [_random(rng, rng.randint(2, 5), 0.7) for _ in range(rng.randint(1, 3))]
+    parts += [QuartGainGraph(1)] * rng.choice((0, 0, 1, 3))
+    g = parts[0]
+    for part in parts[1:]:
+        g = disjoint_union(g, part)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def test_inertia_of_disconnected_graphs_matches_fraction_kernel():
+    rng = random.Random(1815)
+    for _ in range(40):
+        g = _disconnected(rng)
+        assert inertia(g) == inertia_fraction(hermitian_matrix(g)), g
 
 
 def _signed_graphs(rng: random.Random):
@@ -148,7 +174,7 @@ def test_certificate_declines_singular_signed_graphs():
     for g in _signed_graphs(random.Random(3)):
         if inertia_exact(hermitian_matrix(g)).eta:
             singular += 1
-            assert spectra._certified_signature(*gain_arrays(g, range(g.n))) is None, g
+            assert spectra._certified_signature(*gain_arrays(g)) is None, g
     assert singular > 150
 
 
@@ -170,7 +196,7 @@ def test_law_suites_stay_on_the_exact_kernel(suite, monkeypatch):
     def forbidden(*args):
         raise AssertionError("a law suite left the exact kernel")
 
-    monkeypatch.setattr(spectra, "twin_partition", forbidden)
+    monkeypatch.setattr(spectra, "twin_reduction", forbidden)
     monkeypatch.setattr(spectra, "_certified_signature", forbidden)
     report = verify_suite(suite)
     assert report.passed, report.failures[:5]

@@ -65,6 +65,28 @@ def test_generate_and_classify(tmp_path, capsys):
     assert data["witness"] is not None
 
 
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("n 3\nA 0 1\nA 1 2\nA 2 0\n", "p1_c3t"),
+        ("n 3\nU 0 2\nU 1 2\n", "p1_multipartite"),  # hermitia generate multipartite:2,1
+        (
+            "n 4\nU 0 1\nU 1 2\nU 2 3\n",
+            "thm11 {'pendant': 0, 'star_center': 1, 'core_vertices': [2, 3], 'core_tag': 'multipartite'}",
+        ),
+    ],
+    ids=["directed-triangle", "multipartite-2-1", "path-4"],
+)
+def test_classify_p1_and_pendant_paths(tmp_path, capsys, text, printed):
+    path = _write(tmp_path, "g.qgg", text)
+    assert main(["classify", path]) == 0
+    assert capsys.readouterr().out == printed + "\n"
+    assert main(["classify", path, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["cases"] == [printed.split()[0]]
+    assert data["witness"] is None
+
+
 def test_classify_negative_exit_code(tmp_path, capsys):
     # p = 3 instance: no characterization matches.
     path = _write(
@@ -213,7 +235,8 @@ def test_verify_reports_failures(monkeypatch, capsys):
         report.checked += 1
         report.record("n 1", "expected-thing", "got-thing")
 
-    monkeypatch.setitem(suites_module._SUITES, "c3t_rank", broken)
+    suite = suites_module._SUITES["c3t_rank"]._replace(run=broken)
+    monkeypatch.setitem(suites_module._SUITES, "c3t_rank", suite)
     assert main(["verify", "--suite", "c3t_rank"]) == 1
     out = capsys.readouterr().out
     assert "c3t_rank: FAIL" in out
@@ -251,8 +274,16 @@ def test_verify_all_rejects_oversized_n_before_running(capsys):
     assert "needs n <= 12" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args", [["--suite", "pendant"], ["--all"]], ids=["pendant", "all"])
-def test_verify_rejects_order_past_enumeration_cap_before_running(args, capsys):
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--suite", "pendant"], "suite 'pendant' needs n <= 6, got 8"),
+        (["--suite", "thm11"], "suite 'thm11' needs n <= 7, got 8"),
+        (["--all"], "suite 'pendant' needs n <= 6, got 8"),
+    ],
+    ids=["pendant", "thm11", "all"],
+)
+def test_verify_rejects_order_past_enumeration_cap_before_running(args, message, capsys):
     # The enumerated corpora stream every order up to n, and the stream only
     # rejects order 8 after all of order 7; thm11 would run for minutes first.
     code, elapsed = timed_under_alarm(
@@ -262,16 +293,36 @@ def test_verify_rejects_order_past_enumeration_cap_before_running(args, capsys):
     assert elapsed < 2.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: order 8 outside 1..7\n"
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
-    "suite", ["pendant", "interlacing", "cutvertex", "p1", "twins", "twin_rank3", "thm11", "thm12"]
+    "args, suite", [(["--suite", "twins"], "twins"), (["--all"], "pendant")], ids=["twins", "all"]
 )
-def test_verify_suite_rejects_order_past_enumeration_cap(suite):
+def test_verify_rejects_order_7_for_suites_capped_at_6(args, suite, capsys):
+    # Order 7 holds about 1,000 times the classes of order 6, where the
+    # slowest of these suites already runs for minutes.
+    code, elapsed = timed_under_alarm(
+        lambda: main(["verify", *args, "--n", "7"]), f"verify {args[0]} --n 7"
+    )
+    assert code == 2
+    assert elapsed < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: suite '{suite}' needs n <= 6, got 7\n"
+
+
+@pytest.mark.parametrize(
+    "suite, cap",
+    [
+        ("pendant", 6), ("interlacing", 6), ("cutvertex", 6), ("p1", 6),
+        ("twins", 6), ("twin_rank3", 6), ("thm11", 7), ("thm12", 7),
+    ],
+)
+def test_verify_suite_rejects_order_past_enumeration_cap(suite, cap):
     from hermitia import verify_suite
 
-    with pytest.raises(ValueError, match=r"^order 8 outside 1\.\.7$"):
+    with pytest.raises(ValueError, match=rf"^suite '{suite}' needs n <= {cap}, got 9$"):
         timed_under_alarm(lambda: verify_suite(suite, n=9), f"verify_suite {suite} n=9")
 
 

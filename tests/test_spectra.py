@@ -62,6 +62,20 @@ def test_hermitian_validation():
         HermitianMatrix([[0, 1]], [[0, 0]])
 
 
+def test_hermitian_matrix_rejects_non_integer_entries():
+    # Unchecked, the kernel would answer (p=1, n=0, eta=1) for this
+    # positive definite matrix.
+    with pytest.raises(ValueError, match="matrix entry must be an integer, got 0.1"):
+        HermitianMatrix([[0.1, 0], [0, 0.2]], [[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="got True"):
+        HermitianMatrix([[True, 0], [0, 1]], [[0, 0], [0, 0]])
+    h = HermitianMatrix([[np.int64(2), np.int32(1)], [1, 0]], [[0, np.int8(-1)], [1, 0]])
+    assert h == HermitianMatrix([[2, 1], [1, 0]], [[0, -1], [1, 0]])
+    assert all(type(x) is int for grid in (h.re, h.im) for row in grid for x in row)
+    with pytest.raises(ValueError, match="must be an integer"):
+        congruence(h, [[0.5, 0], [0, 1]], [[0, 0], [0, 0]])
+
+
 def test_inertia_exact_k3():
     g = parse_graph("n 3\nU 0 1\nU 0 2\nU 1 2")
     assert inertia_exact(hermitian_matrix(g)).as_tuple() == (1, 2, 0)

@@ -130,6 +130,14 @@ def test_cycle_value_and_signature():
         cycle_signature(parse_graph("n 3\nG 0 1 -1\nU 1 2\nU 0 2"), (0, 1, 2))
 
 
+@pytest.mark.parametrize("bad", [3, 4, -1])
+def test_cycle_with_vertex_id_out_of_range(bad):
+    k3 = parse_graph(K3)
+    for fn in (cycle_value, cycle_signature):
+        with pytest.raises(ValueError, match=f"^vertex id {bad} out of range$"):
+            fn(k3, (bad, 0, 1))
+
+
 def test_even_cycle_with_one_arc_has_full_rank():
     g = gen_cycle(4, (0,))
     assert cycle_signature(g, (0, 1, 2, 3)) == 1
