@@ -7,11 +7,12 @@ with no -1 gain: gain 1 is an undirected edge, gain i an arc u -> v, gain -i
 an arc v -> u.
 
 A graph's value is its order and its sorted edge tuple, fixed at
-construction.  The neighbour index that structural queries read is filled
-once, on the first query; two threads that race there build equal indexes
-and store one of them, so any number of concurrent readers is safe.  All
-structural queries (components, cut vertices, pendant vertices) are judged
-on the underlying simple graph.  Components are read off one canonical BFS
+construction.  The neighbour index that structural queries read sits in a
+slot that holds ``None`` until the one accessor ``_index`` fills it, on the
+first query; two threads that race there build equal indexes and store one
+of them, so any number of concurrent readers is safe.  All structural
+queries (components, cut vertices, pendant vertices) are judged on the
+underlying simple graph.  Components are read off one canonical BFS
 spanning forest, :func:`bfs_forest` (each component rooted at its smallest
 vertex, neighbors in increasing order), which also fixes the spanning tree
 behind the switching canonical form and the enumeration of switching
@@ -58,10 +59,12 @@ class QuartGainGraph:
     gain given for the orientation u -> v; with ``n`` it is the graph's
     whole value.  Construction normalizes edge orientation and rejects
     self-loops, duplicate pairs and ids or gains that are not integers (a
-    bool is not one; numpy integers are stored as int).  The neighbour index behind :meth:`has_edge`, :meth:`gain`,
-    :meth:`neighbors`, :meth:`neighbor_gains` and :meth:`degree` is built
-    from ``edges`` on the first such query, so a graph that is only
-    serialized, hashed, compared or turned into a matrix never builds it.
+    bool is not one; numpy integers are stored as int).  The neighbour
+    index behind :meth:`has_edge`, :meth:`gain`, :meth:`neighbors`,
+    :meth:`neighbor_gains` and :meth:`degree` starts as ``None`` and is
+    built from ``edges`` by ``_index`` on the first such query, so a graph
+    that is only serialized, hashed, compared or turned into a matrix never
+    builds it.
 
     Records already in that form, in strictly increasing (u, v) order, are
     stored as they come: the switch, converse, subgraph and enumeration
@@ -94,63 +97,44 @@ class QuartGainGraph:
             last_u, last_v = u, v
         self.n = n
         self.edges = tuple(kept)
+        self._adj = None
 
     # -- basic queries ------------------------------------------------------
 
-    # Each query reads the _adj slot and, while it is unset, builds the index
-    # and asks again.  A try costs nothing when nothing is raised, so once
-    # the index exists a query pays no check.  (A __getattr__ fallback would
-    # also turn off CPython's fast attribute reads on every graph.)
-
-    def _build_index(self) -> None:
-        """Fill the _adj slot from ``edges``: per vertex, neighbour -> gain.
+    def _index(self) -> tuple[dict[int, Unit], ...]:
+        """The neighbour index, per vertex u a dict neighbour x -> gain of
+        u -> x with x increasing, filled from ``edges`` on the first call.
         Two threads racing here build equal indexes and one of them is kept."""
-        adj: list[dict[int, Unit]] = [{} for _ in range(self.n)]
-        for u, v, gain in self.edges:
-            adj[u][v] = gain
-            adj[v][u] = -gain % 4  # unit_conj, inlined on this hot path
-        self._adj = tuple(adj)
+        adj = self._adj
+        if adj is None:
+            rows: list[dict[int, Unit]] = [{} for _ in range(self.n)]
+            for u, v, gain in self.edges:
+                rows[u][v] = gain
+                rows[v][u] = -gain % 4  # unit_conj, inlined on this hot path
+            adj = self._adj = tuple(rows)
+        return adj
 
     def has_edge(self, u: int, v: int) -> bool:
-        try:
-            return v in self._adj[u]
-        except AttributeError:
-            self._build_index()
-            return self.has_edge(u, v)
+        return v in self._index()[u]
 
     def gain(self, u: int, v: int) -> Unit:
         """Gain of the edge oriented u -> v; raises if not adjacent."""
         try:
-            return self._adj[u][v]
-        except AttributeError:
-            self._build_index()
-            return self.gain(u, v)
+            return self._index()[u][v]
         except KeyError:
             raise ValueError(f"no edge between {u} and {v}") from None
 
     def neighbors(self, u: int) -> tuple[int, ...]:
-        # Already increasing: _adj[u] is filled from the sorted edges, every (w, u) before (u, x).
-        try:
-            return tuple(self._adj[u])
-        except AttributeError:
-            self._build_index()
-            return self.neighbors(u)
+        # Already increasing: each row is filled from the sorted edges, every (w, u) before (u, x).
+        return tuple(self._index()[u])
 
     def neighbor_gains(self, u: int) -> ItemsView[int, Unit]:
         """Read-only (neighbor x, gain of u -> x) pairs, x increasing as in
         :meth:`neighbors`."""
-        try:
-            return self._adj[u].items()
-        except AttributeError:
-            self._build_index()
-            return self.neighbor_gains(u)
+        return self._index()[u].items()
 
     def degree(self, u: int) -> int:
-        try:
-            return len(self._adj[u])
-        except AttributeError:
-            self._build_index()
-            return self.degree(u)
+        return len(self._index()[u])
 
     @property
     def is_mixed(self) -> bool:
@@ -424,6 +408,7 @@ def bfs_forest(
     for v in removed:
         seen[v] = True
     parent = [-1] * graph.n
+    adj = graph._index()
     order: list[int] = []
     head = 0
     for root in range(graph.n):
@@ -434,7 +419,7 @@ def bfs_forest(
         while head < len(order):
             u = order[head]
             head += 1
-            for w in graph.neighbors(u):
+            for w in adj[u]:
                 if not seen[w]:
                     seen[w] = True
                     parent[w] = u
@@ -490,17 +475,18 @@ def cut_vertices(graph: QuartGainGraph) -> VertexSet:
     depth = [-1] * graph.n
     low = [0] * graph.n
     separated = [0] * graph.n
+    adj = graph._index()
     for root in range(graph.n):
         if depth[root] >= 0:
             continue
         depth[root] = 0
-        stack = [(root, iter(graph.neighbors(root)))]
+        stack = [(root, iter(adj[root]))]
         while stack:
             u, pending = stack[-1]
             for w in pending:
                 if depth[w] < 0:
                     depth[w] = low[w] = depth[u] + 1
-                    stack.append((w, iter(graph.neighbors(w))))
+                    stack.append((w, iter(adj[w])))
                     break
                 low[u] = min(low[u], depth[w])
             else:

@@ -1,5 +1,7 @@
+import gc
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -210,6 +212,23 @@ def test_seed_environment_override(monkeypatch, capsys):
     # Explicit argument beats the environment.
     report = verify_suite("sylvester", n=4, seed=1)
     assert report.passed
+
+
+def test_p1_suite_streams_its_corpus():
+    # The p1 suite walks its 6,989 instances at n = 5 without holding them.
+    # Holding every class in a list peaks at 13.9 MB; the stream stays near
+    # 0.1 MB (free lists and the enumerator's cache of underlying graphs).
+    from hermitia import verify_suite
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = verify_suite("p1", n=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.checked == 6989
+    assert peak < 500_000
 
 
 def test_equiv_iso_negative(tmp_path, capsys):

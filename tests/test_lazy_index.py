@@ -1,12 +1,12 @@
 """The neighbour index of ``QuartGainGraph``, built on the first query.
 
 A graph's value is ``n`` and ``edges``; the index behind ``has_edge``,
-``gain``, ``neighbors``, ``neighbor_gains`` and ``degree`` is filled from
-``edges`` the first time one of them runs.  The referee below reads
-``edges`` into its own neighbour -> gain dicts and shares no code with
-``graph_core``.  Each graph is checked once per query method, on a fresh
-copy whose index that method builds, so every method is exercised as the
-first access.
+``gain``, ``neighbors``, ``neighbor_gains`` and ``degree`` sits in a slot
+that holds ``None`` until ``_index`` fills it from ``edges``, the first time
+one of them runs.  The referee below reads ``edges`` into its own
+neighbour -> gain dicts and shares no code with ``graph_core``.  Each graph
+is checked once per query method, on a fresh copy whose index that method
+builds, so every method is exercised as the first access.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from hermitia import (
     pendant_vertices,
     serialize_graph,
 )
+from hermitia.graph_core import bfs_forest
 
 from conftest import random_graph
 
@@ -44,11 +45,7 @@ def reference_index(g: QuartGainGraph) -> list[dict[int, int]]:
 
 
 def has_index(g: QuartGainGraph) -> bool:
-    try:
-        QuartGainGraph._adj.__get__(g)
-    except AttributeError:
-        return False
-    return True
+    return g._adj is not None
 
 
 def first_query(g: QuartGainGraph, method: str, ref: list[dict[int, int]]) -> None:
@@ -125,6 +122,57 @@ def test_pendant_vertices_build_no_index():
         ref = reference_index(g)
         assert pendant_vertices(fresh) == tuple(v for v in range(g.n) if len(ref[v]) == 1)
         assert not has_index(fresh)
+
+
+@pytest.mark.parametrize("method", QUERIES)
+def test_first_query_raises_nothing(method):
+    """The first query fills the index without raising and catching an
+    exception on the way; later queries read the same index object."""
+    raised: list[str] = []
+
+    def tracer(frame, event, arg):
+        if event == "exception":
+            raised.append(f"{arg[0].__name__} in {frame.f_code.co_name}")
+        return tracer
+
+    for g in seeded_graphs()[:20] + [QuartGainGraph(1)]:
+        ref = reference_index(g)
+        fresh = QuartGainGraph(g.n, g.edges)
+        assert fresh._adj is None
+        if method == "gain" and not g.edges:
+            continue  # the one query whose answer is an exception
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            first_query(fresh, method, ref)
+        finally:
+            sys.settrace(previous)
+        assert raised == []
+        assert fresh._index() is fresh._index() is fresh._adj
+
+
+def test_bfs_forest_walks_index_rows_in_increasing_order():
+    # bfs_forest reads the index rows directly; the referee searches the
+    # reference rows, which are sorted, so the order of each row is pinned.
+    for g in seeded_graphs():
+        ref = reference_index(g)
+        for removed in ((), (g.n // 2,)):
+            seen = set(removed)
+            order: list[int] = []
+            parent = [-1] * g.n
+            for root in range(g.n):
+                if root in seen:
+                    continue
+                seen.add(root)
+                queue = [root]
+                for u in queue:
+                    for w in ref[u]:
+                        if w not in seen:
+                            seen.add(w)
+                            parent[w] = u
+                            queue.append(w)
+                order += queue
+            assert bfs_forest(QuartGainGraph(g.n, g.edges), removed) == (order, parent)
 
 
 def test_edgeless_graph_queries():
