@@ -444,13 +444,12 @@ def _try_case_i(graph, v, sides, params) -> None:
     found = []
     for comp, hit, missed in sides:
         # comp + v is complete multipartite exactly when v misses at most
-        # one part of comp, which v then joins.  The block is connected, so
-        # it is a star exactly when it has two parts, one a single vertex.
+        # one part of comp, which v then joins.  It is never a star: in a
+        # star block every leaf other than v has degree 1 in the graph, and
+        # thm12_classify rejects graphs with a pendant vertex.
         if len(missed) > 1:
             return
         sizes = sorted([len(p) for p in hit] + [1 + sum(map(len, missed))])
-        if len(sizes) == 2 and sizes[0] == 1:
-            return
         tag = _p1_tag(graph, comp + (v,), len(sizes))
         if tag is None:
             return

@@ -1,13 +1,17 @@
 """Constructors for the named graph families and their textual specs.
 
-All families share vertex-layout conventions that the classifiers and golden
-tests rely on:
+Every family but the cycle is a blow-up of a small gain graph on its parts
+(:func:`_blow_up`): part j is a run of consecutive vertices, the parts laid
+out in order, and two parts are joined completely or not at all, with one
+gain.  The classifiers and golden tests rely on the layouts:
 
-* blown-up triangles (:func:`gen_c3t`): part A is vertices 0..t1-1, then B,
-  then C; every cross edge is an arc following the cyclic pattern
-  A -> B -> C -> A, so each cross triangle carries an odd number of arcs;
+* complete multipartite graphs and stars: gain 1 between every two parts;
+  a star of order n has parts of sizes 1 and n - 1, so its center is 0;
+* blown-up triangles (:func:`gen_c3t`): parts A, B, C; every cross edge is
+  an arc following the cyclic pattern A -> B -> C -> A, so each cross
+  triangle carries an odd number of arcs;
 * apex families (:func:`gen_K_plain`, :func:`gen_K_gain`): the apex vertex v
-  is index 0, followed by the q-side blocks and then the n-side blocks in
+  is part 0, followed by the q-side parts and then the n-side parts in
   declared order.
 
 ``FamilySpec`` is the uniform description consumed by the CLI; its textual
@@ -19,8 +23,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
-from typing import Sequence
+from itertools import accumulate, combinations, repeat
+from typing import Mapping, Sequence
 
 from .graph_core import MAX_ORDER, QuartGainGraph, coalesce
 from .numeric import UNIT_I, UNIT_MINUS_I, UNIT_MINUS_ONE, UNIT_ONE, Unit
@@ -40,21 +44,26 @@ MAX_COALESCE_DEPTH = 200
 _DEPTH_STEP = {"(": 1, ")": -1}
 
 
-def _blocks(sizes: Sequence[int], start: int) -> list[list[int]]:
-    out = []
-    idx = start
-    for size in sizes:
-        out.append(list(range(idx, idx + size)))
-        idx += size
-    return out
+def _blow_up(sizes: Sequence[int], pattern: Mapping[tuple[int, int], Unit]) -> QuartGainGraph:
+    """Blow-up of the gain graph ``pattern`` on parts 0..len(sizes)-1.
 
-
-def _join_blocks(edges: list, blocks: list[list[int]], gain: Unit = UNIT_ONE) -> None:
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            for u in blocks[i]:
-                for v in blocks[j]:
-                    edges.append((u, v, gain))
+    Part j is ``sizes[j]`` consecutive vertices, in part order.  Each pair
+    (s, t), s < t, of ``pattern`` joins all of part s to all of part t with
+    gain ``pattern[s, t]`` (s -> t).  Records come out in increasing (u, v)
+    order, which the constructor stores as they come.
+    """
+    starts = [0, *accumulate(sizes)]
+    rows: list[list[tuple[range, Unit]]] = [[] for _ in sizes]
+    for (s, t), gain in sorted(pattern.items()):
+        rows[s].append((range(starts[t], starts[t + 1]), gain))
+    edges = [
+        (u, v, gain)
+        for s, row in enumerate(rows)
+        for u in range(starts[s], starts[s + 1])
+        for part, gain in row
+        for v in part
+    ]
+    return QuartGainGraph(starts[-1], edges)
 
 
 def gen_c3t(t1: int, t2: int, t3: int) -> QuartGainGraph:
@@ -66,34 +75,20 @@ def gen_c3t(t1: int, t2: int, t3: int) -> QuartGainGraph:
     """
     if min(t1, t2, t3) < 1:
         raise FamilySpecError("part sizes must be >= 1")
-    a, b, c = _blocks((t1, t2, t3), 0)
-    edges = []
-    for u in a:
-        for v in b:
-            edges.append((u, v, UNIT_I))
-    for u in b:
-        for v in c:
-            edges.append((u, v, UNIT_I))
-    for u in c:
-        for v in a:
-            edges.append((u, v, UNIT_I))
-    return QuartGainGraph(t1 + t2 + t3, edges)
+    return _blow_up((t1, t2, t3), {(0, 1): UNIT_I, (1, 2): UNIT_I, (0, 2): UNIT_MINUS_I})
 
 
 def gen_complete_multipartite(sizes: Sequence[int]) -> QuartGainGraph:
     if not sizes or min(sizes) < 1:
         raise FamilySpecError("need a nonempty list of positive part sizes")
-    blocks = _blocks(sizes, 0)
-    edges: list = []
-    _join_blocks(edges, blocks)
-    return QuartGainGraph(sum(sizes), edges)
+    return _blow_up(sizes, {pair: UNIT_ONE for pair in combinations(range(len(sizes)), 2)})
 
 
 def gen_star(n: int) -> QuartGainGraph:
     """Undirected star of order n, center at vertex 0."""
     if n < 2:
         raise FamilySpecError("a star needs at least 2 vertices")
-    return QuartGainGraph(n, [(0, v, UNIT_ONE) for v in range(1, n)])
+    return gen_complete_multipartite((1, n - 1))
 
 
 def gen_cycle(n: int, arcs: Sequence[int] = ()) -> QuartGainGraph:
@@ -140,19 +135,15 @@ def gen_K_gain(
         raise FamilySpecError(
             f"need 1 <= a+b+c+d <= k, got a={a} b={b} c={c} d={d} k={k}"
         )
-    qblocks = _blocks(q, 1)
-    nblocks = _blocks(n, 1 + sum(q))
-    edges: list = []
-    _join_blocks(edges, qblocks)
-    _join_blocks(edges, nblocks)
-    for block in qblocks:
-        for u in block:
-            edges.append((0, u, UNIT_ONE))
+    # Part 0 is the apex, then the q parts, then the n parts.  The apex and
+    # the q parts form one complete multipartite block.
+    r = len(q)
+    sides = (range(1 + r), range(1 + r, 1 + r + k))
+    pattern = {pair: UNIT_ONE for side in sides for pair in combinations(side, 2)}
     apex_gains = [UNIT_I] * a + [UNIT_MINUS_I] * b + [UNIT_ONE] * c + [UNIT_MINUS_ONE] * d
-    for gain, block in zip(apex_gains, nblocks):
-        for u in block:
-            edges.append((0, u, gain))
-    return QuartGainGraph(1 + sum(q) + sum(n), edges)
+    for j, gain in enumerate(apex_gains):
+        pattern[0, 1 + r + j] = gain
+    return _blow_up((1, *q, *n), pattern)
 
 
 # -- uniform spec --------------------------------------------------------------
@@ -376,10 +367,8 @@ def _parse_anchored(scan: _Scan, start: int, end: int) -> tuple[FamilySpec, int]
 
 
 def format_family_spec(spec: FamilySpec) -> str:
-    if spec.kind == "c3t":
-        return "c3t:" + ",".join(map(str, spec.sizes))
-    if spec.kind == "multipartite":
-        return "multipartite:" + ",".join(map(str, spec.sizes))
+    if spec.kind in ("c3t", "multipartite"):
+        return f"{spec.kind}:" + ",".join(map(str, spec.sizes))
     if spec.kind == "star":
         return f"star:{spec.sizes[0]}"
     if spec.kind == "cycle":
@@ -387,19 +376,12 @@ def format_family_spec(spec: FamilySpec) -> str:
         if spec.arcs:
             base += ";arcs=" + ",".join(map(str, spec.arcs))
         return base
-    if spec.kind == "k_plain":
-        return (
-            "K:q=" + ",".join(map(str, spec.q))
-            + ";n=" + ",".join(map(str, spec.parts))
-            + f";p={spec.p}"
-        )
-    if spec.kind == "k_gain":
+    if spec.kind in ("k_plain", "k_gain"):
+        base = "K:q=" + ",".join(map(str, spec.q)) + ";n=" + ",".join(map(str, spec.parts))
+        if spec.kind == "k_plain":
+            return base + f";p={spec.p}"
         a, b, c, d = spec.gain_counts
-        return (
-            "K:q=" + ",".join(map(str, spec.q))
-            + ";n=" + ",".join(map(str, spec.parts))
-            + f";a={a},b={b},c={c},d={d}"
-        )
+        return base + f";a={a},b={b},c={c},d={d}"
     if spec.kind == "coalescence":
         s1, v1, s2, v2 = spec.sub
         return f"coalesce:({format_family_spec(s1)})@{v1}+({format_family_spec(s2)})@{v2}"

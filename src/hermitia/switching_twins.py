@@ -109,14 +109,9 @@ def two_way_mixed(graph: QuartGainGraph, cut: VertexSet) -> QuartGainGraph:
         raise ValueError("cut contains directed edges in both directions")
     # Switching by -i on a side undirects the arcs that point at it, so the
     # side is chosen by the arc direction.
-    if outward:
-        switched = tuple(
-            UNIT_MINUS_I if v not in side else UNIT_ONE for v in range(graph.n)
-        )
-    else:
-        switched = tuple(
-            UNIT_MINUS_I if v in side else UNIT_ONE for v in range(graph.n)
-        )
+    switched = tuple(
+        UNIT_MINUS_I if (v in side) != outward else UNIT_ONE for v in range(graph.n)
+    )
     return apply_switch(graph, switched)
 
 

@@ -6,12 +6,15 @@ and ``enumerate_switching_classes`` verbatim, except that the least switch
 of a mixed-only stream comes from the brute-force
 ``mixed_representative_bruteforce`` and the cache is this module's own.
 Every candidate is built as a graph, and a mixed-only candidate is built a
-second time by its switch.  It imports public names only.
+second time by its switch.  The spanning tree comes from this module's own
+breadth-first search over the edge pairs, so a fault in the package's BFS
+shows here.  It imports public names only.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -24,7 +27,6 @@ from hermitia import (
     pendant_vertices,
 )
 from hermitia.enumeration import HARD_CAP
-from hermitia.graph_core import bfs_forest
 
 from mixed_reference import mixed_representative_bruteforce
 
@@ -82,6 +84,26 @@ def canonical_form(n: int, edges: EdgeTuple) -> EdgeTuple:
     return best
 
 
+def bfs_tree(n: int, edges: EdgeTuple) -> set[Pair]:
+    """Edge pairs of the breadth-first tree of a connected graph, rooted at
+    0, each vertex taking its neighbours in increasing order."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {0}
+    queue = deque([0])
+    tree: set[Pair] = set()
+    while queue:
+        u = queue.popleft()
+        for w in sorted(adj[u]):
+            if w not in seen:
+                seen.add(w)
+                tree.add((min(u, w), max(u, w)))
+                queue.append(w)
+    return tree
+
+
 @lru_cache(maxsize=None)
 def connected_underlying(n: int) -> tuple[EdgeTuple, ...]:
     """All connected graphs of order n up to isomorphism, as canonical
@@ -121,8 +143,7 @@ def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:
             continue
         if spec.has_pendant and not pendants:
             continue
-        _, parent = bfs_forest(base)
-        tree = {(min(u, v), max(u, v)) for v, u in enumerate(parent) if u >= 0}
+        tree = bfs_tree(spec.n, edges)
         non_tree = [pair for pair in edges if pair not in tree]
         # Edges keep their sorted order: the k-th non-tree edge reads
         # gains[k], and each tree edge the 1 appended after the last.

@@ -15,6 +15,7 @@ from hermitia import (
     complete_multipartite_parts,
     converse,
     cor39_condition,
+    cut_vertices,
     disjoint_union,
     enumerate_switching_classes,
     formula_report_310,
@@ -356,6 +357,16 @@ def test_thm12_rejects_failing_parameters():
     g = gen_K_gain([1, 1, 1], [1, 1], 1, 1, 0, 0)
     assert inertia(g).p == 3
     assert thm12_classify(g).cases == ()
+
+
+def test_thm12_three_components_at_the_cut_vertex():
+    # The friendship graph F3, three triangles at vertex 0: G - 0 has three
+    # components, which no case covers, and p = 3.
+    k3 = parse_graph(K3)
+    f3 = coalesce(coalesce(k3, 0, k3, 0), 0, k3, 0)
+    assert cut_vertices(f3) == (0,)
+    assert inertia(f3).p == 3
+    assert thm12_classify(f3).cases == ()
 
 
 def test_thm12_classifies_under_relabeling_and_switching():

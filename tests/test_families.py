@@ -29,6 +29,7 @@ from hermitia import (
 
 from hermitia.families import MAX_COALESCE_DEPTH
 
+import family_reference
 from family_spec_reference import reference_parse
 
 from conftest import random_graph
@@ -132,6 +133,51 @@ def test_gen_K_gain_validation():
         gen_K_gain([1], [1, 1], 2, 1, 0, 0)
     with pytest.raises(FamilySpecError):
         gen_K_plain([1], [1, 1], 3)
+
+
+def test_generators_match_pairwise_reference():
+    rng = random.Random(2020)
+
+    def sizes(low: int, high: int) -> list[int]:
+        return [rng.randint(1, 4) for _ in range(rng.randint(low, high))]
+
+    for _ in range(300):
+        t = sizes(3, 3)
+        assert gen_c3t(*t) == family_reference.c3t(*t), t
+        parts = sizes(1, 6)
+        assert gen_complete_multipartite(parts) == family_reference.multipartite(parts), parts
+        order = rng.randint(3, 12)
+        arcs = rng.sample(range(order), rng.randint(0, order))
+        assert gen_cycle(order, arcs) == family_reference.cycle(order, arcs), (order, arcs)
+        q, n = sizes(0, 4), sizes(1, 5)
+        p = rng.randint(1, len(n))
+        assert gen_K_plain(q, n, p) == family_reference.k_plain(q, n, p), (q, n, p)
+        counts = [0, 0, 0, 0]
+        for _ in range(rng.randint(1, len(n))):
+            counts[rng.randrange(4)] += 1
+        assert gen_K_gain(q, n, *counts) == family_reference.k_gain(q, n, *counts), (q, n, counts)
+    for order in range(2, 40):
+        assert gen_star(order) == family_reference.star(order)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: gen_cycle(4, [4]), "arc positions"),
+        (lambda: gen_cycle(4, [-1]), "arc positions"),
+        (lambda: gen_K_gain([1, 0], [1, 1], 1, 0, 0, 0), "q part sizes"),
+        (lambda: gen_K_gain([1], [1, 0], 1, 0, 0, 0), "n part sizes"),
+        (lambda: gen_K_plain([1], [], 1), "n part sizes"),
+        (lambda: realize(FamilySpec("c3t", sizes=(1, 2))), "three part sizes"),
+        (lambda: realize(FamilySpec("star", sizes=(2, 3))), "one order"),
+        (lambda: realize(FamilySpec("cycle", sizes=(3, 4))), "one order"),
+        (lambda: realize(FamilySpec("wheel", sizes=(5,))), "unknown family kind 'wheel'"),
+        (lambda: format_family_spec(FamilySpec("wheel", sizes=(5,))), "unknown family kind 'wheel'"),
+    ],
+)
+def test_family_errors(build, match):
+    with pytest.raises(FamilySpecError, match=match):
+        build()
 
 
 def test_coalescence_p_bounds_on_random_pairs():
