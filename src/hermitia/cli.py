@@ -13,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from .classify import ClassificationResult, p1_characterize, thm11_classify, thm12_classify
-from .enumeration import EnumSpec, enumerate_switching_classes
+from .enumeration import EnumSpec, count_switching_classes, enumerate_switching_classes
 from .families import parse_family_spec, realize
 from .graph_core import (
     QuartGainGraph,
@@ -139,14 +139,12 @@ def _cmd_enumerate(args) -> int:
         mixed_only=args.mixed_only,
         limit=args.limit,
     )
-    count = 0
-    for graph in enumerate_switching_classes(spec):
-        count += 1
-        if not args.count_only:
-            sys.stdout.write(serialize_graph(graph))
-            sys.stdout.write("\n")
     if args.count_only:
-        print(count)
+        print(count_switching_classes(spec))
+        return 0
+    for graph in enumerate_switching_classes(spec):
+        sys.stdout.write(serialize_graph(graph))
+        sys.stdout.write("\n")
     return 0
 
 

@@ -22,14 +22,18 @@ depth-first search over the vertices in order, where each edge rules out
 one value at its larger end, instead of trying all 4^(n-1) switches.  The
 stream runs the same search on each candidate's gain list and switches the
 list, so every emitted class is built as a graph exactly once.
+:func:`count_switching_classes` counts a stream from the same gain lists
+without building any graph.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graph_core import (
     QuartGainGraph,
@@ -161,7 +165,7 @@ def _back_lists(n: int, pairs: Sequence[Pair]) -> list[list[Pair]]:
     return back
 
 
-def _least_switch(n: int, back: list[list[Pair]], gains: list[Unit]) -> Optional[list[Unit]]:
+def _least_switch(n: int, back: list[list[Pair]], gains: Sequence[Unit]) -> Optional[list[Unit]]:
     """The least switch theta, theta[0] = 1, that leaves no -1 gain, or None.
 
     ``gains[k]`` is the gain of the k-th edge, and ``back`` is
@@ -193,26 +197,33 @@ def _least_switch(n: int, back: list[list[Pair]], gains: list[Unit]) -> Optional
     return theta
 
 
-def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:
-    """Stream one representative per label-preserving switching class.
-
-    Deterministic: underlying graphs in canonical order, gain assignments
-    in lexicographic order over (1, i, -1, -i).  Every emitted graph
-    satisfies the spec's filters and no two are switching equivalent.
-    With ``mixed_only``, the least switch of :func:`mixed_representative`
-    is found and applied on the gain list, so each emitted class is built
-    as a graph once.
-    """
+def _check_spec(spec: EnumSpec) -> None:
     if not 1 <= spec.n <= HARD_CAP:
         raise ValueError(f"order {spec.n} outside 1..{HARD_CAP}")
     if spec.limit is not None and spec.limit < 0:
         raise ValueError(f"limit must be >= 0, got {spec.limit}")
-    if spec.limit == 0:
-        return
+
+
+def _gain_lists(k: int) -> Iterator[tuple[Unit, ...]]:
+    """Every assignment of units to k non-tree edges, in lexicographic order
+    over (1, i, -1, -i), each followed by the 1 that the tree edges read."""
+    return itertools.product(*[UNITS] * k, (UNIT_ONE,))
+
+
+def _underlying_setups(
+    spec: EnumSpec,
+) -> Iterator[tuple[EdgeTuple, int, Callable[[tuple[Unit, ...]], Sequence[Unit]], list[list[Pair]]]]:
+    """Per connected underlying graph of order ``spec.n`` that passes the
+    spec's filters, in canonical order: its sorted edge pairs, its number k
+    of non-tree edges, ``pick`` and :func:`_back_lists` of its pairs.
+
+    ``pick`` maps a gain list of :func:`_gain_lists` to the gain of each
+    edge in sorted order: the j-th non-tree edge reads entry j and each
+    tree edge the trailing 1.
+    """
     n = spec.n
-    emitted = 0
     for edges in connected_underlying(n):
-        base = QuartGainGraph(n, [(u, v, UNIT_ONE) for u, v in edges])
+        base = QuartGainGraph._from_normal(n, tuple([(u, v, UNIT_ONE) for u, v in edges]))
         if spec.has_cut_vertex and not cut_vertices(base):
             continue
         pendants = pendant_vertices(base)
@@ -223,25 +234,72 @@ def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:
         _, parent = bfs_forest(base)
         tree = {(min(u, v), max(u, v)) for v, u in enumerate(parent) if u >= 0}
         non_tree = [pair for pair in edges if pair not in tree]
-        # Edges keep their sorted order: the k-th non-tree edge reads
-        # gains[k], and each tree edge the 1 appended after the last.
-        slots = [-1 if pair in tree else non_tree.index(pair) for pair in edges]
+        slots = [len(non_tree) if pair in tree else non_tree.index(pair) for pair in edges]
+        if len(slots) > 1:
+            pick = itemgetter(*slots)
+        else:
+            # itemgetter() needs an index, and itemgetter(i) returns a bare item.
+            pick = lambda gains, slots=slots: tuple([gains[i] for i in slots])  # noqa: E731
+        yield edges, len(non_tree), pick, _back_lists(n, edges)
+
+
+def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:
+    """Stream one representative per label-preserving switching class.
+
+    Deterministic: underlying graphs in canonical order, gain assignments
+    in lexicographic order over (1, i, -1, -i).  Every emitted graph
+    satisfies the spec's filters and no two are switching equivalent.
+    With ``mixed_only``, the least switch of :func:`mixed_representative`
+    is found and applied on the gain list, so each emitted class is built
+    as a graph once, unchecked, from its sorted records.
+    """
+    _check_spec(spec)
+    if spec.limit == 0:
+        return
+    n = spec.n
+    emitted = 0
+    for edges, k, pick, back in _underlying_setups(spec):
         us = [u for u, _ in edges]
         vs = [v for _, v in edges]
-        back = _back_lists(n, edges)
-        for gains in itertools.product(UNITS, repeat=len(non_tree)):
+        for gains in _gain_lists(k):
             switch = spec.mixed_only and UNIT_MINUS_ONE in gains
-            gains += (UNIT_ONE,)
-            edge_gains = [gains[i] for i in slots]
+            edge_gains = pick(gains)
             if switch:
                 theta = _least_switch(n, back, edge_gains)
                 if theta is None:
                     continue
                 edge_gains = [(g - theta[u] + theta[v]) % 4 for u, v, g in zip(us, vs, edge_gains)]
-            yield QuartGainGraph(n, zip(us, vs, edge_gains))
+            yield QuartGainGraph._from_normal(n, tuple([*zip(us, vs, edge_gains)]))
             emitted += 1
             if spec.limit is not None and emitted >= spec.limit:
                 return
+
+
+def count_switching_classes(spec: EnumSpec) -> int:
+    """The number of classes :func:`enumerate_switching_classes` emits for
+    ``spec``, found without building a graph.
+
+    An underlying graph with k non-tree edges has 4^k classes.  With
+    ``mixed_only``, the 3^k gain lists with no -1 are mixed as they stand,
+    and each other list counts when :func:`_least_switch` finds a switch.
+    Backs ``hermitia enumerate --count-only``; not exported from the package.
+    """
+    _check_spec(spec)
+    limit = math.inf if spec.limit is None else spec.limit
+    total = 0
+    for _, k, pick, back in _underlying_setups(spec):
+        if total >= limit:
+            break
+        if not spec.mixed_only:
+            total += 4**k
+            continue
+        total += 3**k
+        for gains in _gain_lists(k):
+            if total >= limit:
+                break
+            if UNIT_MINUS_ONE in gains and _least_switch(spec.n, back, pick(gains)) is not None:
+                total += 1
+    return min(total, limit)
 
 
 def classes_up_to(order: int, **filters) -> Iterator[QuartGainGraph]:

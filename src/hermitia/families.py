@@ -2,8 +2,9 @@
 
 Every family but the cycle is a blow-up of a small gain graph on its parts
 (:func:`_blow_up`): part j is a run of consecutive vertices, the parts laid
-out in order, and two parts are joined completely or not at all, with one
-gain.  The classifiers and golden tests rely on the layouts:
+out in order by :func:`part_ranges`, and two parts are joined completely or
+not at all, with one gain.  The classifiers and golden tests rely on the
+layouts:
 
 * complete multipartite graphs and stars: gain 1 between every two parts;
   a star of order n has parts of sizes 1 and n - 1, so its center is 0;
@@ -44,26 +45,33 @@ MAX_COALESCE_DEPTH = 200
 _DEPTH_STEP = {"(": 1, ")": -1}
 
 
+def part_ranges(sizes: Sequence[int]) -> list[range]:
+    """The vertices of each part: part j is the next ``sizes[j]`` consecutive
+    vertices, the parts laid out in order from vertex 0."""
+    starts = [0, *accumulate(sizes)]
+    return [range(a, b) for a, b in zip(starts, starts[1:])]
+
+
 def _blow_up(sizes: Sequence[int], pattern: Mapping[tuple[int, int], Unit]) -> QuartGainGraph:
     """Blow-up of the gain graph ``pattern`` on parts 0..len(sizes)-1.
 
-    Part j is ``sizes[j]`` consecutive vertices, in part order.  Each pair
-    (s, t), s < t, of ``pattern`` joins all of part s to all of part t with
-    gain ``pattern[s, t]`` (s -> t).  Records come out in increasing (u, v)
+    Parts are laid out by :func:`part_ranges`.  Each pair (s, t), s < t,
+    of ``pattern`` joins all of part s to all of part t with gain
+    ``pattern[s, t]`` (s -> t).  Records come out in increasing (u, v)
     order, which the constructor stores as they come.
     """
-    starts = [0, *accumulate(sizes)]
-    rows: list[list[tuple[range, Unit]]] = [[] for _ in sizes]
+    parts = part_ranges(sizes)
+    rows: list[list[tuple[range, Unit]]] = [[] for _ in parts]
     for (s, t), gain in sorted(pattern.items()):
-        rows[s].append((range(starts[t], starts[t + 1]), gain))
+        rows[s].append((parts[t], gain))
     edges = [
         (u, v, gain)
-        for s, row in enumerate(rows)
-        for u in range(starts[s], starts[s + 1])
-        for part, gain in row
-        for v in part
+        for part, row in zip(parts, rows)
+        for u in part
+        for other, gain in row
+        for v in other
     ]
-    return QuartGainGraph(starts[-1], edges)
+    return QuartGainGraph(sum(sizes), edges)
 
 
 def gen_c3t(t1: int, t2: int, t3: int) -> QuartGainGraph:

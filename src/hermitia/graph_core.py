@@ -67,10 +67,19 @@ class QuartGainGraph:
     builds it.
 
     Records already in that form, in strictly increasing (u, v) order, are
-    stored as they come: the switch, converse, subgraph and enumeration
-    builders all emit them so.  At the first record that is out of order,
-    reversed or invalid, every record goes through the normalizing pass
-    instead, which sorts and raises :class:`GraphFormatError` as usual.
+    checked one by one and stored as they come.  At the first record that is
+    out of order, reversed or invalid, every record goes through the
+    normalizing pass instead, which sorts and raises
+    :class:`GraphFormatError` as usual.
+
+    Builders whose records are normal by construction, taken from
+    ``connected_underlying`` or from an existing graph's own records, skip
+    the checks through the private ``_from_normal``: the enumeration
+    stream, :func:`induced_subgraph` (so :func:`delete_vertex` and the
+    component cut in ``inertia``), ``converse``, :func:`underlying` and
+    :func:`disjoint_union`.  Every other builder (``parse_graph``,
+    ``apply_switch``, :func:`relabel`, :func:`coalesce`, the family
+    constructors) and all user code go through the checking constructor.
     """
 
     __slots__ = ("n", "edges", "_adj")
@@ -98,6 +107,22 @@ class QuartGainGraph:
         self.n = n
         self.edges = tuple(kept)
         self._adj = None
+
+    @classmethod
+    def _from_normal(cls, n: int, edges: tuple[Edge, ...]) -> QuartGainGraph:
+        """The graph on ``edges``, stored unchecked.
+
+        ``edges`` must already be normal: a tuple of int triples (u, v,
+        gain) with 0 <= u < v < n, strictly increasing in (u, v), and gain
+        in 0..3.  Build it at its final size (``tuple([...])``): a tuple
+        grown from an iterator with no length hint is resized, and the
+        resized tuples fill CPython's tuple free lists.
+        """
+        graph = object.__new__(cls)
+        graph.n = n
+        graph.edges = edges
+        graph._adj = None
+        return graph
 
     # -- basic queries ------------------------------------------------------
 
@@ -285,7 +310,9 @@ def compact_str(graph: QuartGainGraph) -> str:
 
 def underlying(graph: QuartGainGraph) -> QuartGainGraph:
     """The same edge set with every gain replaced by 1."""
-    return QuartGainGraph(graph.n, [(u, v, UNIT_ONE) for u, v, _ in graph.edges])
+    return QuartGainGraph._from_normal(
+        graph.n, tuple([(u, v, UNIT_ONE) for u, v, _ in graph.edges])
+    )
 
 
 def induced_subgraph(graph: QuartGainGraph, vertices: Sequence[int]) -> QuartGainGraph:
@@ -295,12 +322,13 @@ def induced_subgraph(graph: QuartGainGraph, vertices: Sequence[int]) -> QuartGai
         if not (0 <= v < graph.n):
             raise ValueError(f"vertex id {v} out of range")
     index = {v: i for i, v in enumerate(vs)}
+    # The relabeling is increasing, so the records stay sorted.
     edges = [
         (index[u], index[v], g)
         for u, v, g in graph.edges
         if u in index and v in index
     ]
-    return QuartGainGraph(len(vs), edges)
+    return QuartGainGraph._from_normal(len(vs), tuple(edges))
 
 
 # The unit i**k as (re, im).
@@ -362,8 +390,11 @@ def relabel(graph: QuartGainGraph, perm: Sequence[int]) -> QuartGainGraph:
 
 
 def disjoint_union(a: QuartGainGraph, b: QuartGainGraph) -> QuartGainGraph:
-    edges = list(a.edges) + [(u + a.n, v + a.n, g) for u, v, g in b.edges]
-    return QuartGainGraph(a.n + b.n, edges)
+    # b's records, shifted past every vertex of a, sort after all of a's.
+    shift = a.n
+    return QuartGainGraph._from_normal(
+        a.n + b.n, a.edges + tuple([(u + shift, v + shift, g) for u, v, g in b.edges])
+    )
 
 
 def coalesce(g1: QuartGainGraph, v1: int, g2: QuartGainGraph, v2: int) -> QuartGainGraph:

@@ -38,6 +38,7 @@ from .families import (
     gen_cycle,
     gen_K_gain,
     gen_K_plain,
+    part_ranges,
 )
 from .graph_core import (
     QuartGainGraph,
@@ -415,11 +416,7 @@ def _suite_lem311(report: SuiteReport, n: Optional[int], seed: int) -> None:
     for sizes in size_pool:
         f1 = gen_complete_multipartite(sizes)
         total = f1.n
-        blocks = []
-        idx = 0
-        for s in sizes:
-            blocks.append(list(range(idx, idx + s)))
-            idx += s
+        blocks = part_ranges(sizes)
         # Whole-class attachments with one gain per class (0 = skip class).
         for gains in itertools.product((None,) + UNITS, repeat=len(sizes)):
             if all(g is None for g in gains):

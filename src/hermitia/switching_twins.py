@@ -63,7 +63,9 @@ def apply_switch(graph: QuartGainGraph, theta: SwitchAssignment) -> QuartGainGra
 
 def converse(graph: QuartGainGraph) -> QuartGainGraph:
     """Reverse every arc: each gain is conjugated, H becomes its transpose."""
-    return QuartGainGraph(graph.n, [(u, v, unit_conj(g)) for u, v, g in graph.edges])
+    return QuartGainGraph._from_normal(
+        graph.n, tuple([(u, v, unit_conj(g)) for u, v, g in graph.edges])
+    )
 
 
 def _crossing_edges(graph: QuartGainGraph, cut: Iterable[int]):

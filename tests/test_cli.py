@@ -119,6 +119,11 @@ def test_canon_and_twin_reduce(tmp_path, capsys):
 def test_enumerate_command(capsys):
     assert main(["enumerate", "--n", "3", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "5"
+    # The counts the installed-script CI step pins.
+    assert main(["enumerate", "--n", "4", "--count-only"]) == 0
+    assert capsys.readouterr().out == "90\n"
+    assert main(["enumerate", "--n", "5", "--mixed-only", "--count-only"]) == 0
+    assert capsys.readouterr().out == "5990\n"
     assert main(["enumerate", "--n", "2"]) == 0
     assert "U 0 1" in capsys.readouterr().out
 

@@ -20,7 +20,7 @@ from hermitia import (
     tree_normalize,
     underlying,
 )
-from hermitia.enumeration import canonical_form
+from hermitia.enumeration import canonical_form, count_switching_classes
 
 import enumeration_reference
 from conftest import anchored_switches, timed_under_alarm
@@ -259,6 +259,29 @@ def test_streams_match_reference_for_every_filter_combination(n):
         assert _stream(enumerate_switching_classes, spec) == _stream(
             enumeration_reference.enumerate_switching_classes, spec
         ), spec
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_count_matches_stream_length_for_every_filter_combination(n):
+    # The count builds no graph; it must agree with the stream it stands for,
+    # limits included (a limit above the stream's length changes nothing).
+    for cut, no_pendant, pendant, mixed in itertools.product((False, True), repeat=4):
+        for limit in (None, 0, 1, 5, 37, 1000, 5000):
+            spec = EnumSpec(
+                n=n, has_cut_vertex=cut, no_pendant=no_pendant, has_pendant=pendant, mixed_only=mixed, limit=limit
+            )
+            count = count_switching_classes(spec)
+            assert type(count) is int
+            assert count == sum(1 for _ in enumerate_switching_classes(spec)), spec
+
+
+def test_count_rejects_what_the_stream_rejects():
+    for spec in (EnumSpec(n=0), EnumSpec(n=8), EnumSpec(n=3, limit=-1)):
+        with pytest.raises(ValueError) as streamed:
+            list(enumerate_switching_classes(spec))
+        with pytest.raises(ValueError) as counted:
+            count_switching_classes(spec)
+        assert str(counted.value) == str(streamed.value)
 
 
 @pytest.mark.parametrize("mixed", [False, True])

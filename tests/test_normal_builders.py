@@ -1,0 +1,118 @@
+"""The builders that store their records unchecked emit normal records.
+
+The enumeration stream, ``induced_subgraph``, ``delete_vertex``,
+``converse``, ``underlying`` and ``disjoint_union`` skip the constructor's
+per-record checks.  Each output is rebuilt here through the checking
+constructor, from a list of its records: that path sorts, orients and
+range-checks every record, so the rebuilt graph equals the output only if
+the output's records were already int triples with 0 <= u < v < n,
+strictly increasing in (u, v), and gains in 0..3.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from hermitia import (
+    EnumSpec,
+    GraphFormatError,
+    QuartGainGraph,
+    classes_up_to,
+    converse,
+    delete_vertex,
+    disjoint_union,
+    enumerate_switching_classes,
+    induced_subgraph,
+    underlying,
+)
+
+from conftest import random_graph
+
+
+def assert_normal(g: QuartGainGraph) -> None:
+    assert type(g.n) is int
+    assert type(g.edges) is tuple
+    for record in g.edges:
+        assert type(record) is tuple and len(record) == 3
+        assert all(type(x) is int for x in record)
+    assert QuartGainGraph(g.n, list(g.edges)) == g
+
+
+def check_derived(g: QuartGainGraph, other: QuartGainGraph, rng: random.Random) -> None:
+    """Every unchecked builder on ``g``, against the checking path."""
+    assert_normal(g)
+    assert_normal(converse(g))
+    assert_normal(underlying(g))
+    assert_normal(disjoint_union(g, other))
+    assert_normal(disjoint_union(other, g))
+    for v in range(g.n):
+        assert_normal(delete_vertex(g, v))
+    subset = [v for v in range(g.n) if rng.random() < 0.5]
+    rng.shuffle(subset)
+    assert_normal(induced_subgraph(g, subset))
+    assert_normal(induced_subgraph(g, range(g.n)))
+
+
+def check_corpus(graphs: list[QuartGainGraph], seed: int) -> None:
+    rng = random.Random(seed)
+    for g in graphs:
+        check_derived(g, rng.choice(graphs), rng)
+
+
+def test_every_class_up_to_order_5():
+    for mixed_only in (False, True):
+        classes = list(classes_up_to(5, mixed_only=mixed_only))
+        assert len(classes) == (6088 if not mixed_only else 6087)
+        check_corpus(classes, seed=5)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        EnumSpec(n=6, has_cut_vertex=True),
+        EnumSpec(n=6, has_pendant=True, mixed_only=True),
+        EnumSpec(n=6, no_pendant=True, mixed_only=True, limit=20000),
+    ],
+    ids=repr,
+)
+def test_seeded_sample_at_order_6(spec):
+    rng = random.Random(6)
+    sample = []
+    for g in enumerate_switching_classes(spec):
+        assert_normal(g)
+        if rng.random() < 0.05:
+            sample.append(g)
+    assert len(sample) > 200
+    check_corpus(sample, seed=66)
+
+
+def test_seeded_random_graphs():
+    rng = random.Random(2121)
+    graphs = [random_graph(rng, 24, rng.choice((0.1, 0.3, 0.6, 0.9))) for _ in range(300)]
+    check_corpus(graphs, seed=21)
+    # Derived graphs of derived graphs: unchecked records feeding unchecked builders.
+    for g in graphs[:60]:
+        h = induced_subgraph(converse(disjoint_union(g, g)), range(0, 2 * g.n, 3))
+        check_derived(h, g, rng)
+
+
+def test_edgeless_and_empty_graphs():
+    for n in (0, 1, 3):
+        check_derived(QuartGainGraph(n), QuartGainGraph(2, [(0, 1, 3)]), random.Random(n))
+
+
+def test_referee_sees_broken_records():
+    # Records a faulty builder could emit: reversed, unrelabeled, out of
+    # order.  Each is stored unchecked and must fail the referee.
+    reversed_record = QuartGainGraph._from_normal(3, ((0, 1, 1), (2, 1, 0)))
+    unrelabeled = QuartGainGraph._from_normal(2, ((1, 3, 0),))
+    out_of_order = QuartGainGraph._from_normal(4, ((2, 3, 1), (0, 1, 0)))
+    not_int = QuartGainGraph._from_normal(2, ((0, 1, True),))
+    for broken in (reversed_record, out_of_order, not_int):
+        with pytest.raises(AssertionError):
+            assert_normal(broken)
+    with pytest.raises(GraphFormatError):
+        assert_normal(unrelabeled)
+
