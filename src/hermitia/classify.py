@@ -340,10 +340,8 @@ def _apex_roles(
     """
     apex = shape.apex
     n_side = {u for part in shape.adjacent_parts + shape.other_parts for u in part}
-    sides = QuartGainGraph(
-        graph.n,
-        [(u, v, g) for u, v, g in graph.edges if apex not in (u, v) or u + v - apex not in n_side],
-    )
+    kept = [(u, v, g) for u, v, g in graph.edges if apex not in (u, v) or u + v - apex not in n_side]
+    sides = QuartGainGraph._from_normal(graph.n, tuple(kept))  # a filter of normal records
     normal = tree_normalize(sides)
     if any(g != UNIT_ONE for _, _, g in normal.graph.edges):
         return None

@@ -50,6 +50,10 @@ EdgeTuple = tuple[Pair, ...]
 # Largest order enumerate_switching_classes accepts.
 HARD_CAP = 7
 
+# Most gain lists a mixed count_switching_classes may search, under a minute
+# at the order-6 rate; order 7 unfiltered would need 1,611,636,134.
+MAX_COUNT_SEARCHES = 10**7
+
 
 @dataclass(frozen=True)
 class EnumSpec:
@@ -282,12 +286,27 @@ def count_switching_classes(spec: EnumSpec) -> int:
     An underlying graph with k non-tree edges has 4^k classes.  With
     ``mixed_only``, the 3^k gain lists with no -1 are mixed as they stand,
     and each other list counts when :func:`_least_switch` finds a switch.
+    More than :data:`MAX_COUNT_SEARCHES` such lists (4^k - 3^k per graph,
+    until the 3^k alone reach ``limit``) raise ``ValueError`` before any search.
     Backs ``hermitia enumerate --count-only``; not exported from the package.
     """
     _check_spec(spec)
     limit = math.inf if spec.limit is None else spec.limit
+    setups = list(_underlying_setups(spec))
+    if spec.mixed_only:
+        searches = mixed = 0
+        for _, k, _, _ in setups:
+            mixed += 3**k
+            if mixed >= limit:
+                break
+            searches += 4**k - 3**k
+        if searches > MAX_COUNT_SEARCHES:
+            raise ValueError(
+                f"counting mixed classes needs {searches} switch searches,"
+                f" above the bound of {MAX_COUNT_SEARCHES}"
+            )
     total = 0
-    for _, k, pick, back in _underlying_setups(spec):
+    for _, k, pick, back in setups:
         if total >= limit:
             break
         if not spec.mixed_only:

@@ -58,7 +58,7 @@ def _blow_up(sizes: Sequence[int], pattern: Mapping[tuple[int, int], Unit]) -> Q
     Parts are laid out by :func:`part_ranges`.  Each pair (s, t), s < t,
     of ``pattern`` joins all of part s to all of part t with gain
     ``pattern[s, t]`` (s -> t).  Records come out in increasing (u, v)
-    order, which the constructor stores as they come.
+    order, so the constructor's sort leaves them in place.
     """
     parts = part_ranges(sizes)
     rows: list[list[tuple[range, Unit]]] = [[] for _ in parts]

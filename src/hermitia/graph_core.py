@@ -57,29 +57,25 @@ class QuartGainGraph:
 
     ``edges`` is a sorted tuple of (u, v, gain) records with u < v and the
     gain given for the orientation u -> v; with ``n`` it is the graph's
-    whole value.  Construction normalizes edge orientation and rejects
-    self-loops, duplicate pairs and ids or gains that are not integers (a
-    bool is not one; numpy integers are stored as int).  The neighbour
-    index behind :meth:`has_edge`, :meth:`gain`, :meth:`neighbors`,
-    :meth:`neighbor_gains` and :meth:`degree` starts as ``None`` and is
-    built from ``edges`` by ``_index`` on the first such query, so a graph
-    that is only serialized, hashed, compared or turned into a matrix never
-    builds it.
-
-    Records already in that form, in strictly increasing (u, v) order, are
-    checked one by one and stored as they come.  At the first record that is
-    out of order, reversed or invalid, every record goes through the
-    normalizing pass instead, which sorts and raises
-    :class:`GraphFormatError` as usual.
+    whole value.  Construction checks each record once, orients it as
+    u < v, sorts the records and rejects self-loops, duplicate pairs and
+    ids or gains that are not integers (a bool is not one; numpy integers
+    are stored as int).  The neighbour index behind :meth:`has_edge`,
+    :meth:`gain`, :meth:`neighbors`, :meth:`neighbor_gains` and
+    :meth:`degree` starts as ``None`` and is built from ``edges`` by
+    ``_index`` on the first such query, so a graph that is only serialized,
+    hashed, compared or turned into a matrix never builds it.
 
     Builders whose records are normal by construction, taken from
-    ``connected_underlying`` or from an existing graph's own records, skip
-    the checks through the private ``_from_normal``: the enumeration
-    stream, :func:`induced_subgraph` (so :func:`delete_vertex` and the
-    component cut in ``inertia``), ``converse``, :func:`underlying` and
-    :func:`disjoint_union`.  Every other builder (``parse_graph``,
-    ``apply_switch``, :func:`relabel`, :func:`coalesce`, the family
-    constructors) and all user code go through the checking constructor.
+    ``connected_underlying``, from an existing graph's own records or from
+    :func:`parse_graph`'s line checks, skip the checks through the private
+    ``_from_normal``: the enumeration stream, :func:`parse_graph`,
+    :func:`induced_subgraph` (so :func:`delete_vertex` and the component cut
+    in ``inertia``), ``converse``, :func:`underlying`,
+    :func:`disjoint_union` and the side graph of the apex classifier.
+    Every other builder (``apply_switch``, :func:`relabel`,
+    :func:`coalesce`, the family constructors) and all user code go through
+    the checking constructor.
     """
 
     __slots__ = ("n", "edges", "_adj")
@@ -89,23 +85,31 @@ class QuartGainGraph:
             n = as_int(n, "vertex count", GraphFormatError)
         if n < 0:
             raise GraphFormatError(f"vertex count must be nonnegative, got {n}")
-        kept: list[Edge] = []
-        last_u = last_v = 0
-        rest = iter(edges)
-        for edge in rest:
-            u, v, gain = edge
-            if not (
-                type(u) is type(v) is type(gain) is int
-                and (u > last_u or (u == last_u and v > last_v))
-                and 0 <= u < v < n
-                and gain in (0, 1, 2, 3)
-            ):
-                kept = _normalized_edges(n, itertools.chain(kept, (edge,), rest))
-                break
-            kept.append((u, v, gain))
-            last_u, last_v = u, v
+        records: list[Edge] = []
+        seen: set[int] = set()
+        for u, v, gain in edges:
+            if not type(u) is type(v) is type(gain) is int:
+                u, v, gain = (
+                    as_int(u, "vertex id", GraphFormatError),
+                    as_int(v, "vertex id", GraphFormatError),
+                    as_int(gain, "gain code", GraphFormatError),
+                )
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError(f"vertex id out of range in edge ({u}, {v})")
+            if u == v:
+                raise GraphFormatError(f"self-loop at vertex {u}")
+            if gain not in (0, 1, 2, 3):
+                raise GraphFormatError(f"invalid gain code {gain!r}")
+            if u > v:
+                u, v, gain = v, u, unit_conj(gain)
+            key = u * n + v
+            if key in seen:
+                raise GraphFormatError(f"duplicate edge ({u}, {v})")
+            seen.add(key)
+            records.append((u, v, gain))
+        records.sort()
         self.n = n
-        self.edges = tuple(kept)
+        self.edges = tuple(records)
         self._adj = None
 
     @classmethod
@@ -178,30 +182,6 @@ class QuartGainGraph:
         return f"QuartGainGraph(n={self.n}, edges={self.edges!r})"
 
 
-def _normalized_edges(n: int, edges: Iterable[tuple[int, int, Unit]]) -> list[Edge]:
-    """Validate edge records, orient each as u < v and sort them."""
-    normalized: dict[tuple[int, int], Unit] = {}
-    for u, v, gain in edges:
-        if not type(u) is type(v) is type(gain) is int:
-            u, v, gain = (
-                as_int(u, "vertex id", GraphFormatError),
-                as_int(v, "vertex id", GraphFormatError),
-                as_int(gain, "gain code", GraphFormatError),
-            )
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"vertex id out of range in edge ({u}, {v})")
-        if u == v:
-            raise GraphFormatError(f"self-loop at vertex {u}")
-        if gain not in (0, 1, 2, 3):
-            raise GraphFormatError(f"invalid gain code {gain!r}")
-        if u > v:
-            u, v, gain = v, u, unit_conj(gain)
-        if (u, v) in normalized:
-            raise GraphFormatError(f"duplicate edge ({u}, {v})")
-        normalized[(u, v)] = gain
-    return sorted((u, v, g) for (u, v), g in normalized.items())
-
-
 # -- .qgg parsing and serialization ------------------------------------------
 
 # Largest vertex count a .qgg header may declare.  The first structural query
@@ -266,8 +246,7 @@ def parse_graph(text: str) -> QuartGainGraph:
             raise GraphFormatError(f"line {lineno}: self-loop at vertex {a}")
         if not (a < n and b < n):
             raise GraphFormatError(f"line {lineno}: vertex id >= n")
-        # Stored as a < b, so a sorted file such as serialize_graph's output
-        # reaches QuartGainGraph already normalized.
+        # Oriented a < b; with the checks above every record is normal.
         if a > b:
             a, b, gain = b, a, unit_conj(gain)
         key = a * n + b
@@ -277,7 +256,7 @@ def parse_graph(text: str) -> QuartGainGraph:
         edges.append((a, b, gain))
     if n is None:
         raise GraphFormatError("missing 'n <count>' header line")
-    return QuartGainGraph(n, edges)
+    return QuartGainGraph._from_normal(n, tuple(sorted(edges)))
 
 
 def _is_ascii_digits(token: str) -> bool:

@@ -139,6 +139,31 @@ def test_enumerate_limit_zero_and_negative(capsys):
     assert captured.err == "error: limit must be >= 0, got -5\n"
 
 
+@pytest.mark.parametrize(
+    "filters, searches", [([], 1611636134), (["--no-pendant"], 1609531005)], ids=["all", "no-pendant"]
+)
+def test_enumerate_mixed_count_only_rejects_order_7_before_searching(filters, searches, capsys):
+    # Order 7 would hand over 1.6e9 gain lists to the least-switch search,
+    # about two hours at the order-6 rate.
+    args = ["enumerate", "--n", "7", "--mixed-only", *filters, "--count-only"]
+    code, _ = timed_under_alarm(lambda: main(args), " ".join(args))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: counting mixed classes needs {searches} switch searches, above the bound of 10000000\n"
+    )
+
+
+def test_enumerate_mixed_count_only_at_order_7_with_a_limit(capsys):
+    # The first classes' 3^k mixed gain lists reach the limit, so the bound
+    # counts only the searches before them.
+    args = ["enumerate", "--n", "7", "--mixed-only", "--count-only", "--limit", "5"]
+    code, _ = timed_under_alarm(lambda: main(args), " ".join(args))
+    assert code == 0
+    assert capsys.readouterr().out == "5\n"
+
+
 def test_verify_command(capsys):
     assert main(["verify", "--suite", "c3t_rank"]) == 0
     out = capsys.readouterr().out

@@ -5,6 +5,7 @@ import pytest
 
 from hermitia import (
     EnumSpec,
+    InertiaTriple,
     QuartGainGraph,
     UNIT_I,
     UNIT_MINUS_ONE,
@@ -12,8 +13,11 @@ from hermitia import (
     UNITS,
     apply_switch,
     connected_underlying,
+    delete_vertex,
     enumerate_switching_classes,
+    inertia,
     mixed_representative,
+    p1_characterize,
     pendant_vertices,
     serialize_graph,
     switching_equivalent,
@@ -218,6 +222,31 @@ def test_mixed_representative_order_six_example_has_none():
     g = QuartGainGraph(6, edges)
     assert mixed_representative_bruteforce(g) is None
     assert mixed_representative(g) is None
+
+
+def _negated_on(n, negative):
+    return QuartGainGraph(
+        n, [(u, v, UNIT_MINUS_ONE if (u, v) in negative else UNIT_ONE) for u, v in itertools.combinations(range(n), 2)]
+    )
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (_negated_on(5, set(itertools.combinations(range(5), 2))), InertiaTriple(4, 1, 0)),
+        (_negated_on(6, {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}), InertiaTriple(3, 3, 0)),
+    ],
+    ids=["K5_all_negative", "K6_negative_5_cycle"],
+)
+def test_minimal_non_mixed_obstructions(g, expected):
+    # The two classes up to order 6 with no mixed member whose every
+    # vertex-deleted subgraph has one; both have p >= 3.
+    assert inertia(g) == expected
+    assert mixed_representative(g) is None
+    assert mixed_representative_bruteforce(g) is None
+    for v in range(g.n):
+        assert mixed_representative(delete_vertex(g, v)) is not None, v
+    assert p1_characterize(g) is None
 
 
 def test_mixed_representative_bounded_without_representative():

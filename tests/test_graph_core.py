@@ -92,27 +92,28 @@ def test_parse_serialize_round_trip(g):
     assert parse_graph(serialize_graph(g)) == g
 
 
-def test_parse_canonical_text_takes_sorted_fast_path(monkeypatch):
-    # serialize_graph writes a -i edge as "A v u" with v > u; the parser
-    # orients it back, so canonical text never needs the normalizing pass.
+def test_parse_graph_builds_no_second_check(monkeypatch):
+    # parse_graph checks every line itself, so it must not hand its records
+    # to the checking constructor.  serialize_graph writes a -i edge as
+    # "A v u" with v > u, which the parser orients back.
     rng = random.Random(2024)
     graphs = [random_graph(rng, 16) for _ in range(200)]
     texts = [serialize_graph(g) for g in graphs]
     arcs = [line.split()[1:] for t in texts for line in t.splitlines() if line.startswith("A ")]
     assert any(int(a) > int(b) for a, b in arcs)
 
-    def _refuse(n, edges):
-        raise AssertionError("canonical .qgg text took the normalizing pass")
+    def _refuse(self, n, edges=()):
+        raise AssertionError("parse_graph ran the checking constructor")
 
-    monkeypatch.setattr(graph_core, "_normalized_edges", _refuse)
+    monkeypatch.setattr(QuartGainGraph, "__init__", _refuse)
     for g, text in zip(graphs, texts):
         assert parse_graph(text) == g
 
 
 @given(quart_graphs(max_n=9), st.randoms(use_true_random=False))
 def test_neighbors_increasing_from_shuffled_edges(g, rng):
-    # g came from sorted records, the constructor's fast path; the shuffled
-    # and re-oriented copy goes through the normalizing pass.
+    # g came from sorted records; the shuffled and re-oriented copy must be
+    # sorted and oriented back to the same records.
     edges = [(v, u, unit_conj(w)) if rng.random() < 0.5 else (u, v, w) for u, v, w in g.edges]
     rng.shuffle(edges)
     rebuilt = QuartGainGraph(g.n, edges)

@@ -1,12 +1,12 @@
 """The builders that store their records unchecked emit normal records.
 
-The enumeration stream, ``induced_subgraph``, ``delete_vertex``,
-``converse``, ``underlying`` and ``disjoint_union`` skip the constructor's
-per-record checks.  Each output is rebuilt here through the checking
-constructor, from a list of its records: that path sorts, orients and
-range-checks every record, so the rebuilt graph equals the output only if
-the output's records were already int triples with 0 <= u < v < n,
-strictly increasing in (u, v), and gains in 0..3.
+The enumeration stream, ``parse_graph``, ``induced_subgraph``,
+``delete_vertex``, ``converse``, ``underlying`` and ``disjoint_union`` skip
+the constructor's per-record checks.  Each output is rebuilt here through
+the checking constructor, from a list of its records: that path sorts,
+orients and range-checks every record, so the rebuilt graph equals the
+output only if the output's records were already int triples with
+0 <= u < v < n, strictly increasing in (u, v), and gains in 0..3.
 """
 
 from __future__ import annotations
@@ -19,13 +19,19 @@ from hermitia import (
     EnumSpec,
     GraphFormatError,
     QuartGainGraph,
+    UNIT_I,
+    UNIT_MINUS_I,
+    UNIT_ONE,
     classes_up_to,
     converse,
     delete_vertex,
     disjoint_union,
     enumerate_switching_classes,
     induced_subgraph,
+    parse_graph,
     underlying,
+    unit_conj,
+    unit_token,
 )
 
 from conftest import random_graph
@@ -96,6 +102,37 @@ def test_seeded_random_graphs():
     for g in graphs[:60]:
         h = induced_subgraph(converse(disjoint_union(g, g)), range(0, 2 * g.n, 3))
         check_derived(h, g, rng)
+
+
+def _scrambled_qgg(g: QuartGainGraph, rng: random.Random) -> str:
+    """.qgg text of ``g`` with its edge lines shuffled and about half of
+    them written from the larger end: ``U b a``, ``A`` for the other
+    direction, or ``G b a`` with the conjugate gain."""
+    lines = []
+    for u, v, gain in g.edges:
+        if rng.random() < 0.5:
+            u, v, gain = v, u, unit_conj(gain)
+        if gain == UNIT_ONE and rng.random() < 0.5:
+            lines.append(f"U {u} {v}")
+        elif gain in (UNIT_I, UNIT_MINUS_I) and rng.random() < 0.5:
+            lines.append(f"A {u} {v}" if gain == UNIT_I else f"A {v} {u}")
+        else:
+            lines.append(f"G {u} {v} {unit_token(gain)}")
+    rng.shuffle(lines)
+    return "\n".join([f"n {g.n}", *lines]) + "\n"
+
+
+def test_parse_graph_of_scrambled_text():
+    rng = random.Random(2222)
+    flipped = 0
+    for _ in range(300):
+        g = random_graph(rng, 24, rng.choice((0.1, 0.3, 0.6, 0.9)))
+        text = _scrambled_qgg(g, rng)
+        flipped += sum(int(a) > int(b) for a, b in (line.split()[1:3] for line in text.splitlines()[1:]))
+        parsed = parse_graph(text)
+        assert_normal(parsed)
+        assert parsed == g
+    assert flipped > 1000
 
 
 def test_edgeless_and_empty_graphs():

@@ -22,8 +22,10 @@ from hermitia import (
     inertia_float,
     parse_graph,
 )
+from hermitia import spectra
 
 from bareiss_reference import bareiss_inertia, graph_grids
+from charpoly_reference import charpoly_inertia
 from conftest import random_graph, timed_under_alarm
 from fraction_kernel import inertia_fraction
 
@@ -204,6 +206,38 @@ def test_kernel_matches_fraction_reference_random():
 def test_kernel_matches_fraction_reference_all_classes_up_to_5():
     for g in classes_up_to(5):
         _assert_kernels_agree(g)
+
+
+def test_inertia_matches_charpoly_referee_all_classes_up_to_5():
+    for g in classes_up_to(5):
+        assert inertia(g).as_tuple() == charpoly_inertia(g), g
+
+
+def test_inertia_matches_charpoly_referee_orders_12_to_24(monkeypatch):
+    # From order 16 (CERT_ORDER) up, inertia tries the float certificate
+    # first; the referee reads chi(x) and eliminates nothing.
+    answers = []
+    certify = spectra._certified_signature
+
+    def counted(*arrays):
+        answers.append(certify(*arrays))
+        return answers[-1]
+
+    monkeypatch.setattr(spectra, "_certified_signature", counted)
+    rng = random.Random(1224)
+    singular = 0
+    for n in range(12, 25):
+        for density in (0.1, 0.2, 0.5, 0.9):
+            pairs = [pair for pair in itertools.combinations(range(n), 2) if rng.random() < density]
+            g = QuartGainGraph(n, [(u, v, rng.choice(UNITS)) for u, v in pairs])
+            want = charpoly_inertia(g)
+            assert inertia(g).as_tuple() == want, g
+            singular += want[2] > 0
+    # Both certificate outcomes are refereed: proved, and declined (the
+    # kernel then answers).
+    assert singular >= 15
+    assert sum(answer is not None for answer in answers) >= 20
+    assert None in answers
 
 
 def _zero_diagonal_corpus():
