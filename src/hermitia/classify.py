@@ -78,25 +78,20 @@ def lem38_condition(r: int, k: int, a: int, b: int) -> bool:
     """p = 2 test for the apex family with a gain-i parts and b gain--i parts."""
     if r < 2 or k < 2 or not (a >= b >= 0) or a < 1 or a + b > k:
         raise ValueError(f"need r >= 2, k >= 2, a >= b >= 0, a >= 1, a+b <= k; got {(r, k, a, b)}")
-    s = k - a - b
-    if a == 1 and b == 0:
-        return True
-    if a == 1 and b == 1:
-        return r == 2
+    # With b = 0 (c = 0 in lem310) every apex gain is i, and one switch of
+    # the n side turns them into 1: the cor39 family on (r, k, a).
     if b == 0:
-        if s <= 1:
-            return True
-        return Fraction(1, r) + Fraction(1, a) + Fraction(1, s - 1) >= 1
-    return False
+        return cor39_condition(r, k, a)
+    return a == 1 and b == 1 and r == 2
 
 
 def lem310_condition(r: int, k: int, a: int, c: int) -> bool:
     """p = 2 test for the apex family with a gain-i parts and c gain-1 parts."""
     if r < 2 or k < 2 or not (a >= c >= 0) or a < 1 or a + c > k:
         raise ValueError(f"need r >= 2, k >= 2, a >= c >= 0, a >= 1, a+c <= k; got {(r, k, a, c)}")
+    if c == 0:
+        return cor39_condition(r, k, a)
     s = k - a - c
-    if a == 1 and c == 0:
-        return True
     if a == 1 and c == 1:
         if s <= 1:
             return True
@@ -117,10 +112,6 @@ def lem310_condition(r: int, k: int, a: int, c: int) -> bool:
         return s == 0 and r == 2
     if c == 1:
         return Fraction(a * s - 1, a + s) <= Fraction(1, r - 1)
-    if c == 0:
-        if s <= 1:
-            return True
-        return Fraction(1, r) + Fraction(1, a) + Fraction(1, s - 1) >= 1
     return False
 
 

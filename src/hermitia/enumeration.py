@@ -19,10 +19,13 @@ of it has no -1 gain, and :func:`mixed_representative` emits the switching
 by the lexicographically least such switch, pinned to 1 on vertex 0 (a
 global phase acts trivially on gains).  It finds that switch by a
 depth-first search over the vertices in order, where each edge rules out
-one value at its larger end, instead of trying all 4^(n-1) switches.  The
-stream runs the same search on each candidate's gain list and switches the
-list, so every emitted class is built as a graph exactly once.
-:func:`count_switching_classes` counts a stream from the same gain lists
+one value at its larger end, instead of trying all 4^(n-1) switches.
+
+A gain assignment is the tuple of per-edge gains in sorted edge order, one
+pick per edge from ``(1,)`` on a tree edge and from ``UNITS`` otherwise.
+The stream runs the same search on each tuple and switches it, so every
+emitted class is built as a graph exactly once.
+:func:`count_switching_classes` counts a stream from the same tuples
 without building any graph.
 """
 
@@ -32,8 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graph_core import (
     QuartGainGraph,
@@ -50,7 +52,7 @@ EdgeTuple = tuple[Pair, ...]
 # Largest order enumerate_switching_classes accepts.
 HARD_CAP = 7
 
-# Most gain lists a mixed count_switching_classes may search, under a minute
+# Most gain assignments a mixed count_switching_classes may search, under a minute
 # at the order-6 rate; order 7 unfiltered would need 1,611,636,134.
 MAX_COUNT_SEARCHES = 10**7
 
@@ -208,22 +210,17 @@ def _check_spec(spec: EnumSpec) -> None:
         raise ValueError(f"limit must be >= 0, got {spec.limit}")
 
 
-def _gain_lists(k: int) -> Iterator[tuple[Unit, ...]]:
-    """Every assignment of units to k non-tree edges, in lexicographic order
-    over (1, i, -1, -i), each followed by the 1 that the tree edges read."""
-    return itertools.product(*[UNITS] * k, (UNIT_ONE,))
-
-
 def _underlying_setups(
     spec: EnumSpec,
-) -> Iterator[tuple[EdgeTuple, int, Callable[[tuple[Unit, ...]], Sequence[Unit]], list[list[Pair]]]]:
+) -> Iterator[tuple[EdgeTuple, list[tuple[Unit, ...]], list[list[Pair]]]]:
     """Per connected underlying graph of order ``spec.n`` that passes the
-    spec's filters, in canonical order: its sorted edge pairs, its number k
-    of non-tree edges, ``pick`` and :func:`_back_lists` of its pairs.
+    spec's filters, in canonical order: its sorted edge pairs, ``choices``
+    and :func:`_back_lists` of its pairs.
 
-    ``pick`` maps a gain list of :func:`_gain_lists` to the gain of each
-    edge in sorted order: the j-th non-tree edge reads entry j and each
-    tree edge the trailing 1.
+    ``choices[j]`` holds the gains the j-th edge takes: ``(1,)`` on a tree
+    edge and ``UNITS`` on a non-tree edge, so ``itertools.product(*choices)``
+    yields every gain assignment as a per-edge tuple, lexicographic over
+    (1, i, -1, -i) on the non-tree edges.
     """
     n = spec.n
     for edges in connected_underlying(n):
@@ -237,14 +234,8 @@ def _underlying_setups(
             continue
         _, parent = bfs_forest(base)
         tree = {(min(u, v), max(u, v)) for v, u in enumerate(parent) if u >= 0}
-        non_tree = [pair for pair in edges if pair not in tree]
-        slots = [len(non_tree) if pair in tree else non_tree.index(pair) for pair in edges]
-        if len(slots) > 1:
-            pick = itemgetter(*slots)
-        else:
-            # itemgetter() needs an index, and itemgetter(i) returns a bare item.
-            pick = lambda gains, slots=slots: tuple([gains[i] for i in slots])  # noqa: E731
-        yield edges, len(non_tree), pick, _back_lists(n, edges)
+        choices = [(UNIT_ONE,) if pair in tree else UNITS for pair in edges]
+        yield edges, choices, _back_lists(n, edges)
 
 
 def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:
@@ -254,26 +245,24 @@ def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:
     in lexicographic order over (1, i, -1, -i).  Every emitted graph
     satisfies the spec's filters and no two are switching equivalent.
     With ``mixed_only``, the least switch of :func:`mixed_representative`
-    is found and applied on the gain list, so each emitted class is built
-    as a graph once, unchecked, from its sorted records.
+    is found and applied on the per-edge gain tuple, so each emitted class
+    is built as a graph once, unchecked, from its sorted records.
     """
     _check_spec(spec)
     if spec.limit == 0:
         return
     n = spec.n
     emitted = 0
-    for edges, k, pick, back in _underlying_setups(spec):
+    for edges, choices, back in _underlying_setups(spec):
         us = [u for u, _ in edges]
         vs = [v for _, v in edges]
-        for gains in _gain_lists(k):
-            switch = spec.mixed_only and UNIT_MINUS_ONE in gains
-            edge_gains = pick(gains)
-            if switch:
-                theta = _least_switch(n, back, edge_gains)
+        for gains in itertools.product(*choices):
+            if spec.mixed_only and UNIT_MINUS_ONE in gains:
+                theta = _least_switch(n, back, gains)
                 if theta is None:
                     continue
-                edge_gains = [(g - theta[u] + theta[v]) % 4 for u, v, g in zip(us, vs, edge_gains)]
-            yield QuartGainGraph._from_normal(n, tuple([*zip(us, vs, edge_gains)]))
+                gains = [(g - theta[u] + theta[v]) % 4 for u, v, g in zip(us, vs, gains)]
+            yield QuartGainGraph._from_normal(n, tuple([*zip(us, vs, gains)]))
             emitted += 1
             if spec.limit is not None and emitted >= spec.limit:
                 return
@@ -283,19 +272,20 @@ def count_switching_classes(spec: EnumSpec) -> int:
     """The number of classes :func:`enumerate_switching_classes` emits for
     ``spec``, found without building a graph.
 
-    An underlying graph with k non-tree edges has 4^k classes.  With
-    ``mixed_only``, the 3^k gain lists with no -1 are mixed as they stand,
-    and each other list counts when :func:`_least_switch` finds a switch.
-    More than :data:`MAX_COUNT_SEARCHES` such lists (4^k - 3^k per graph,
+    An underlying graph with m edges is connected, so it has k = m - n + 1
+    non-tree edges and 4^k classes.  With ``mixed_only``, the 3^k gain
+    assignments with no -1 are mixed as they stand, and each other one
+    counts when :func:`_least_switch` finds a switch.  More than
+    :data:`MAX_COUNT_SEARCHES` such assignments (4^k - 3^k per graph,
     until the 3^k alone reach ``limit``) raise ``ValueError`` before any search.
     Backs ``hermitia enumerate --count-only``; not exported from the package.
     """
     _check_spec(spec)
     limit = math.inf if spec.limit is None else spec.limit
-    setups = list(_underlying_setups(spec))
+    setups = [(len(edges) - spec.n + 1, choices, back) for edges, choices, back in _underlying_setups(spec)]
     if spec.mixed_only:
         searches = mixed = 0
-        for _, k, _, _ in setups:
+        for k, _, _ in setups:
             mixed += 3**k
             if mixed >= limit:
                 break
@@ -306,17 +296,17 @@ def count_switching_classes(spec: EnumSpec) -> int:
                 f" above the bound of {MAX_COUNT_SEARCHES}"
             )
     total = 0
-    for _, k, pick, back in setups:
+    for k, choices, back in setups:
         if total >= limit:
             break
         if not spec.mixed_only:
             total += 4**k
             continue
         total += 3**k
-        for gains in _gain_lists(k):
+        for gains in itertools.product(*choices):
             if total >= limit:
                 break
-            if UNIT_MINUS_ONE in gains and _least_switch(spec.n, back, pick(gains)) is not None:
+            if UNIT_MINUS_ONE in gains and _least_switch(spec.n, back, gains) is not None:
                 total += 1
     return min(total, limit)
 

@@ -71,9 +71,9 @@ class QuartGainGraph:
     :func:`parse_graph`'s line checks, skip the checks through the private
     ``_from_normal``: the enumeration stream, :func:`parse_graph`,
     :func:`induced_subgraph` (so :func:`delete_vertex` and the component cut
-    in ``inertia``), ``converse``, :func:`underlying`,
-    :func:`disjoint_union` and the side graph of the apex classifier.
-    Every other builder (``apply_switch``, :func:`relabel`,
+    in ``inertia``), ``converse``, ``apply_switch`` (which checks only its
+    switch values), :func:`underlying`, :func:`disjoint_union` and the side
+    graph of the apex classifier.  Every other builder (:func:`relabel`,
     :func:`coalesce`, the family constructors) and all user code go through
     the checking constructor.
     """

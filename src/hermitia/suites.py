@@ -111,6 +111,16 @@ def _random_switch(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple(rng.choice(UNITS) for _ in range(n))
 
 
+def _agree(
+    report: SuiteReport, g: QuartGainGraph, fact: str, holds: bool, verdict: str, says: bool
+) -> None:
+    """Count ``g`` and record it when the classifier's verdict ``says``
+    disagrees with the spectral fact ``holds``."""
+    report.checked += 1
+    if says != holds:
+        report.record(compact_str(g), f"{fact}={holds}", f"{verdict}={says}")
+
+
 # -- individual suites --------------------------------------------------------------
 
 
@@ -240,11 +250,7 @@ def _suite_p1(report: SuiteReport, n: Optional[int], seed: int) -> None:
     complete multipartite graphs (plus isolated vertices)."""
 
     def check(g: QuartGainGraph) -> None:
-        report.checked += 1
-        tagged = p1_characterize(g) is not None
-        is_p1 = inertia(g).p == 1
-        if tagged != is_p1:
-            report.record(compact_str(g), f"p1={is_p1}", f"tagged={tagged}")
+        _agree(report, g, "p1", inertia(g).p == 1, "tagged", p1_characterize(g) is not None)
 
     # The classes are streamed twice rather than held: at n = 6 they are
     # 1.6 million graphs.  Only the small ones are kept, for the unions.
@@ -299,11 +305,8 @@ def _suite_twin_rank3(report: SuiteReport, n: Optional[int], seed: int) -> None:
     """Connected mixed graphs have rank 3 exactly when the twin reduction
     is an even triangle."""
     for g in classes_up_to(n, mixed_only=True):
-        report.checked += 1
-        rank3 = inertia(g).rank == 3
         reduced = is_even_triangle(twin_reduction(g))
-        if rank3 != reduced:
-            report.record(compact_str(g), f"rank3={rank3}", f"even-triangle={reduced}")
+        _agree(report, g, "rank3", inertia(g).rank == 3, "even-triangle", reduced)
 
 
 def _suite_c3t_rank(report: SuiteReport, n: Optional[int], seed: int) -> None:
@@ -456,22 +459,14 @@ def _check_lem311_instance(
 def _suite_thm11(report: SuiteReport, n: Optional[int], seed: int) -> None:
     """Over every mixed class with a pendant vertex: classified iff p = 2."""
     for g in classes_up_to(n, has_pendant=True, mixed_only=True):
-        report.checked += 1
-        classified = thm11_classify(g) is not None
-        is_p2 = inertia(g).p == 2
-        if classified != is_p2:
-            report.record(compact_str(g), f"p2={is_p2}", f"classified={classified}")
+        _agree(report, g, "p2", inertia(g).p == 2, "classified", thm11_classify(g) is not None)
 
 
 def _suite_thm12(report: SuiteReport, n: Optional[int], seed: int) -> None:
     """Over every mixed class with a cut vertex and no pendant vertex:
     at least one family case matches iff p = 2."""
     for g in classes_up_to(n, has_cut_vertex=True, no_pendant=True, mixed_only=True):
-        report.checked += 1
-        matched = bool(thm12_classify(g).cases)
-        is_p2 = inertia(g).p == 2
-        if matched != is_p2:
-            report.record(compact_str(g), f"p2={is_p2}", f"matched={matched}")
+        _agree(report, g, "p2", inertia(g).p == 2, "matched", bool(thm12_classify(g).cases))
 
 
 def _suite_oracle_agreement(report: SuiteReport, n: Optional[int], seed: int) -> None:

@@ -25,6 +25,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from .graph_core import (
+    GraphFormatError,
     QuartGainGraph,
     VertexSet,
     bfs_forest,
@@ -39,6 +40,7 @@ from .numeric import (
     UNIT_MINUS_ONE,
     UNIT_ONE,
     Unit,
+    as_int,
     unit_conj,
 )
 
@@ -51,14 +53,17 @@ MAX_ISO_ORDER = 12
 
 
 def apply_switch(graph: QuartGainGraph, theta: SwitchAssignment) -> QuartGainGraph:
-    """Switch gains to conj(theta_u) * gain * theta_v; underlying unchanged."""
+    """Switch gains to conj(theta_u) * gain * theta_v; underlying unchanged.
+
+    Only theta is checked (``as_int``, else :class:`GraphFormatError`): the
+    records are ``graph``'s own, normal once every theta is an int."""
     if len(theta) != graph.n:
         raise ValueError("switch assignment length does not match vertex count")
-    edges = [
-        (u, v, (g - theta[u] + theta[v]) % 4)
-        for u, v, g in graph.edges
-    ]
-    return QuartGainGraph(graph.n, edges)
+    if any(type(t) is not int for t in theta):
+        theta = [as_int(t, "switch value", GraphFormatError) for t in theta]
+    return QuartGainGraph._from_normal(
+        graph.n, tuple([(u, v, (g - theta[u] + theta[v]) % 4) for u, v, g in graph.edges])
+    )
 
 
 def converse(graph: QuartGainGraph) -> QuartGainGraph:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -319,6 +320,36 @@ def test_order_six_stream_prefix_matches_reference(mixed):
     got = _stream(enumerate_switching_classes, spec, 20000)
     assert len(got) == 20000
     assert got == _stream(enumeration_reference.enumerate_switching_classes, spec, 20000)
+
+
+@pytest.mark.parametrize(
+    "spec, classes, digest",
+    [
+        (
+            EnumSpec(n=7, has_cut_vertex=True, no_pendant=True, mixed_only=True),
+            39932,
+            "31db26424086c72e1261135b9b41cf39b7421e846826125f79ed0ffad33dd753",
+        ),
+        (
+            EnumSpec(n=6, has_pendant=True, mixed_only=True),
+            8405,
+            "7cac45437cda829955580fe68f1dccadb6aa39686ba4a533cc5f076a832a9412",
+        ),
+    ],
+    ids=repr,
+)
+def test_whole_streams_past_the_reference_keep_their_digest(spec, classes, digest):
+    # The reference is too slow to run on these streams; the SHA-256 of the
+    # serialized stream, one "\n"-terminated graph after another, pins them.
+    # One class past the expected count is enough to fail a longer stream.
+    sha = hashlib.sha256()
+    emitted = 0
+    for g in itertools.islice(enumerate_switching_classes(spec), classes + 1):
+        sha.update((serialize_graph(g) + "\n").encode())
+        emitted += 1
+    assert emitted == classes
+    assert sha.hexdigest() == digest
+    assert count_switching_classes(spec) == classes
 
 
 @pytest.mark.parametrize("n", [6, 7])

@@ -1,8 +1,9 @@
 """The builders that store their records unchecked emit normal records.
 
 The enumeration stream, ``parse_graph``, ``induced_subgraph``,
-``delete_vertex``, ``converse``, ``underlying`` and ``disjoint_union`` skip
-the constructor's per-record checks.  Each output is rebuilt here through
+``delete_vertex``, ``converse``, ``apply_switch`` (which checks only its
+switch values), ``underlying`` and ``disjoint_union`` skip the
+constructor's per-record checks.  Each output is rebuilt here through
 the checking constructor, from a list of its records: that path sorts,
 orients and range-checks every record, so the rebuilt graph equals the
 output only if the output's records were already int triples with
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from hermitia import (
@@ -22,6 +24,8 @@ from hermitia import (
     UNIT_I,
     UNIT_MINUS_I,
     UNIT_ONE,
+    UNITS,
+    apply_switch,
     classes_up_to,
     converse,
     delete_vertex,
@@ -29,6 +33,7 @@ from hermitia import (
     enumerate_switching_classes,
     induced_subgraph,
     parse_graph,
+    tree_normalize,
     underlying,
     unit_conj,
     unit_token,
@@ -59,6 +64,12 @@ def check_derived(g: QuartGainGraph, other: QuartGainGraph, rng: random.Random) 
     rng.shuffle(subset)
     assert_normal(induced_subgraph(g, subset))
     assert_normal(induced_subgraph(g, range(g.n)))
+    theta = [rng.choice(UNITS) for _ in range(g.n)]
+    switched = apply_switch(g, tuple(theta))
+    assert_normal(switched)
+    numpy_switched = apply_switch(g, tuple(np.int64(t) for t in theta))
+    assert_normal(numpy_switched)
+    assert numpy_switched == switched
 
 
 def check_corpus(graphs: list[QuartGainGraph], seed: int) -> None:
@@ -153,3 +164,17 @@ def test_referee_sees_broken_records():
     with pytest.raises(GraphFormatError):
         assert_normal(unrelabeled)
 
+
+def test_switch_builders_never_call_the_checking_constructor(monkeypatch):
+    rng = random.Random(2323)
+    graphs = [random_graph(rng, 12, rng.choice((0.3, 0.6, 0.9))) for _ in range(40)]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("checking constructor called")
+
+    monkeypatch.setattr(QuartGainGraph, "__init__", refuse)
+    for g in graphs:
+        normal = tree_normalize(g)
+        assert apply_switch(g, normal.assignment) == normal.graph
+        assert tree_normalize(normal.graph).graph == normal.graph
+        assert apply_switch(g, tuple(np.int64(t) for t in normal.assignment)) == normal.graph

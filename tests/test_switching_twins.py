@@ -1,11 +1,14 @@
 import itertools
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermitia import (
+    GraphFormatError,
     QuartGainGraph,
     UNIT_I,
     UNIT_MINUS_I,
@@ -64,6 +67,17 @@ def test_apply_switch_examples():
     switched = apply_switch(edge, (UNIT_ONE, UNIT_MINUS_ONE))
     assert switched.gain(0, 1) == UNIT_MINUS_ONE
     assert not switched.is_mixed
+
+
+def test_apply_switch_rejects_switch_values_that_are_not_integers():
+    # Switch values pass the same check as records: numpy integers are read
+    # as ints, floats, bools and strings are refused.
+    edge = parse_graph("n 2\nU 0 1")
+    assert apply_switch(edge, (np.int64(0), np.int8(2))) == apply_switch(edge, (0, 2))
+    for bad in (1.0, True, "1"):
+        message = f"switch value must be an integer, got {bad!r}"
+        with pytest.raises(GraphFormatError, match=re.escape(message)):
+            apply_switch(edge, (UNIT_ONE, bad))
 
 
 def test_apply_switch_preserves_underlying_and_inertia():
