@@ -21,11 +21,17 @@ global phase acts trivially on gains).  It finds that switch by a
 depth-first search over the vertices in order, where each edge rules out
 one value at its larger end, instead of trying all 4^(n-1) switches.
 
-A gain assignment is the tuple of per-edge gains in sorted edge order, one
-pick per edge from ``(1,)`` on a tree edge and from ``UNITS`` otherwise.
-The stream runs the same search on each tuple and switches it, so every
-emitted class is built as a graph exactly once.
-:func:`count_switching_classes` counts a stream from the same tuples
+A gain assignment is the tuple of its sorted (u, v, gain) records, one
+pick per edge from the single record with gain 1 on a tree edge and from
+the four records over ``UNITS`` otherwise, so the product of those picks
+yields the records an emitted class is built from.  A tuple with no -1
+gain is emitted as it stands.  Until the search first reaches a vertex L,
+it reads only edges (u, v) with v < L, so each underlying graph's edges
+are split into a head and a tail whose edges all have v >= L: the search
+runs once per head tuple up to L and resumes from a copy of that state on
+each tail tuple, and a head whose search fails there has no mixed tail.
+Every emitted class is built as a graph exactly once.
+:func:`count_switching_classes` counts a stream from the same search
 without building any graph.
 """
 
@@ -38,6 +44,7 @@ from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .graph_core import (
+    Edge,
     QuartGainGraph,
     bfs_forest,
     cut_vertices,
@@ -146,9 +153,10 @@ def mixed_representative(graph: QuartGainGraph) -> Optional[QuartGainGraph]:
     that leaves no -1 gain, or None when no switch does.
 
     Vertex 0 is pinned to 1; that suffices because rescaling a whole
-    component leaves every gain unchanged.  :func:`_least_switch` finds the
-    switch by a depth-first search whose first complete switch is the one
-    that the 4^(n-1) product over ``UNITS`` would meet first.
+    component leaves every gain unchanged.  :func:`_search`, run from
+    vertex 1 to vertex n, finds the switch by a depth-first search whose
+    first complete switch is the one that the 4^(n-1) product over
+    ``UNITS`` would meet first.
 
     Its exponential worst case is inherent unless P = NP: with every gain
     -1, a switch leaves no -1 gain exactly when theta_u != theta_v on every
@@ -158,9 +166,10 @@ def mixed_representative(graph: QuartGainGraph) -> Optional[QuartGainGraph]:
     edges = graph.edges
     if all(g != UNIT_MINUS_ONE for _, _, g in edges):
         return graph
-    back = _back_lists(graph.n, [(u, v) for u, v, _ in edges])
-    theta = _least_switch(graph.n, back, [g for _, _, g in edges])
-    return None if theta is None else apply_switch(graph, theta)
+    n = graph.n
+    theta = [UNIT_ONE] * n
+    back = _back_lists(n, [(u, v) for u, v, _ in edges])
+    return apply_switch(graph, theta) if _search(back, edges, theta, [0b1111] * n, 1, n) else None
 
 
 def _back_lists(n: int, pairs: Sequence[Pair]) -> list[list[Pair]]:
@@ -171,26 +180,31 @@ def _back_lists(n: int, pairs: Sequence[Pair]) -> list[list[Pair]]:
     return back
 
 
-def _least_switch(n: int, back: list[list[Pair]], gains: Sequence[Unit]) -> Optional[list[Unit]]:
-    """The least switch theta, theta[0] = 1, that leaves no -1 gain, or None.
+def _search(
+    back: list[list[Pair]], records: Sequence[Edge], theta: list[Unit], untried: list[int], v: int, stop: int
+) -> bool:
+    """Run the least-switch search from vertex ``v`` until it first reaches
+    vertex ``stop``: True when it does, False when it backtracks past
+    vertex 1, so that no switch with theta[0] = 1 leaves no -1 gain.
 
-    ``gains[k]`` is the gain of the k-th edge, and ``back`` is
-    :func:`_back_lists` of the edges' (u, v) pairs.  The search assigns
-    theta to vertices 1, 2, ... in turn, trying units in ``UNITS`` order, and
-    checks each edge once theta[v] is set: switching turns g into -1 for
-    exactly one value, theta[v] = theta[u] - g + 2 (mod 4).  A vertex with no
-    value left sends the search back to the one before it.
+    ``records[k]`` is the k-th (u, v, gain) record, and ``back`` is
+    :func:`_back_lists` of the records' (u, v) pairs.  The search assigns
+    theta to vertices v, v + 1, ... in turn, trying units in ``UNITS``
+    order, and checks each edge once theta of its larger end is set:
+    switching turns g into -1 for exactly one value, theta[v] = theta[u] -
+    g + 2 (mod 4).  A vertex with no value left sends the search back to
+    the one before it.  ``theta`` and ``untried`` hold the search's state
+    and are updated in place, so a search stopped at ``stop`` resumes from
+    copies of them.  Until it first reaches ``stop`` the search reads only
+    records (u, w) with w < ``stop``.
     """
-    theta = [UNIT_ONE] * n
-    # Bit k of untried[v] is set while unit k is still to be tried at v; the
-    # codes are UNITS = (0, 1, 2, 3), so the lowest bit is the next in order.
-    untried = [0b1111] * n
-    v = 1
-    while v < n:
+    while v < stop:
         free = untried[v]
         for u, k in back[v]:
-            free &= ~(1 << (theta[u] - gains[k] + UNIT_MINUS_ONE) % 4)
+            free &= ~(1 << (theta[u] - records[k][2] + UNIT_MINUS_ONE) % 4)
         if free:
+            # Bit k of untried[v] is set while unit k is still to be tried at
+            # v; the codes are UNITS = (0, 1, 2, 3), so the lowest bit is next.
             lowest = free & -free
             theta[v] = lowest.bit_length() - 1
             untried[v] = free ^ lowest
@@ -199,8 +213,8 @@ def _least_switch(n: int, back: list[list[Pair]], gains: Sequence[Unit]) -> Opti
             untried[v] = 0b1111
             v -= 1
             if v == 0:
-                return None
-    return theta
+                return False
+    return True
 
 
 def _check_spec(spec: EnumSpec) -> None:
@@ -210,18 +224,12 @@ def _check_spec(spec: EnumSpec) -> None:
         raise ValueError(f"limit must be >= 0, got {spec.limit}")
 
 
-def _underlying_setups(
-    spec: EnumSpec,
-) -> Iterator[tuple[EdgeTuple, list[tuple[Unit, ...]], list[list[Pair]]]]:
-    """Per connected underlying graph of order ``spec.n`` that passes the
-    spec's filters, in canonical order: its sorted edge pairs, ``choices``
-    and :func:`_back_lists` of its pairs.
+Setup = tuple[list[tuple[Edge, ...]], list[list[Pair]], int, int]
 
-    ``choices[j]`` holds the gains the j-th edge takes: ``(1,)`` on a tree
-    edge and ``UNITS`` on a non-tree edge, so ``itertools.product(*choices)``
-    yields every gain assignment as a per-edge tuple, lexicographic over
-    (1, i, -1, -i) on the non-tree edges.
-    """
+
+def _underlying_setups(spec: EnumSpec) -> Iterator[Setup]:
+    """:func:`_setup` of each connected underlying graph of order
+    ``spec.n`` that passes the spec's filters, in canonical order."""
     n = spec.n
     for edges in connected_underlying(n):
         base = QuartGainGraph._from_normal(n, tuple([(u, v, UNIT_ONE) for u, v in edges]))
@@ -232,10 +240,66 @@ def _underlying_setups(
             continue
         if spec.has_pendant and not pendants:
             continue
-        _, parent = bfs_forest(base)
-        tree = {(min(u, v), max(u, v)) for v, u in enumerate(parent) if u >= 0}
-        choices = [(UNIT_ONE,) if pair in tree else UNITS for pair in edges]
-        yield edges, choices, _back_lists(n, edges)
+        yield _setup(base)
+
+
+def _setup(base: QuartGainGraph) -> Setup:
+    """For a connected graph ``base`` with every gain 1: ``choices``,
+    :func:`_back_lists` of its sorted edge pairs, and the split ``(j, stop)``
+    of its edges into a head ``choices[:j]`` and a tail ``choices[j:]``.
+
+    ``choices[j]`` holds the records the j-th edge takes: ``((u, v, 1),)``
+    on an edge of the canonical BFS tree and ``(u, v, g)`` for each g in
+    ``UNITS`` on a non-tree edge, so ``itertools.product(*choices)`` yields
+    every gain assignment as its sorted record tuple, lexicographic over
+    (1, i, -1, -i) on the non-tree edges.
+
+    ``stop`` is the least larger end (the v of (u, v)) of a tail edge, as
+    large as a tail holding a non-tree edge allows (n on a tree, whose tail
+    is empty), and the tail is the longest with that least larger end.
+    Every edge (u, v) with v < ``stop`` then lies in the head.
+    """
+    n = base.n
+    edges = [(u, v) for u, v, _ in base.edges]
+    _, parent = bfs_forest(base)
+    tree = {(min(u, v), max(u, v)) for v, u in enumerate(parent) if u >= 0}
+    choices = [((u, v, UNIT_ONE),) if (u, v) in tree else tuple([(u, v, g) for g in UNITS]) for u, v in edges]
+    split = max((j for j, pair in enumerate(edges) if pair not in tree), default=len(edges))
+    stop = min((v for _, v in edges[split:]), default=n)
+    while split and edges[split - 1][1] >= stop:
+        split -= 1
+    return choices, _back_lists(n, edges), split, stop
+
+
+def _mixed_tuples(
+    n: int, choices: list[tuple[Edge, ...]], back: list[list[Pair]], split: int, stop: int
+) -> Iterator[tuple[tuple[Edge, ...], Optional[list[Unit]]]]:
+    """Each gain assignment of one underlying graph, in product order, that
+    some switch leaves with no -1 gain: its records and the least such
+    switch, or None for records with no -1 gain.
+
+    The assignments are ``product(head) x product(tail)`` for the split of
+    :func:`_setup`.  The search runs once per head tuple, up to
+    ``stop``, since until then it reads head records only, and resumes from
+    a copy of that state on each tail tuple.  A head whose search fails
+    there has no mixed assignment at all.
+    """
+    minus = {record for options in choices for record in options if record[2] == UNIT_MINUS_ONE}
+    tails = [(tail, minus.isdisjoint(tail)) for tail in itertools.product(*choices[split:])]
+    for head in itertools.product(*choices[:split]):
+        theta = [UNIT_ONE] * n
+        untried = [0b1111] * n
+        if not _search(back, head, theta, untried, 1, stop):
+            continue
+        head_clean = minus.isdisjoint(head)
+        for tail, tail_clean in tails:
+            records = head + tail
+            if head_clean and tail_clean:
+                yield records, None
+                continue
+            switch = theta[:]
+            if _search(back, records, switch, untried[:], stop, n):
+                yield records, switch
 
 
 def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:
@@ -244,25 +308,25 @@ def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:
     Deterministic: underlying graphs in canonical order, gain assignments
     in lexicographic order over (1, i, -1, -i).  Every emitted graph
     satisfies the spec's filters and no two are switching equivalent.
-    With ``mixed_only``, the least switch of :func:`mixed_representative`
-    is found and applied on the per-edge gain tuple, so each emitted class
-    is built as a graph once, unchecked, from its sorted records.
+    Each emitted class is built as a graph once, unchecked, from its
+    sorted records; with ``mixed_only``, :func:`_mixed_tuples` finds the
+    least switch of :func:`mixed_representative` and it is applied to the
+    records.
     """
     _check_spec(spec)
     if spec.limit == 0:
         return
     n = spec.n
     emitted = 0
-    for edges, choices, back in _underlying_setups(spec):
-        us = [u for u, _ in edges]
-        vs = [v for _, v in edges]
-        for gains in itertools.product(*choices):
-            if spec.mixed_only and UNIT_MINUS_ONE in gains:
-                theta = _least_switch(n, back, gains)
-                if theta is None:
-                    continue
-                gains = [(g - theta[u] + theta[v]) % 4 for u, v, g in zip(us, vs, gains)]
-            yield QuartGainGraph._from_normal(n, tuple([*zip(us, vs, gains)]))
+    for setup in _underlying_setups(spec):
+        if spec.mixed_only:
+            tuples = _mixed_tuples(n, *setup)
+        else:
+            tuples = zip(itertools.product(*setup[0]), itertools.repeat(None))
+        for records, theta in tuples:
+            if theta is not None:
+                records = tuple([(u, v, (g - theta[u] + theta[v]) % 4) for u, v, g in records])
+            yield QuartGainGraph._from_normal(n, records)
             emitted += 1
             if spec.limit is not None and emitted >= spec.limit:
                 return
@@ -273,19 +337,20 @@ def count_switching_classes(spec: EnumSpec) -> int:
     ``spec``, found without building a graph.
 
     An underlying graph with m edges is connected, so it has k = m - n + 1
-    non-tree edges and 4^k classes.  With ``mixed_only``, the 3^k gain
+    non-tree edges and 4^k classes.  With ``mixed_only``, the count walks
+    :func:`_mixed_tuples`, the stream's own search: the 3^k gain
     assignments with no -1 are mixed as they stand, and each other one
-    counts when :func:`_least_switch` finds a switch.  More than
+    counts when the search finds a switch.  More than
     :data:`MAX_COUNT_SEARCHES` such assignments (4^k - 3^k per graph,
     until the 3^k alone reach ``limit``) raise ``ValueError`` before any search.
     Backs ``hermitia enumerate --count-only``; not exported from the package.
     """
     _check_spec(spec)
     limit = math.inf if spec.limit is None else spec.limit
-    setups = [(len(edges) - spec.n + 1, choices, back) for edges, choices, back in _underlying_setups(spec)]
+    setups = [(len(setup[0]) - spec.n + 1, setup) for setup in _underlying_setups(spec)]
     if spec.mixed_only:
         searches = mixed = 0
-        for k, _, _ in setups:
+        for k, _ in setups:
             mixed += 3**k
             if mixed >= limit:
                 break
@@ -296,18 +361,16 @@ def count_switching_classes(spec: EnumSpec) -> int:
                 f" above the bound of {MAX_COUNT_SEARCHES}"
             )
     total = 0
-    for k, choices, back in setups:
+    for k, setup in setups:
         if total >= limit:
             break
         if not spec.mixed_only:
             total += 4**k
             continue
-        total += 3**k
-        for gains in itertools.product(*choices):
+        for _ in _mixed_tuples(spec.n, *setup):
+            total += 1
             if total >= limit:
                 break
-            if UNIT_MINUS_ONE in gains and _least_switch(spec.n, back, gains) is not None:
-                total += 1
     return min(total, limit)
 
 

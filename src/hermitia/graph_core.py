@@ -67,15 +67,16 @@ class QuartGainGraph:
     hashed, compared or turned into a matrix never builds it.
 
     Builders whose records are normal by construction, taken from
-    ``connected_underlying``, from an existing graph's own records or from
-    :func:`parse_graph`'s line checks, skip the checks through the private
-    ``_from_normal``: the enumeration stream, :func:`parse_graph`,
-    :func:`induced_subgraph` (so :func:`delete_vertex` and the component cut
-    in ``inertia``), ``converse``, ``apply_switch`` (which checks only its
-    switch values), :func:`underlying`, :func:`disjoint_union` and the side
-    graph of the apex classifier.  Every other builder (:func:`relabel`,
-    :func:`coalesce`, the family constructors) and all user code go through
-    the checking constructor.
+    ``connected_underlying``, from an existing graph's own records, from
+    :func:`parse_graph`'s line checks or drawn pair by pair with u < v,
+    skip the checks through the private ``_from_normal``: the enumeration
+    stream, :func:`parse_graph`, :func:`induced_subgraph` (so
+    :func:`delete_vertex` and the component cut in ``inertia``),
+    ``converse``, ``apply_switch`` (which checks only its switch values),
+    :func:`underlying`, :func:`disjoint_union`, the side graph of the apex
+    classifier and the suites' seeded ``_random_graph``.  Every other
+    builder (:func:`relabel`, :func:`coalesce`, the family constructors) and
+    all user code go through the checking constructor.
     """
 
     __slots__ = ("n", "edges", "_adj")

@@ -104,7 +104,7 @@ def _random_graph(rng: random.Random, max_n: int, edge_prob: float = 0.5) -> Qua
         for v in range(u + 1, n):
             if rng.random() < edge_prob:
                 edges.append((u, v, rng.choice(UNITS)))
-    return QuartGainGraph(n, edges)
+    return QuartGainGraph._from_normal(n, tuple(edges))  # u < v, in increasing order
 
 
 def _random_switch(rng: random.Random, n: int) -> tuple[int, ...]:

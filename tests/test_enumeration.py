@@ -25,12 +25,12 @@ from hermitia import (
     tree_normalize,
     underlying,
 )
-from hermitia.enumeration import canonical_form, count_switching_classes
+from hermitia.enumeration import _mixed_tuples, _setup, canonical_form, count_switching_classes
 
 import enumeration_reference
 from conftest import anchored_switches, timed_under_alarm
 from connected_reference import connected_underlying_bruteforce, reference_form
-from mixed_reference import mixed_representative_bruteforce
+from mixed_reference import least_switch_bruteforce, mixed_representative_bruteforce
 
 
 def test_connected_graph_counts():
@@ -261,6 +261,57 @@ def test_mixed_representative_bounded_without_representative():
     got, elapsed = timed_under_alarm(lambda: mixed_representative(g), "mixed_representative on order 12")
     assert got is None
     assert elapsed < 1.0
+
+
+def _switched(records, theta):
+    return tuple([(u, v, (g - theta[u] + theta[v]) % 4) for u, v, g in records])
+
+
+RESUME_BASES = [
+    # Connected underlying graphs of orders 6 and 7 on which a resumed
+    # search backtracks below its resume vertex.
+    ((0, 1), (0, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)),
+    ((0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)),
+    ((0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 6), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)),
+    ((0, 1), (0, 2), (0, 6), (1, 2), (1, 6), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)),
+    # K5 on 0..4 and vertex 5 joined to 3 and 4: the head is the K5, and its
+    # search fails when vertex 0 is joined with gain 1 to a clique of gain -1.
+    (*itertools.combinations(range(5), 2), (3, 5), (4, 5)),
+]
+
+
+def test_resumed_search_matches_bruteforce_on_every_gain_tuple():
+    # The stream searches each head tuple up to the resume vertex `stop` and
+    # resumes from a copy of that state on each tail tuple.  Every gain tuple
+    # of these graphs is checked against the brute-force least switch, as is
+    # mixed_representative, which searches from vertex 1 to n.  A least switch
+    # that differs below `stop` from its head's least prefix switch is one
+    # the resumed search found only by backtracking below `stop`.
+    backtracked = failed_heads = 0
+    for pairs in RESUME_BASES:
+        n = max(v for _, v in pairs) + 1
+        setup = choices, _, split, stop = _setup(QuartGainGraph(n, [(u, v, UNIT_ONE) for u, v in pairs]))
+        expected = []
+        for head in itertools.product(*choices[:split]):
+            prefix = least_switch_bruteforce(stop, [record for record in head if record[1] < stop])
+            failed_heads += prefix is None
+            for tail in itertools.product(*choices[split:]):
+                records = head + tail
+                theta = least_switch_bruteforce(n, records)
+                representative = mixed_representative(QuartGainGraph(n, records))
+                if theta is None:
+                    assert representative is None, records
+                    continue
+                assert representative.edges == _switched(records, theta), records
+                backtracked += theta[:stop] != prefix
+                expected.append((records, representative.edges))
+        got = [
+            (records, records if theta is None else _switched(records, theta))
+            for records, theta in _mixed_tuples(n, *setup)
+        ]
+        assert got == expected, pairs
+    assert backtracked > 0
+    assert failed_heads > 0
 
 
 def test_mixed_only_emits_mixed_members_of_same_class():

@@ -2,12 +2,13 @@
 
 The enumeration stream, ``parse_graph``, ``induced_subgraph``,
 ``delete_vertex``, ``converse``, ``apply_switch`` (which checks only its
-switch values), ``underlying`` and ``disjoint_union`` skip the
-constructor's per-record checks.  Each output is rebuilt here through
-the checking constructor, from a list of its records: that path sorts,
-orients and range-checks every record, so the rebuilt graph equals the
-output only if the output's records were already int triples with
-0 <= u < v < n, strictly increasing in (u, v), and gains in 0..3.
+switch values), ``underlying``, ``disjoint_union`` and the suites'
+``_random_graph`` skip the constructor's per-record checks.  Each output
+is rebuilt here through the checking constructor, from a list of its
+records: that path sorts, orients and range-checks every record, so the
+rebuilt graph equals the output only if the output's records were
+already int triples with 0 <= u < v < n, strictly increasing in (u, v),
+and gains in 0..3.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from hermitia import (
     unit_conj,
     unit_token,
 )
+from hermitia.suites import _random_graph
 
 from conftest import random_graph
 
@@ -78,6 +80,10 @@ def check_corpus(graphs: list[QuartGainGraph], seed: int) -> None:
         check_derived(g, rng.choice(graphs), rng)
 
 
+def _refuse(self, *args, **kwargs):
+    raise AssertionError("checking constructor called")
+
+
 def test_every_class_up_to_order_5():
     for mixed_only in (False, True):
         classes = list(classes_up_to(5, mixed_only=mixed_only))
@@ -113,6 +119,15 @@ def test_seeded_random_graphs():
     for g in graphs[:60]:
         h = induced_subgraph(converse(disjoint_union(g, g)), range(0, 2 * g.n, 3))
         check_derived(h, g, rng)
+
+
+def test_suite_random_graphs(monkeypatch):
+    rng = random.Random(2424)
+    with monkeypatch.context() as patched:
+        patched.setattr(QuartGainGraph, "__init__", _refuse)
+        graphs = [_random_graph(rng, 9, rng.choice((0.0, 0.2, 0.5, 0.9, 1.0))) for _ in range(300)]
+    assert {g.n for g in graphs} == set(range(1, 10))
+    check_corpus(graphs, seed=24)
 
 
 def _scrambled_qgg(g: QuartGainGraph, rng: random.Random) -> str:
@@ -168,11 +183,7 @@ def test_referee_sees_broken_records():
 def test_switch_builders_never_call_the_checking_constructor(monkeypatch):
     rng = random.Random(2323)
     graphs = [random_graph(rng, 12, rng.choice((0.3, 0.6, 0.9))) for _ in range(40)]
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("checking constructor called")
-
-    monkeypatch.setattr(QuartGainGraph, "__init__", refuse)
+    monkeypatch.setattr(QuartGainGraph, "__init__", _refuse)
     for g in graphs:
         normal = tree_normalize(g)
         assert apply_switch(g, normal.assignment) == normal.graph

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -346,22 +347,39 @@ def test_inertia_dense_order_128_is_fast():
     assert elapsed < 5.0
 
 
-def test_inertia_dense_order_256_is_certified_fast():
+def _kernel_refused(re, im):
+    raise AssertionError("exact kernel entered")
+
+
+def test_inertia_dense_order_256_is_certified_fast(monkeypatch):
     # The exact kernel takes about 15 s here; the congruence guessed from a
     # float eigenbasis and checked in exact integers takes well under 1 s.
+    # The kernel must not run at all, and the bound is on this process's
+    # CPU time, so other processes on the machine cannot fail it; a cold
+    # process's one-off LAPACK warm-up costs about 1.1 s of it.
     g = _dense_graph(256)
-    got, elapsed = timed_under_alarm(lambda: inertia(g), "inertia of a dense order-256 graph")
+    monkeypatch.setattr(spectra, "_signature", _kernel_refused)
+    got, elapsed = timed_under_alarm(
+        lambda: inertia(g), "inertia of a dense order-256 graph", time.process_time
+    )
     assert got.as_tuple() == _numpy_inertia(g)
     assert elapsed < 2.0
 
 
-def test_exact_kernel_dense_order_64_is_fast():
+def test_exact_kernel_dense_order_64_is_fast(monkeypatch):
     # inertia certifies dense order 64 without the kernel, so the kernel's
     # own guard calls it directly: without the exact division by the
-    # previous pivot its entries grow doubly exponentially.
+    # previous pivot its entries grow doubly exponentially.  The bound is
+    # on this process's CPU time, as above, and the kernel must run once.
     g = _dense_graph(64)
     h = hermitian_matrix(g)
-    got, elapsed = timed_under_alarm(lambda: inertia_exact(h), "exact kernel on a dense order-64 matrix")
+    entered = []
+    kernel = spectra._signature
+    monkeypatch.setattr(spectra, "_signature", lambda re, im: entered.append(1) or kernel(re, im))
+    got, elapsed = timed_under_alarm(
+        lambda: inertia_exact(h), "exact kernel on a dense order-64 matrix", time.process_time
+    )
+    assert entered == [1]
     assert got.as_tuple() == _numpy_inertia(g)
     assert elapsed < 1.0
 
