@@ -7,6 +7,15 @@ every switching class including -1 gains; laws about mixed graphs (the p = 1
 and p = 2 characterizations, rank-3 reduction) run over the mixed classes,
 which is their stated scope.  Randomized suites draw from a fixed seed that
 the HERMITIA_SEED environment variable or an explicit argument overrides.
+
+A suite is a generator ``(n, seed) -> Iterator[Check]`` of checks
+``(ok, where, expected, got)``: ``where`` names the instance as a graph, a
+``(graph, suffix)`` pair or a label string.  ``verify_suite`` alone counts
+the checks and records the failed ones.  A new suite reads::
+
+    def _suite_order(n, seed):
+        for g in classes_up_to(n):
+            yield sum(inertia(g).as_tuple()) == g.n, g, g.n, "another order"
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -70,6 +79,8 @@ from .switching_twins import (
 
 DEFAULT_SEED = 1729
 
+Check = tuple[bool, object, object, object]
+
 
 @dataclass
 class SuiteReport:
@@ -111,31 +122,24 @@ def _random_switch(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple(rng.choice(UNITS) for _ in range(n))
 
 
-def _agree(
-    report: SuiteReport, g: QuartGainGraph, fact: str, holds: bool, verdict: str, says: bool
-) -> None:
-    """Count ``g`` and record it when the classifier's verdict ``says``
-    disagrees with the spectral fact ``holds``."""
-    report.checked += 1
-    if says != holds:
-        report.record(compact_str(g), f"{fact}={holds}", f"{verdict}={says}")
+def _agree(g: QuartGainGraph, fact: str, holds: bool, verdict: str, says: bool) -> Check:
+    """Check that the classifier's verdict ``says`` agrees with the fact ``holds``."""
+    return says == holds, g, f"{fact}={holds}", f"{verdict}={says}"
 
 
 # -- individual suites --------------------------------------------------------------
 
 
-def _suite_sylvester(report: SuiteReport, n: Optional[int], seed: int) -> None:
+def _suite_sylvester(n: Optional[int], seed: int) -> Iterator[Check]:
     """Inertia is invariant under congruence by random invertible matrices."""
     rng = random.Random(seed)
     for _ in range(120):
         g = _random_graph(rng, n)
         h = hermitian_matrix(g)
         s_re, s_im = _random_invertible(rng, g.n)
-        report.checked += 1
         base = inertia_exact(h)
         conj = inertia_exact(congruence(h, s_re, s_im))
-        if base != conj:
-            report.record(compact_str(g), base, conj)
+        yield base == conj, g, base, conj
 
 
 def _random_invertible(rng: random.Random, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,37 +161,33 @@ def _random_invertible(rng: random.Random, n: int) -> tuple[np.ndarray, np.ndarr
     return gaussian_matmul(*gaussian_matmul(l_re, l_im, d_re, d_im), u_re, u_im)
 
 
-def _suite_pendant(report: SuiteReport, n: Optional[int], seed: int) -> None:
+def _suite_pendant(n: Optional[int], seed: int) -> Iterator[Check]:
     """Deleting a pendant vertex and its neighbor costs exactly (1, 1, 0)."""
     for g in classes_up_to(n):
         for v1 in pendant_vertices(g):
             v2 = g.neighbors(v1)[0]
-            report.checked += 1
             whole = inertia(g)
             rest = inertia(induced_subgraph(g, [u for u in range(g.n) if u not in (v1, v2)]))
             expected = rest + InertiaTriple(1, 1, 0)
-            if whole != expected:
-                report.record(compact_str(g), expected, whole)
+            yield whole == expected, g, expected, whole
 
 
-def _suite_interlacing(report: SuiteReport, n: Optional[int], seed: int) -> None:
+def _suite_interlacing(n: Optional[int], seed: int) -> Iterator[Check]:
     """Vertex deletion changes p and n by at most one, never upward."""
     for g in classes_up_to(n):
         if g.n < 2:
             continue
         whole = inertia(g)
         for u in range(g.n):
-            report.checked += 1
             sub = inertia(delete_vertex(g, u))
             ok = (
                 whole.p - 1 <= sub.p <= whole.p
                 and whole.n_neg - 1 <= sub.n_neg <= whole.n_neg
             )
-            if not ok:
-                report.record(f"{compact_str(g)} minus {u}", whole, sub)
+            yield ok, (g, f"minus {u}"), whole, sub
 
 
-def _suite_cutvertex(report: SuiteReport, n: Optional[int], seed: int) -> None:
+def _suite_cutvertex(n: Optional[int], seed: int) -> Iterator[Check]:
     """Cut-vertex composition laws for the rank of the augmented components."""
     for g in classes_up_to(n):
         for v in cut_vertices(g):
@@ -200,25 +200,18 @@ def _suite_cutvertex(report: SuiteReport, n: Optional[int], seed: int) -> None:
             whole = inertia(g)
             minus_v = inertia(delete_vertex(g, v))
             if any(w.rank == a.rank + 2 for a, w in ranks):
-                report.checked += 1
                 expected = minus_v + InertiaTriple(1, 1, -1)
-                if whole != expected:
-                    report.record(f"{compact_str(g)} at {v} (rank+2)", expected, whole)
+                yield whole == expected, (g, f"at {v} (rank+2)"), expected, whole
             for comp, (alone, with_v) in zip(comps, ranks):
                 if with_v.rank == alone.rank:
-                    report.checked += 1
                     other = inertia(
                         induced_subgraph(g, [u for u in range(g.n) if u not in comp])
                     )
-                    if whole != alone + other:
-                        report.record(
-                            f"{compact_str(g)} at {v} split {comp}", alone + other, whole
-                        )
+                    split = alone + other
+                    yield whole == split, (g, f"at {v} split {comp}"), split, whole
             if all(w.rank == a.rank for a, w in ranks):
-                report.checked += 1
                 expected = minus_v + InertiaTriple(0, 0, 1)
-                if whole != expected:
-                    report.record(f"{compact_str(g)} at {v} (rank+0)", expected, whole)
+                yield whole == expected, (g, f"at {v} (rank+0)"), expected, whole
 
 
 def _cycle_nullity_expected(n: int, sigma: int) -> int:
@@ -229,48 +222,47 @@ def _cycle_nullity_expected(n: int, sigma: int) -> int:
     return 2 if (n + sigma) % 4 == 0 else 0
 
 
-def _suite_cycle_nullity(report: SuiteReport, n: Optional[int], seed: int) -> None:
+def _suite_cycle_nullity(n: Optional[int], seed: int) -> Iterator[Check]:
     """Nullity of every mixed cycle follows the five-case parity table."""
     for length in range(3, n + 1):
         for arcs in range(0, length + 1):
             g = gen_cycle(length, range(arcs))
-            report.checked += 1
             sigma = cycle_signature(g, tuple(range(length)))
             if sigma != arcs:
-                report.record(compact_str(g), f"sigma={arcs}", f"sigma={sigma}")
+                yield False, g, f"sigma={arcs}", f"sigma={sigma}"
                 continue
             expected = _cycle_nullity_expected(length, sigma)
             eta = inertia(g).eta
-            if eta != expected:
-                report.record(compact_str(g), f"eta={expected}", f"eta={eta}")
+            yield eta == expected, g, f"eta={expected}", f"eta={eta}"
 
 
-def _suite_p1(report: SuiteReport, n: Optional[int], seed: int) -> None:
+def _suite_p1(n: Optional[int], seed: int) -> Iterator[Check]:
     """p = 1 holds exactly for blown-up odd triangles and positive
     complete multipartite graphs (plus isolated vertices)."""
+    for g in _p1_corpus(n, seed):
+        yield _agree(g, "p1", inertia(g).p == 1, "tagged", p1_characterize(g) is not None)
 
-    def check(g: QuartGainGraph) -> None:
-        _agree(report, g, "p1", inertia(g).p == 1, "tagged", p1_characterize(g) is not None)
 
+def _p1_corpus(n: int, seed: int) -> Iterator[QuartGainGraph]:
+    """The mixed classes, seeded unions of two small ones, seeded padded classes."""
     # The classes are streamed twice rather than held: at n = 6 they are
     # 1.6 million graphs.  Only the small ones are kept, for the unions.
     small: list[QuartGainGraph] = []
     for g in classes_up_to(n, mixed_only=True):
-        check(g)
+        yield g
         if g.n <= max(2, n - 2):
             small.append(g)
     rng = random.Random(seed)
-    # Disconnected composites: unions of two small classes, padded unions.
     for _ in range(300):
         a = rng.choice(small)
         b = rng.choice(small)
         g = disjoint_union(a, b)
         if rng.random() < 0.3:
             g = disjoint_union(g, QuartGainGraph(1))
-        check(g)
+        yield g
     for g in classes_up_to(n, mixed_only=True):
         if rng.random() < 0.1:
-            check(disjoint_union(g, QuartGainGraph(rng.randint(1, 2))))
+            yield disjoint_union(g, QuartGainGraph(rng.randint(1, 2)))
 
 
 def _add_twin(g: QuartGainGraph, u: int) -> QuartGainGraph:
@@ -278,51 +270,43 @@ def _add_twin(g: QuartGainGraph, u: int) -> QuartGainGraph:
     return QuartGainGraph(g.n + 1, edges)
 
 
-def _suite_twins(report: SuiteReport, n: Optional[int], seed: int) -> None:
+def _suite_twins(n: Optional[int], seed: int) -> Iterator[Check]:
     """Duplicating a vertex into its twin class fixes (p, n) and bumps eta;
     removing a singleton class from a positive multipartite graph drops the
     rank by one."""
     for g in classes_up_to(n):
         base = inertia(g)
         for u in range(g.n):
-            report.checked += 1
             grown = inertia(_add_twin(g, u))
             expected = InertiaTriple(base.p, base.n_neg, base.eta + 1)
-            if grown != expected:
-                report.record(f"{compact_str(g)} twin {u}", expected, grown)
+            yield grown == expected, (g, f"twin {u}"), expected, grown
     rng = random.Random(seed)
     for sizes in ([1, 1, 1], [1, 2, 2], [1, 1, 3], [1, 2, 1, 2], [1, 1, 1, 1], [1, 3, 2, 2]):
         plain = gen_complete_multipartite(sizes)
         g = apply_switch(plain, _random_switch(rng, plain.n))
         singleton = sizes.index(1)
         v = sum(sizes[:singleton])
-        report.checked += 1
-        if inertia(g).rank != inertia(delete_vertex(g, v)).rank + 1:
-            report.record(compact_str(g), "rank drop 1", "other")
+        yield inertia(g).rank == inertia(delete_vertex(g, v)).rank + 1, g, "rank drop 1", "other"
 
 
-def _suite_twin_rank3(report: SuiteReport, n: Optional[int], seed: int) -> None:
+def _suite_twin_rank3(n: Optional[int], seed: int) -> Iterator[Check]:
     """Connected mixed graphs have rank 3 exactly when the twin reduction
     is an even triangle."""
     for g in classes_up_to(n, mixed_only=True):
         reduced = is_even_triangle(twin_reduction(g))
-        _agree(report, g, "rank3", inertia(g).rank == 3, "even-triangle", reduced)
+        yield _agree(g, "rank3", inertia(g).rank == 3, "even-triangle", reduced)
 
 
-def _suite_c3t_rank(report: SuiteReport, n: Optional[int], seed: int) -> None:
+def _suite_c3t_rank(n: Optional[int], seed: int) -> Iterator[Check]:
     """Every blown-up odd triangle has inertia (1, 1, n - 2)."""
-    for t1 in range(1, 5):
-        for t2 in range(1, 5):
-            for t3 in range(1, 5):
-                g = gen_c3t(t1, t2, t3)
-                report.checked += 1
-                got = inertia(g)
-                expected = InertiaTriple(1, 1, g.n - 2)
-                if got != expected:
-                    report.record(f"c3t:{t1},{t2},{t3}", expected, got)
+    for t1, t2, t3 in itertools.product(range(1, 5), repeat=3):
+        g = gen_c3t(t1, t2, t3)
+        got = inertia(g)
+        expected = InertiaTriple(1, 1, g.n - 2)
+        yield got == expected, f"c3t:{t1},{t2},{t3}", expected, got
 
 
-def _suite_coalescence_bounds(report: SuiteReport, n: Optional[int], seed: int) -> None:
+def _suite_coalescence_bounds(n: Optional[int], seed: int) -> Iterator[Check]:
     """p of a one-vertex identification is squeezed between the deleted and
     whole-side sums; joining two non-star positive multipartite blocks with
     p = 1 gives exactly p = 2."""
@@ -333,12 +317,10 @@ def _suite_coalescence_bounds(report: SuiteReport, n: Optional[int], seed: int) 
         va = rng.randrange(a.n)
         vb = rng.randrange(b.n)
         g = coalesce(a, va, b, vb)
-        report.checked += 1
         lower = inertia(delete_vertex(a, va)).p + inertia(delete_vertex(b, vb)).p
         upper = inertia(a).p + inertia(b).p
         mid = inertia(g).p
-        if not lower <= mid <= upper:
-            report.record(compact_str(g), f"{lower} <= p <= {upper}", mid)
+        yield lower <= mid <= upper, g, f"{lower} <= p <= {upper}", mid
     # Exact p = 2 for non-star positive complete multipartite sides.
     size_pool = [[1, 1, 1], [2, 2], [2, 1, 1], [2, 3], [1, 1, 1, 1], [3, 2, 1]]
     for _ in range(60):
@@ -347,10 +329,8 @@ def _suite_coalescence_bounds(report: SuiteReport, n: Optional[int], seed: int) 
         a = apply_switch(gen_complete_multipartite(sa), _random_switch(rng, sum(sa)))
         b = apply_switch(gen_complete_multipartite(sb), _random_switch(rng, sum(sb)))
         g = coalesce(a, rng.randrange(a.n), b, rng.randrange(b.n))
-        report.checked += 1
         got = inertia(g).p
-        if got != 2:
-            report.record(compact_str(g), 2, got)
+        yield got == 2, g, 2, got
 
 
 # Apex-family sweeps: name -> (predicate(r, k, *roles), family(q, n, *roles),
@@ -400,18 +380,16 @@ def _apex_instances(rng: random.Random, two_roles: bool):
         yield q_sizes, n_sizes, roles
 
 
-def _suite_apex(name: str, report: SuiteReport, n: Optional[int], seed: int) -> None:
+def _suite_apex(name: str, n: Optional[int], seed: int) -> Iterator[Check]:
     """Parameter predicate vs exact spectrum for one apex family."""
     predicate, family, two_roles = _APEX_SWEEPS[name]
     for q_sizes, n_sizes, roles in _apex_instances(random.Random(seed), two_roles):
-        report.checked += 1
         predicted = predicate(len(q_sizes), len(n_sizes), *roles)
         actual = inertia(family(q_sizes, n_sizes, *roles)).p == 2
-        if predicted != actual:
-            report.record(f"q={q_sizes},n={n_sizes},roles={roles}", predicted, actual)
+        yield predicted == actual, f"q={q_sizes},n={n_sizes},roles={roles}", predicted, actual
 
 
-def _suite_lem311(report: SuiteReport, n: Optional[int], seed: int) -> None:
+def _suite_lem311(n: Optional[int], seed: int) -> Iterator[Check]:
     """Whenever the one-vertex-extension hypotheses hold, the structural
     conclusion must hold; tried over systematic apex attachments."""
     rng = random.Random(seed)
@@ -429,7 +407,7 @@ def _suite_lem311(report: SuiteReport, n: Optional[int], seed: int) -> None:
                 if g is None:
                     continue
                 edges.extend((u, total, (-g) % 4) for u in block)
-            _check_lem311_instance(report, f1, QuartGainGraph(total + 1, edges), total)
+            yield from _check_lem311_instance(f1, QuartGainGraph(total + 1, edges), total)
     # Partial attachments: arbitrary neighbor subsets with random gains.
     for _ in range(200):
         sizes = rng.choice(size_pool)
@@ -441,49 +419,43 @@ def _suite_lem311(report: SuiteReport, n: Optional[int], seed: int) -> None:
         if not subset:
             continue
         edges = list(f1.edges) + [(u, total, rng.choice(UNITS)) for u in subset]
-        _check_lem311_instance(report, f1, QuartGainGraph(total + 1, edges), total)
+        yield from _check_lem311_instance(f1, QuartGainGraph(total + 1, edges), total)
 
 
-def _check_lem311_instance(
-    report: SuiteReport, f1: QuartGainGraph, f2: QuartGainGraph, v: int
-) -> None:
+def _check_lem311_instance(f1: QuartGainGraph, f2: QuartGainGraph, v: int) -> Iterator[Check]:
     try:
         conclusion = lem311_check(f1, f2, v)
     except HypothesisViolation:
         return
-    report.checked += 1
-    if not conclusion:
-        report.record(compact_str(f2), "conclusion holds", "conclusion fails")
+    yield conclusion, f2, "conclusion holds", "conclusion fails"
 
 
-def _suite_thm11(report: SuiteReport, n: Optional[int], seed: int) -> None:
+def _suite_thm11(n: Optional[int], seed: int) -> Iterator[Check]:
     """Over every mixed class with a pendant vertex: classified iff p = 2."""
     for g in classes_up_to(n, has_pendant=True, mixed_only=True):
-        _agree(report, g, "p2", inertia(g).p == 2, "classified", thm11_classify(g) is not None)
+        yield _agree(g, "p2", inertia(g).p == 2, "classified", thm11_classify(g) is not None)
 
 
-def _suite_thm12(report: SuiteReport, n: Optional[int], seed: int) -> None:
+def _suite_thm12(n: Optional[int], seed: int) -> Iterator[Check]:
     """Over every mixed class with a cut vertex and no pendant vertex:
     at least one family case matches iff p = 2."""
     for g in classes_up_to(n, has_cut_vertex=True, no_pendant=True, mixed_only=True):
-        _agree(report, g, "p2", inertia(g).p == 2, "matched", bool(thm12_classify(g).cases))
+        yield _agree(g, "p2", inertia(g).p == 2, "matched", bool(thm12_classify(g).cases))
 
 
-def _suite_oracle_agreement(report: SuiteReport, n: Optional[int], seed: int) -> None:
+def _suite_oracle_agreement(n: Optional[int], seed: int) -> Iterator[Check]:
     """Exact congruence inertia equals the LAPACK ``eigvalsh`` float inertia at 1e-9."""
     rng = random.Random(seed)
     for _ in range(10000):
         g = _random_graph(rng, n)
         h = hermitian_matrix(g)
-        report.checked += 1
         exact = inertia_exact(h)
         floated = inertia_float(h, 1e-9)
-        if exact != floated:
-            report.record(compact_str(g), exact, floated)
+        yield exact == floated, g, exact, floated
 
 
 class _Suite(NamedTuple):
-    run: Callable[[SuiteReport, Optional[int], int], None]
+    run: Callable[[Optional[int], int], Iterator[Check]]
     default_n: Optional[int]  # None: the suite ignores n
     max_n: Optional[int]  # None: any n >= 1
 
@@ -540,7 +512,14 @@ def verify_suite(name: str, n: Optional[int] = None, seed: Optional[int] = None)
         seed = int(os.environ.get("HERMITIA_SEED", DEFAULT_SEED))
     report = SuiteReport(suite=name)
     start = time.perf_counter()
-    _SUITES[name].run(report, n, seed)
+    for ok, where, expected, got in _SUITES[name].run(n, seed):
+        report.checked += 1
+        if not ok:
+            if isinstance(where, tuple):
+                where = f"{compact_str(where[0])} {where[1]}"
+            elif isinstance(where, QuartGainGraph):
+                where = compact_str(where)
+            report.record(where, expected, got)
     report.millis = int((time.perf_counter() - start) * 1000)
     report.failures.sort()
     return report

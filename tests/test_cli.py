@@ -280,9 +280,8 @@ def test_unknown_suite_rejected():
 def test_verify_reports_failures(monkeypatch, capsys):
     import hermitia.suites as suites_module
 
-    def broken(report, n, seed):
-        report.checked += 1
-        report.record("n 1", "expected-thing", "got-thing")
+    def broken(n, seed):
+        yield False, "n 1", "expected-thing", "got-thing"
 
     suite = suites_module._SUITES["c3t_rank"]._replace(run=broken)
     monkeypatch.setitem(suites_module._SUITES, "c3t_rank", suite)
@@ -378,6 +377,21 @@ def test_verify_suite_rejects_order_past_enumeration_cap(suite, cap):
 def test_verify_sized_suite_at_its_cap(capsys):
     assert main(["verify", "--suite", "cycle_nullity", "--n", "12"]) == 0
     assert "cycle_nullity: PASS (checked=85," in capsys.readouterr().out
+
+
+# The default checked counts of the suites that
+# test_certified_inertia.LAW_SUITE_COUNTS and the cycle_nullity test above
+# leave out, the same as ``hermitia verify --all``.
+@pytest.mark.parametrize(
+    "suite, checked",
+    [
+        ("sylvester", 120), ("c3t_rank", 64), ("coalescence_bounds", 210), ("lem38", 269),
+        ("cor39", 133), ("lem310", 269), ("lem311", 470), ("oracle_agreement", 10000),
+    ],
+)
+def test_verify_default_checked_count(suite, checked, capsys):
+    assert main(["verify", "--suite", suite]) == 0
+    assert f"{suite}: PASS (checked={checked}, failures=0," in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,19 +1,19 @@
-"""Every failure report of the law suites fires when its law is broken.
+"""Every check of the law suites fails when its law is broken.
 
-On correct code no ``report.record`` call in ``suites`` runs, so a suite
-whose comparison could never fail would still pass.  Here the inertia
-functions the suites call return (p + 1, n, eta - 1) on a third of their
-inputs, picked by a CRC-32 of the input's content so that every run picks
-the same ones; cycle signatures are bent the same way, and
-``lem311_check``, which reads no inertia through ``suites``, reports a
-failed conclusion.  Every suite must then report failures, and a line
-trace of ``suites`` must show every ``report.record`` call run.
+On correct code every check a suite yields passes, so a suite whose
+comparison could never fail would still pass.  Here the inertia functions
+the suites call return (p + 1, n, eta - 1) on a third of their inputs,
+picked by a CRC-32 of the input's content so that every run picks the same
+ones; cycle signatures are bent the same way, and ``lem311_check``, which
+reads no inertia through ``suites``, reports a failed conclusion.  Every
+suite must then report failures, every line of ``suites`` that yields a
+check must yield a failing one, and ``verify_suite`` must count every check
+and record exactly the failing ones.
 """
 
 from __future__ import annotations
 
 import ast
-import sys
 import zlib
 from pathlib import Path
 
@@ -22,7 +22,7 @@ import pytest
 from hermitia import SUITE_NAMES, InertiaTriple, suites, verify_suite
 from hermitia.suites import DEFAULT_SEED
 
-# Small orders whose corpora reach every record call.  thm12 has no
+# Small orders whose corpora reach every check site.  thm12 has no
 # pendant-free class with a cut vertex below order 5.  At order 4 the bends
 # fail only the (rank+2) check of cutvertex; at order 5 few classes reach
 # its (rank+0) check, and the picked third bends some of them.
@@ -49,24 +49,61 @@ def _bend(triple: InertiaTriple) -> InertiaTriple:
     return InertiaTriple(triple.p + 1, triple.n_neg, triple.eta - 1)
 
 
-def record_lines() -> set[int]:
-    """Line of each ``report.record(...)`` call in ``suites``."""
+# Lines that yield a check, per function of ``suites``, so that a check
+# site deleted from a suite fails the test as one that can never fail does.
+CHECK_SITES = {
+    "_suite_sylvester": 1,
+    "_suite_pendant": 1,
+    "_suite_interlacing": 1,
+    "_suite_cutvertex": 3,
+    "_suite_cycle_nullity": 2,
+    "_suite_p1": 1,
+    "_suite_twins": 2,
+    "_suite_twin_rank3": 1,
+    "_suite_c3t_rank": 1,
+    "_suite_coalescence_bounds": 2,
+    "_suite_apex": 1,
+    "_suite_lem311": 0,  # yields from _check_lem311_instance
+    "_check_lem311_instance": 1,
+    "_suite_thm11": 1,
+    "_suite_thm12": 1,
+    "_suite_oracle_agreement": 1,
+}
+
+
+def check_lines() -> dict[str, set[int]]:
+    """Lines holding a ``yield`` in each function of ``suites`` that returns
+    ``Iterator[Check]``; the others, such as ``_apex_instances``, yield
+    instances, not checks."""
     tree = ast.parse(Path(suites.__file__).read_text())
     return {
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "record"
-        and isinstance(node.func.value, ast.Name)
-        and node.func.value.id == "report"
+        func.name: {node.lineno for node in ast.walk(func) if isinstance(node, ast.Yield)}
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        and func.returns is not None
+        and ast.unparse(func.returns) == "Iterator[Check]"
     }
+
+
+def _failing_lines(checks) -> tuple[int, list[int]]:
+    """The number of checks ``checks`` yields, and the ``suites`` line that
+    yielded each failing one: that of the innermost suspended generator."""
+    count, lines = 0, []
+    for ok, *_ in checks:
+        count += 1
+        if not ok:
+            inner = checks
+            while inner.gi_yieldfrom is not None:
+                inner = inner.gi_yieldfrom
+            lines.append(inner.gi_frame.f_lineno)
+    return count, lines
 
 
 @pytest.fixture(scope="module")
 def broken_run():
-    """Each suite's report with the laws bent, and the lines of ``suites``
-    that ran."""
+    """With the laws bent, each suite's report from ``verify_suite`` and,
+    from iterating the suite itself, its number of checks and the line of
+    each failing one."""
     inertia, inertia_exact, cycle_signature = (
         suites.inertia,
         suites.inertia_exact,
@@ -85,31 +122,17 @@ def broken_run():
         got = cycle_signature(graph, cycle)
         return got + 1 if _picked((graph.edges, cycle)) else got
 
-    source = suites.__file__
-    ran: set[int] = set()
-
-    def trace_lines(frame, event, arg):
-        if event == "line":
-            ran.add(frame.f_lineno)
-        return trace_lines
-
-    def trace_calls(frame, event, arg):
-        return trace_lines if frame.f_code.co_filename == source else None
-
-    reports = {}
-    previous = sys.gettrace()
+    reports, runs = {}, {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(suites, "inertia", bent_inertia)
         patch.setattr(suites, "inertia_exact", bent_inertia_exact)
         patch.setattr(suites, "cycle_signature", bent_cycle_signature)
         patch.setattr(suites, "lem311_check", lambda f1, f2, v: False)
-        sys.settrace(trace_calls)
-        try:
-            for name in SUITE_NAMES:
-                reports[name] = verify_suite(name, n=SMALL_N.get(name), seed=DEFAULT_SEED)
-        finally:
-            sys.settrace(previous)
-    return reports, ran
+        for name in SUITE_NAMES:
+            n = SMALL_N.get(name)
+            reports[name] = verify_suite(name, n=n, seed=DEFAULT_SEED)
+            runs[name] = _failing_lines(suites._SUITES[name].run(n, DEFAULT_SEED))
+    return reports, runs
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -118,9 +141,14 @@ def test_suite_reports_a_broken_law(broken_run, name):
     assert reports[name].failures
 
 
-def test_every_record_call_runs(broken_run):
-    _, ran = broken_run
-    lines = record_lines()
-    assert len(lines) == Path(suites.__file__).read_text().count("report.record(")
-    assert sorted(lines - ran) == []
+def test_every_check_site_fails(broken_run):
+    reports, runs = broken_run
+    for name, (count, failing) in runs.items():
+        assert (reports[name].checked, len(reports[name].failures)) == (count, len(failing)), name
+    sites = check_lines()
+    assert {name: len(lines) for name, lines in sites.items()} == CHECK_SITES
+    every_site = set().union(*sites.values())
+    failed = {line for _, failing in runs.values() for line in failing}
+    assert failed <= every_site
+    assert sorted(every_site - failed) == []
 
