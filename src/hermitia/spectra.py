@@ -15,21 +15,28 @@ Two fully independent routes compute the signature of H(G):
   :func:`inertia_float` thresholds its eigenvalues.  This path shares no
   code with the exact one and exists purely as an oracle.
 
-Spectral quantities are additive over connected components, and
-:func:`inertia` runs one pipeline per component: the component as a graph
-of its own, then its twin reduction from :data:`CERT_ORDER` (16) vertices
-up, then the certificate while the order is still at least
-:data:`CERT_ORDER`, then the exact kernel of :func:`inertia_exact` below
-that order or when the certificate declines.  The certificate is a
-congruence S guessed from a float eigenbasis and checked in exact integers
-(:func:`_certified_signature`).  Every answer stays exact.  The kernel's
-cost grows faster than n^3: on a dense (edge probability 0.9) matrix it
-takes about 15 s at order 256 and 5 minutes at order 512, where
-``hermitia inertia`` with the certificate takes 0.4 s, 1.0 s, and 4 s at
-order 1024, start-up included (2-core VM).  Singular residues, such as odd
-paths and most trees, and inputs whose smallest eigenvalues are too close
-to 0 for the certificate, still fall back to the kernel, so dense order
-512 and up can still take minutes.
+Below :data:`CERT_ORDER` (16) vertices, :func:`inertia` hands the whole
+graph to the exact kernel.  From that order up, spectral quantities being
+additive over connected components, it runs one pipeline per component:
+the component as a graph of its own, then its twin reduction, then the
+certificate while the order is still at least :data:`CERT_ORDER`, then the
+exact kernel below that order or when the certificate declines.  The
+certificate is a congruence S guessed from a float eigenbasis and checked
+in exact integers (:func:`_certified_signature`).  Every answer stays exact.
+
+The kernel pays for the rows each pivot hits, not for all of them: a row
+the pivot column misses is rescaled only when it is next read, and from
+:data:`CERT_ORDER` rows up the pivot is the sparsest row, which keeps the
+fill of sparse input low.  The singular order-1024 cycle, 32 x 32 grid,
+random tree and random graph with 1,536 edges each take about 1 s of CPU
+in the kernel (2-core VM); the certificate declines all four, after about
+1.9 s of ``eigh``.  On dense input the cost grows faster than n^3: at edge
+probability 0.9 the kernel takes about 10 s at order 256 and minutes at
+order 512, where ``hermitia inertia`` with the certificate takes 0.4 s,
+1.0 s, and 4 s at order 1024, start-up included.  Dense singular residues,
+and inputs whose smallest eigenvalues are too close to 0 for the
+certificate, still fall back to the kernel, so dense order 512 and up can
+still take minutes.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import or_
 from typing import Optional, Sequence
 
 import numpy as np
@@ -124,20 +132,31 @@ def hermitian_matrix(graph: QuartGainGraph) -> HermitianMatrix:
 
 # The kernel works on two parallel lists of Python int rows, the real and the
 # imaginary parts of a Hermitian matrix over the Gaussian integers Z[i].  Its
-# only division is Bareiss's, which is exact, so no fractions appear.
+# only divisions are Bareiss's, which are exact, so no fractions appear.
+
+# While at least this many rows remain, the kernel pivots by fewest nonzeros.
+# A graph below this order goes to the kernel whole.  In a larger one,
+# components of at least this order are twin-reduced, and the reduced ones of
+# at least this order first try _certified_signature.  Every enumerated law
+# suite runs below it, so they exercise only the exact kernel.
+CERT_ORDER = 16
+
+
+def _nonzeros(rt: list[int], jt: list[int]) -> int:
+    return len(rt) - list(map(or_, rt, jt)).count(0)
 
 
 def _signature(re: list[list[int]], im: list[list[int]]) -> InertiaTriple:
     """Inertia of the Hermitian matrix re + i*im over Z[i]; consumes both lists.
 
-    Pivot step: for the smallest-index nonzero diagonal entry d with column
-    c, the rest M becomes (|d|*M - sign(d)*c c*) // q, with q the previous
-    pivot's |d| (1 at first): |d|/q times the Schur complement, same inertia.
+    Pivot step: for a nonzero diagonal entry d with column c, the rest M
+    becomes (|d|*M - sign(d)*c c*) // q, with q the previous pivot's |d| (1
+    at first): |d|/q times the Schur complement, same inertia.
 
-    Zero-diagonal step: when the whole remaining diagonal is zero, take the
-    first nonzero off-diagonal entry h = m[s][t] in row-major order and add h
-    times row/column t to row/column s.  That congruence makes the diagonal
-    entry at s equal to 2|h|^2 > 0, and the pivot step runs on s.
+    Zero-diagonal step: when the whole remaining diagonal is zero, take a
+    nonzero off-diagonal entry h = m[s][t] and add h times row/column t to
+    row/column s.  That congruence makes the diagonal entry at s equal to
+    2|h|^2 > 0, and the pivot step runs on s.
 
     The division is exact (Bareiss 1968).  With A the input after the
     zero-diagonal steps so far, the rest holds one sign times the minors of A
@@ -147,54 +166,120 @@ def _signature(re: list[list[int]], im: list[list[int]]) -> InertiaTriple:
     unimodular congruence on unpivoted indices: each minor bordered by s gains
     h (or conj h) times the one bordered by t, so the invariant holds.
 
+    Lazy rescale: a row the pivot column misses is only multiplied by |d|/q,
+    and over several pivots these factors telescope.  So row j stays as it
+    was last written, and at[j] keeps the q of that time: its true value is
+    stored * q // at[j], exact because the true entries are minors.  A row
+    is brought up to date only where it is read whole: as the pivot row
+    (with sign(d) folded into it), and as row s or t of a zero-diagonal
+    step.  A row the pivot column hits, with x its stored entries and c its
+    stored column entry, becomes (|d|*x - c*p) // at[j] for the pivot row p.
+    That is (|d|*x*q/at[j] - c*q/at[j]*p) / q, the update of the true row,
+    so this division is exact as well.  A zero-diagonal step is linear in
+    each row, so it adds conj(h) times column t to column s of every other
+    row at that row's own scale.  A missed row only loses column p, so a
+    pivot costs the rows it hits, not all of them.
+
+    Pivot order: while at least CERT_ORDER rows remain, the pivot is the row
+    with the fewest nonzeros among those with a nonzero diagonal, and a
+    zero-diagonal step takes the sparsest nonzero row s and its sparsest
+    neighbour t (minimum degree, George and Liu 1989), which keeps the fill
+    of sparse input low.  Below that, the first nonzero diagonal entry and
+    the first nonzero h in row-major order.  Any order gives the same
+    inertia.
+
     The dimension left when nothing nonzero remains is the nullity.
     """
     pos = neg = 0
     q = 1
+    at = [1] * len(re)
+    # Nonzeros per row, kept while the pivots go by minimum degree.
+    nz = [_nonzeros(rt, jt) for rt, jt in zip(re, im)] if len(re) >= CERT_ORDER else None
     while re:
         k = len(re)
-        p = next((j for j in range(k) if re[j][j]), None)
+        if k < CERT_ORDER:
+            nz = None
+        p = None
+        for j in range(k):
+            if re[j][j]:
+                if nz is None:
+                    p = j
+                    break
+                if p is None or nz[j] < nz[p]:
+                    p = j
         if p is None:
-            st = next(
-                ((s, t) for s in range(k) for t in range(s + 1, k) if re[s][t] or im[s][t]),
-                None,
-            )
-            if st is None:
+            s = t = None
+            for j in range(k):
+                if nz is None:
+                    if any(re[j]) or any(im[j]):
+                        s = j
+                        break
+                elif nz[j] and (s is None or nz[j] < nz[s]):
+                    s = j
+            if s is None:
                 break
-            s, t = st
-            hr, hi = re[s][t], im[s][t]
+            rs, js = re[s], im[s]
+            for j in range(k):
+                if rs[j] or js[j]:
+                    if nz is None:
+                        t = j
+                        break
+                    if t is None or nz[j] < nz[t]:
+                        t = j
+            for j in (s, t):
+                a = at[j]
+                if a != q:
+                    re[j] = [v * q // a for v in re[j]]
+                    im[j] = [v * q // a for v in im[j]]
+                    at[j] = q
             rs, js, rt, jt = re[s], im[s], re[t], im[t]
+            hr, hi = rs[t], js[t]
             for x in range(k):
                 a, b = rt[x], jt[x]
                 if a or b:
                     rs[x] += hr * a - hi * b
                     js[x] += hr * b + hi * a
-                    re[x][s] = rs[x]
-                    im[x][s] = -js[x]
+                    if x != s:
+                        rx, jx = re[x], im[x]
+                        cr, ci = rx[t], jx[t]
+                        rx[s] += cr * hr + ci * hi
+                        jx[s] += ci * hr - cr * hi
+                        if nz is not None:
+                            nz[x] = _nonzeros(rx, jx)
             rs[s] = 2 * (hr * hr + hi * hi)
             js[s] = 0
             p = s
-        # Pivot row p without its diagonal entry is c*; fold sign(d) into it.
+        # Pivot row p without its diagonal entry is c*, brought up to date
+        # with sign(d) folded into it.
         pr = re.pop(p)
         pi = im.pop(p)
+        a = at.pop(p)
+        if nz is not None:
+            del nz[p]
         d = pr.pop(p)
         del pi[p]
         if d > 0:
             pos += 1
+            f = q
         else:
             neg += 1
-            d = -d
-            pr = [-v for v in pr]
-            pi = [-v for v in pi]
-        for rt, jt in zip(re, im):
+            f = -q
+        if f != a:
+            pr = [v * f // a for v in pr]
+            pi = [v * f // a for v in pi]
+            d = d * f // a
+        for j in range(len(re)):
+            rt = re[j]
+            jt = im[j]
             cr = rt.pop(p)
             ci = jt.pop(p)
             if cr or ci:
-                rt[:] = [(d * a - (cr * b - ci * c)) // q for a, b, c in zip(rt, pr, pi)]
-                jt[:] = [(d * a - (cr * c + ci * b)) // q for a, b, c in zip(jt, pr, pi)]
-            elif d != q:
-                rt[:] = [d * a // q for a in rt]
-                jt[:] = [d * a // q for a in jt]
+                a = at[j]
+                rt[:] = [(d * x - (cr * b - ci * c)) // a for x, b, c in zip(rt, pr, pi)]
+                jt[:] = [(d * x - (cr * c + ci * b)) // a for x, b, c in zip(jt, pr, pi)]
+                at[j] = d
+                if nz is not None:
+                    nz[j] = _nonzeros(rt, jt)
         q = d
     return InertiaTriple(pos, neg, len(re))
 
@@ -207,12 +292,6 @@ def inertia_exact(matrix: HermitianMatrix) -> InertiaTriple:
     square roots or rounding ever appear.
     """
     return _signature([list(row) for row in matrix.re], [list(row) for row in matrix.im])
-
-
-# Components of at least this order are twin-reduced, and the reduced ones of
-# at least this order first try _certified_signature.  Every enumerated law
-# suite runs below it, so they exercise only the exact kernel.
-CERT_ORDER = 16
 
 
 def _certified_signature(h_re: np.ndarray, h_im: np.ndarray) -> Optional[InertiaTriple]:
@@ -257,19 +336,25 @@ def _certified_signature(h_re: np.ndarray, h_im: np.ndarray) -> Optional[Inertia
 
 
 def inertia(graph: QuartGainGraph) -> InertiaTriple:
-    """Inertia of H(G), computed per connected component and summed.
+    """Inertia of H(G): below :data:`CERT_ORDER` vertices by the exact kernel
+    on the whole graph, else per connected component and summed.
 
-    A one-vertex component contributes (0, 0, 1).  Every other one becomes
-    a graph of its own: ``graph`` itself when it is connected, else its
+    A graph of order below :data:`CERT_ORDER` goes to :func:`_signature`
+    whole, on the int grids of :func:`gain_grids`: the kernel handles a
+    block-diagonal matrix and zero rows itself, and every component of such
+    a graph would reach it anyway.  In a larger graph, a one-vertex
+    component contributes (0, 0, 1).  Every other one becomes a graph of its
+    own: ``graph`` itself when it is connected, else its
     :func:`induced_subgraph`.  From :data:`CERT_ORDER` up, that graph is
     replaced by its :func:`twin_reduction`: H is congruent to the reduced
     matrix plus a zero block, so (p, n) are unchanged and eta gains the
     removed vertices.  If the order is still at least :data:`CERT_ORDER`,
     :func:`_certified_signature` tries to prove the inertia from the float
     arrays of :func:`gain_arrays`.  Otherwise, or when it declines, the
-    exact kernel :func:`_signature` runs on the int grids of
-    :func:`gain_grids`.
+    exact kernel runs on the int grids.
     """
+    if graph.n < CERT_ORDER:
+        return _signature(*gain_grids(graph))
     total = InertiaTriple(0, 0, 0)
     for comp in components(graph):
         if len(comp) == 1:

@@ -1,10 +1,12 @@
 """Exact-division referee for the inertia kernel's recurrence, for tests only.
 
-A standalone replica of the recurrence behind ``spectra._signature``, written
-over a full matrix of (re, im) pairs and a list of active indices: the same
-pivot rule, the same zero-diagonal step (done here as a real row addition
-followed by a real column addition), and after each pivot d the rest becomes
-(|d|*M - sign(d)*c c*) / q with q the previous |d|.  Every division goes
+It replays the eager, smallest-index form of the recurrence behind
+``spectra._signature``, over a full matrix of (re, im) pairs and a list of
+active indices: the pivot is always the first nonzero diagonal entry, a
+zero-diagonal step (done here as a real row addition followed by a real
+column addition) takes the first nonzero entry in row-major order, and after
+each pivot d every remaining entry becomes (|d|*M - sign(d)*c c*) / q with q
+the previous |d|, with no row left to be rescaled later.  Every division goes
 through ``divmod`` and asserts that the remainder is 0, so a run checks that
 Bareiss's division is exact on that matrix.  It imports nothing from
 ``hermitia.spectra``.

@@ -10,6 +10,7 @@ from hermitia import (
     HermitianMatrix,
     InertiaTriple,
     QuartGainGraph,
+    UNIT_ONE,
     UNITS,
     classes_up_to,
     congruence,
@@ -294,6 +295,95 @@ def test_kernel_matches_fraction_reference_rational_congruence():
         assert bareiss_inertia(c.re, c.im)[0] == inertia_fraction(c).as_tuple()
 
 
+def _random_tree(rng: random.Random, n: int) -> QuartGainGraph:
+    return QuartGainGraph(n, [(rng.randrange(v), v, rng.choice(UNITS)) for v in range(1, n)])
+
+
+def _random_sparse(rng: random.Random, n: int, m: int) -> QuartGainGraph:
+    """A random gain graph of order n with m edges."""
+    pairs = set()
+    while len(pairs) < m:
+        pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+    return QuartGainGraph(n, [(u, v, rng.choice(UNITS)) for u, v in sorted(pairs)])
+
+
+def _grid(width: int) -> QuartGainGraph:
+    """The width x width grid graph, every gain 1."""
+    n = width * width
+    edges = [(v, v + 1, UNIT_ONE) for v in range(n) if (v + 1) % width]
+    edges += [(v, v + width, UNIT_ONE) for v in range(n - width)]
+    return QuartGainGraph(n, edges)
+
+
+def _sparse_corpus():
+    # From CERT_ORDER (16) rows up the kernel pivots by fewest nonzeros, and
+    # trees, even cycles and sparse bipartite graphs keep running out of
+    # nonzero diagonal entries, so zero-diagonal steps meet rows that the
+    # last pivots missed.  The unions of order 100 and 200 reach the kernel
+    # whole through inertia_exact and per component through inertia.
+    rng = random.Random(16200)
+    for n in (16, 17, 19, 22, 26, 30, 36, 48):
+        yield _random_tree(rng, n)
+        yield _random_sparse(rng, n, n + n // 4)
+        yield _random_bipartite(rng, n // 2, n - n // 2, 3 / n)
+        yield gen_cycle(2 * (n // 2), rng.sample(range(2 * (n // 2)), 2 * rng.randint(0, 2)))
+    for n in (100, 200):
+        parts = []
+        while sum(part.n for part in parts) < n - 30:
+            m = rng.randint(3, 30)
+            parts.append(_random_tree(rng, m) if rng.random() < 0.5 else _random_sparse(rng, m, m))
+        parts.append(gen_cycle(n - sum(part.n for part in parts)))
+        union = parts[0]
+        for part in parts[1:]:
+            union = disjoint_union(union, part)
+        yield union
+
+
+def test_kernel_matches_referees_on_sparse_orders_16_to_200():
+    singular = charpoly_checked = 0
+    for g in _sparse_corpus():
+        want = inertia_fraction(hermitian_matrix(g))
+        assert inertia_exact(hermitian_matrix(g)) == want, g
+        assert inertia(g) == want, g
+        if g.n <= 30:
+            assert charpoly_inertia(g) == want.as_tuple(), g
+            charpoly_checked += 1
+        singular += want.eta > 0
+    assert charpoly_checked >= 20
+    assert singular >= 25
+
+
+def _sparse_integer_matrix(rng: random.Random, n: int, diagonal: float) -> HermitianMatrix:
+    """About three entries a row, Gaussian integers with parts in -3..3, and
+    a nonzero diagonal entry in a share ``diagonal`` of the rows."""
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
+    for s in range(n):
+        if rng.random() < diagonal:
+            re[s][s] = rng.choice([-3, -2, -1, 1, 2, 3])
+    for _ in range(3 * n // 2):
+        s, t = rng.sample(range(n), 2)
+        re[s][t] = re[t][s] = rng.randint(-3, 3)
+        im[s][t] = rng.randint(-3, 3)
+        im[t][s] = -im[s][t]
+    return HermitianMatrix(re, im)
+
+
+def test_kernel_matches_fraction_reference_on_sparse_integer_matrices():
+    # Unlike a graph's, these pivots grow well past 1, so a row that is not
+    # brought up to date before it is read gives a wrong answer.  With a
+    # zero diagonal, zero-diagonal steps read such rows too.
+    rng = random.Random(3316)
+    singular = 0
+    for n in (16, 18, 21, 25, 30, 36, 44, 60):
+        for diagonal in (0.0, 0.0, 0.3):
+            h = _sparse_integer_matrix(rng, n, diagonal)
+            want = inertia_fraction(h)
+            assert inertia_exact(h) == want
+            singular += want.eta > 0
+    assert singular >= 5
+
+
 def test_exact_matches_numpy_orders_8_to_24():
     rng = random.Random(824)
     for _ in range(120):
@@ -382,6 +472,32 @@ def test_exact_kernel_dense_order_64_is_fast(monkeypatch):
     assert entered == [1]
     assert got.as_tuple() == _numpy_inertia(g)
     assert elapsed < 1.0
+
+
+# Singular sparse inputs of order 1024 (MAX_ORDER).  Through inertia the
+# certificate declines each of them and the kernel answers.  Rescaling every
+# row the pivot column misses at every pivot costs 38-50 s of CPU on each;
+# bringing rows up to date only where they are read, and pivoting by fewest
+# nonzeros, takes about 1 s.  The bound is on the kernel alone: at this
+# order the certificate's eigh costs about 1.9 s of CPU by itself.
+_SPARSE_GUARDS = {
+    "cycle1024": lambda: gen_cycle(1024),
+    "grid32x32": lambda: _grid(32),
+    "tree1024": lambda: _random_tree(random.Random(1024), 1024),
+    "random1024": lambda: _random_sparse(random.Random(1536), 1024, 1536),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPARSE_GUARDS))
+def test_exact_kernel_sparse_order_1024_is_fast(name):
+    g = _SPARSE_GUARDS[name]()
+    h = hermitian_matrix(g)
+    got, elapsed = timed_under_alarm(
+        lambda: inertia_exact(h), f"exact kernel on {name}", time.process_time
+    )
+    assert got.as_tuple() == _numpy_inertia(g)
+    assert got.eta > 0
+    assert elapsed < 2.0
 
 
 def test_float_referee_dense_orders_32_to_128():
