@@ -9,8 +9,9 @@ Two fully independent routes compute the signature of H(G):
   Gaussian integers Z[i] and counts pivot signs.  A pivot d scales the rest
   by |d| > 0 instead of dividing by d, then divides it by the previous |d|,
   a division that Sylvester's identity makes exact (Bareiss); a zero
-  diagonal is cleared by adding one row/column to another.  Congruent
-  Hermitian matrices share their inertia, so the count is exact.
+  diagonal takes a 2x2 pivot [[0, h], [conj h, 0]], one positive and one
+  negative sign.  Congruent Hermitian matrices share their inertia, so the
+  count is exact.
 * :func:`eig_float` runs LAPACK ``eigvalsh`` on a complex floating copy;
   :func:`inertia_float` thresholds its eigenvalues.  This path shares no
   code with the exact one and exists purely as an oracle.
@@ -24,13 +25,13 @@ exact kernel below that order or when the certificate declines.  The
 certificate is a congruence S guessed from a float eigenbasis and checked
 in exact integers (:func:`_certified_signature`).  Every answer stays exact.
 
-The kernel pays for the rows each pivot hits, not for all of them: a row
-the pivot column misses is rescaled only when it is next read, and from
-:data:`CERT_ORDER` rows up the pivot is the sparsest row, which keeps the
-fill of sparse input low.  The singular order-1024 cycle, 32 x 32 grid,
-random tree and random graph with 1,536 edges each take about 1 s of CPU
-in the kernel (2-core VM); the certificate declines all four, after about
-1.9 s of ``eigh``.  On dense input the cost grows faster than n^3: at edge
+The kernel pays for the rows each step hits, not for all of them: a row
+the pivot columns miss is rescaled only when it is next read, and the
+pivot is the sparsest row, which keeps the fill of sparse input low.  The
+singular order-1024 cycle, 32 x 32 grid, random tree and random graph with
+1,536 edges each take 0.4-0.9 s of CPU in the kernel (2-core VM); the
+certificate declines all four from the eigenvalues of ``eigh``, after
+about 1.4 s.  On dense input the cost grows faster than n^3: at edge
 probability 0.9 the kernel takes about 10 s at order 256 and minutes at
 order 512, where ``hermitia inertia`` with the certificate takes 0.4 s,
 1.0 s, and 4 s at order 1024, start-up included.  Dense singular residues,
@@ -134,7 +135,6 @@ def hermitian_matrix(graph: QuartGainGraph) -> HermitianMatrix:
 # imaginary parts of a Hermitian matrix over the Gaussian integers Z[i].  Its
 # only divisions are Bareiss's, which are exact, so no fractions appear.
 
-# While at least this many rows remain, the kernel pivots by fewest nonzeros.
 # A graph below this order goes to the kernel whole.  In a larger one,
 # components of at least this order are twin-reduced, and the reduced ones of
 # at least this order first try _certified_signature.  Every enumerated law
@@ -153,109 +153,109 @@ def _signature(re: list[list[int]], im: list[list[int]]) -> InertiaTriple:
     becomes (|d|*M - sign(d)*c c*) // q, with q the previous pivot's |d| (1
     at first): |d|/q times the Schur complement, same inertia.
 
-    Zero-diagonal step: when the whole remaining diagonal is zero, take a
-    nonzero off-diagonal entry h = m[s][t] and add h times row/column t to
-    row/column s.  That congruence makes the diagonal entry at s equal to
-    2|h|^2 > 0, and the pivot step runs on s.
+    2x2 step: when the whole remaining diagonal is zero, take a nonzero
+    entry h = M[s][t].  The principal block B = [[0, h], [conj h, 0]] has
+    det B = -|h|^2 < 0, so one positive and one negative eigenvalue (Bunch
+    and Parlett 1971).  With g = |h|^2 and S, T rows s and t, every other
+    row x becomes (g*x - u*T - w*S) // q^2 with u = h*x_s, w = conj(h)*x_t:
+    g/q^2 times its row of the Schur complement of B, so the step counts
+    (1, 1, 0).  Then q becomes g // q.
 
-    The division is exact (Bareiss 1968).  With A the input after the
-    zero-diagonal steps so far, the rest holds one sign times the minors of A
-    on the pivots taken plus one more row and column; q is the leading minor
-    up to sign, and Sylvester's identity makes it divide the next ones.
-    Folding sign(d) into c only flips that sign.  A zero-diagonal step is a
-    unimodular congruence on unpivoted indices: each minor bordered by s gains
-    h (or conj h) times the one bordered by t, so the invariant holds.
+    The division is exact (Bareiss 1968).  With A the input, the rest holds
+    one sign times the minors of A on the pivots taken plus one more row
+    and column; q is the leading minor up to sign, and Sylvester's identity
+    makes it divide the next ones.  Folding sign(d) into c only flips that
+    sign.  In a 2x2 step, det B = -g is q times the next leading minor, and
+    the 3x3 minors of M on s, t and one more row and column, which are
+    -(g*x - u*T - w*S), are q^2 times the next rest's entries.
 
-    Lazy rescale: a row the pivot column misses is only multiplied by |d|/q,
-    and over several pivots these factors telescope.  So row j stays as it
-    was last written, and at[j] keeps the q of that time: its true value is
-    stored * q // at[j], exact because the true entries are minors.  A row
-    is brought up to date only where it is read whole: as the pivot row
-    (with sign(d) folded into it), and as row s or t of a zero-diagonal
-    step.  A row the pivot column hits, with x its stored entries and c its
-    stored column entry, becomes (|d|*x - c*p) // at[j] for the pivot row p.
-    That is (|d|*x*q/at[j] - c*q/at[j]*p) / q, the update of the true row,
-    so this division is exact as well.  A zero-diagonal step is linear in
-    each row, so it adds conj(h) times column t to column s of every other
-    row at that row's own scale.  A missed row only loses column p, so a
-    pivot costs the rows it hits, not all of them.
+    Lazy rescale: a row the pivot column misses is only multiplied by |d|/q
+    (g/q^2 in a 2x2 step), and over several steps these factors telescope.
+    So row j stays as it was last written, and at[j] keeps the q of that
+    time: its true value is stored * q // at[j], exact because the true
+    entries are minors.  A row is brought up to date only where it is read
+    whole: as the pivot row (with sign(d) folded into it), and as row s or
+    t of a 2x2 step.  A row the pivot column hits, with x its stored entries
+    and c its stored column entry, becomes (|d|*x - c*p) // at[j] for the
+    pivot row p.  That is (|d|*x*q/at[j] - c*q/at[j]*p) / q, the update of
+    the true row, so this division is exact as well.  In the same way a row
+    that column s or t hits becomes (g*x - u*T - w*S) // (at[j]*q), from its
+    stored entries.  A missed row only loses the pivot columns, so a step
+    costs the rows it hits, not all of them.  Only these updates and
+    rescales write to the rows.
 
-    Pivot order: while at least CERT_ORDER rows remain, the pivot is the row
-    with the fewest nonzeros among those with a nonzero diagonal, and a
-    zero-diagonal step takes the sparsest nonzero row s and its sparsest
-    neighbour t (minimum degree, George and Liu 1989), which keeps the fill
-    of sparse input low.  Below that, the first nonzero diagonal entry and
-    the first nonzero h in row-major order.  Any order gives the same
-    inertia.
+    Pivot order, at every size: the pivot is the row with the fewest
+    nonzeros among those with a nonzero diagonal, and a 2x2 step takes the
+    sparsest nonzero row and its sparsest neighbour (minimum degree, George
+    and Liu 1989), which keeps the fill of sparse input low.  Any order
+    gives the same inertia.
 
     The dimension left when nothing nonzero remains is the nullity.
     """
     pos = neg = 0
     q = 1
     at = [1] * len(re)
-    # Nonzeros per row, kept while the pivots go by minimum degree.
-    nz = [_nonzeros(rt, jt) for rt, jt in zip(re, im)] if len(re) >= CERT_ORDER else None
+    nz = [_nonzeros(rt, jt) for rt, jt in zip(re, im)]
     while re:
         k = len(re)
-        if k < CERT_ORDER:
-            nz = None
         p = None
         for j in range(k):
-            if re[j][j]:
-                if nz is None:
-                    p = j
-                    break
-                if p is None or nz[j] < nz[p]:
-                    p = j
+            if re[j][j] and (p is None or nz[j] < nz[p]):
+                p = j
         if p is None:
-            s = t = None
+            s = None
             for j in range(k):
-                if nz is None:
-                    if any(re[j]) or any(im[j]):
-                        s = j
-                        break
-                elif nz[j] and (s is None or nz[j] < nz[s]):
+                if nz[j] and (s is None or nz[j] < nz[s]):
                     s = j
             if s is None:
                 break
             rs, js = re[s], im[s]
+            t = None
             for j in range(k):
-                if rs[j] or js[j]:
-                    if nz is None:
-                        t = j
-                        break
-                    if t is None or nz[j] < nz[t]:
-                        t = j
-            for j in (s, t):
-                a = at[j]
+                if (rs[j] or js[j]) and (t is None or nz[j] < nz[t]):
+                    t = j
+            s, t = min(s, t), max(s, t)
+            # Rows t and s brought up to date, without columns s and t.
+            pair = []
+            for j in (t, s):
+                rj, jj, a = re.pop(j), im.pop(j), at.pop(j)
+                del nz[j]
                 if a != q:
-                    re[j] = [v * q // a for v in re[j]]
-                    im[j] = [v * q // a for v in im[j]]
-                    at[j] = q
-            rs, js, rt, jt = re[s], im[s], re[t], im[t]
-            hr, hi = rs[t], js[t]
-            for x in range(k):
-                a, b = rt[x], jt[x]
-                if a or b:
-                    rs[x] += hr * a - hi * b
-                    js[x] += hr * b + hi * a
-                    if x != s:
-                        rx, jx = re[x], im[x]
-                        cr, ci = rx[t], jx[t]
-                        rx[s] += cr * hr + ci * hi
-                        jx[s] += ci * hr - cr * hi
-                        if nz is not None:
-                            nz[x] = _nonzeros(rx, jx)
-            rs[s] = 2 * (hr * hr + hi * hi)
-            js[s] = 0
-            p = s
+                    rj = [v * q // a for v in rj]
+                    jj = [v * q // a for v in jj]
+                pair += [rj, jj]
+            tr, ti, sr, si = pair
+            hr, hi = sr[t], si[t]
+            for row in pair:
+                del row[t], row[s]
+            g = hr * hr + hi * hi
+            pos += 1
+            neg += 1
+            for j in range(len(re)):
+                rx, jx = re[j], im[j]
+                ctr, cti = rx.pop(t), jx.pop(t)
+                csr, csi = rx.pop(s), jx.pop(s)
+                if ctr or cti or csr or csi:
+                    # u = h * x_s and w = conj(h) * x_t.
+                    ur, ui = hr * csr - hi * csi, hr * csi + hi * csr
+                    wr, wi = hr * ctr + hi * cti, hr * cti - hi * ctr
+                    a = at[j] * q
+                    rx[:] = [
+                        (g * x - (ur * t_re - ui * t_im) - (wr * s_re - wi * s_im)) // a
+                        for x, t_re, t_im, s_re, s_im in zip(rx, tr, ti, sr, si)
+                    ]
+                    jx[:] = [
+                        (g * x - (ur * t_im + ui * t_re) - (wr * s_im + wi * s_re)) // a
+                        for x, t_re, t_im, s_re, s_im in zip(jx, tr, ti, sr, si)
+                    ]
+                    at[j] = g // q
+                    nz[j] = _nonzeros(rx, jx)
+            q = g // q
+            continue
         # Pivot row p without its diagonal entry is c*, brought up to date
         # with sign(d) folded into it.
-        pr = re.pop(p)
-        pi = im.pop(p)
-        a = at.pop(p)
-        if nz is not None:
-            del nz[p]
+        pr, pi, a = re.pop(p), im.pop(p), at.pop(p)
+        del nz[p]
         d = pr.pop(p)
         del pi[p]
         if d > 0:
@@ -269,17 +269,14 @@ def _signature(re: list[list[int]], im: list[list[int]]) -> InertiaTriple:
             pi = [v * f // a for v in pi]
             d = d * f // a
         for j in range(len(re)):
-            rt = re[j]
-            jt = im[j]
-            cr = rt.pop(p)
-            ci = jt.pop(p)
+            rt, jt = re[j], im[j]
+            cr, ci = rt.pop(p), jt.pop(p)
             if cr or ci:
                 a = at[j]
                 rt[:] = [(d * x - (cr * b - ci * c)) // a for x, b, c in zip(rt, pr, pi)]
                 jt[:] = [(d * x - (cr * c + ci * b)) // a for x, b, c in zip(jt, pr, pi)]
                 at[j] = d
-                if nz is not None:
-                    nz[j] = _nonzeros(rt, jt)
+                nz[j] = _nonzeros(rt, jt)
         q = d
     return InertiaTriple(pos, neg, len(re))
 
@@ -304,7 +301,10 @@ def _certified_signature(h_re: np.ndarray, h_im: np.ndarray) -> Optional[Inertia
     exactly (below).  If every row has |D_ii| > sum over j != i of
     |Re D_ij| + |Im D_ij|, D is nonsingular (Levy-Desplanques), hence so
     are S and H, and by Sylvester's law of inertia H has the signs of D's
-    diagonal, with eta = 0.  A singular H is therefore always declined.
+    diagonal, with eta = 0.  A singular H is therefore always declined, and
+    one with an eigenvalue within 1e-9 * max(1, spectral radius) of 0 (the
+    cut of :func:`inertia_float`) is declined before S is rounded: it is
+    singular or nearly so, and the kernel answers it exactly.
 
     Exactness: let N be the largest column sum of |Re S| + |Im S|.  Each
     entry of H is 0 or a unit, so every partial sum in H S is at most N in
@@ -315,8 +315,11 @@ def _certified_signature(h_re: np.ndarray, h_im: np.ndarray) -> Optional[Inertia
     """
     m = len(h_re)
     try:
-        v = np.linalg.eigh(h_re + 1j * h_im)[1]
+        w, v = np.linalg.eigh(h_re + 1j * h_im)
     except np.linalg.LinAlgError:
+        return None
+    w = np.abs(w)
+    if w.min() <= 1e-9 * max(1.0, w.max()):
         return None
     # A unit column of V has |Re| + |Im| summing to at most sqrt(2m), and
     # rounding adds at most m, so this k keeps N below 2^26.

@@ -1,15 +1,16 @@
-"""Exact-division referee for the inertia kernel's recurrence, for tests only.
+"""Exact-division referee for the inertia kernel, for tests only.
 
-It replays the eager, smallest-index form of the recurrence behind
-``spectra._signature``, over a full matrix of (re, im) pairs and a list of
-active indices: the pivot is always the first nonzero diagonal entry, a
-zero-diagonal step (done here as a real row addition followed by a real
-column addition) takes the first nonzero entry in row-major order, and after
-each pivot d every remaining entry becomes (|d|*M - sign(d)*c c*) / q with q
-the previous |d|, with no row left to be rescaled later.  Every division goes
-through ``divmod`` and asserts that the remainder is 0, so a run checks that
-Bareiss's division is exact on that matrix.  It imports nothing from
-``hermitia.spectra``.
+It runs its own eager, smallest-index form of Bareiss's recurrence, not a
+replay of ``spectra._signature``, over a full matrix of (re, im) pairs and a
+list of active indices: the pivot is always the first nonzero diagonal
+entry; when the whole diagonal is zero, a congruence (a real row addition
+followed by a real column addition) on the first nonzero entry in row-major
+order makes one entry nonzero, where the kernel takes a 2x2 pivot instead;
+and after each pivot d every remaining entry becomes
+(|d|*M - sign(d)*c c*) / q with q the previous |d|, with no row left to be
+rescaled later.  Every division goes through ``divmod`` and asserts that the
+remainder is 0, so a run checks that Bareiss's division is exact on that
+matrix.  It imports nothing from ``hermitia.spectra``.
 """
 
 from __future__ import annotations

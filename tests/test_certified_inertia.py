@@ -15,6 +15,7 @@ import random
 import pytest
 
 from hermitia import (
+    InertiaTriple,
     QuartGainGraph,
     UNITS,
     coalesce,
@@ -125,6 +126,19 @@ def test_certificate_declines_every_singular_matrix(refereed):
     # would only exercise the kernel.
     nonsingular = sum(1 for _, _, expected in refereed if not expected.eta)
     assert accepted * 2 > nonsingular
+
+
+def test_certificate_declines_singular_cycle_before_any_product(monkeypatch):
+    # cycle:1024 is singular (eta 2).  Its eigenvalues from eigh already
+    # show it, so S is never rounded and neither product of S* H S is
+    # computed; a nonsingular input still takes both.
+    calls = []
+    matmul = spectra.gaussian_matmul
+    monkeypatch.setattr(spectra, "gaussian_matmul", lambda *parts: calls.append(1) or matmul(*parts))
+    assert spectra._certified_signature(*gain_arrays(gen_cycle(1024))) is None
+    assert calls == []
+    assert spectra._certified_signature(*gain_arrays(gen_cycle(20, range(2)))) == InertiaTriple(10, 10, 0)
+    assert len(calls) == 2
 
 
 def _disconnected(rng: random.Random) -> QuartGainGraph:

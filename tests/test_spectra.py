@@ -244,8 +244,9 @@ def test_inertia_matches_charpoly_referee_orders_12_to_24(monkeypatch):
 
 def _zero_diagonal_corpus():
     # Every H(G) starts with a zero diagonal, and a pivot keeps it zero away
-    # from the pivot's neighbours, so matchings, trees and even cycles take
-    # a zero-diagonal step every few vertices.
+    # from the pivot's neighbours, so on matchings, trees and even cycles the
+    # kernel takes a 2x2 step, and the referee a zero-diagonal step, every
+    # few vertices.
     rng = random.Random(4242)
     for _ in range(300):
         n = rng.randint(2, 12)
@@ -316,10 +317,9 @@ def _grid(width: int) -> QuartGainGraph:
 
 
 def _sparse_corpus():
-    # From CERT_ORDER (16) rows up the kernel pivots by fewest nonzeros, and
-    # trees, even cycles and sparse bipartite graphs keep running out of
-    # nonzero diagonal entries, so zero-diagonal steps meet rows that the
-    # last pivots missed.  The unions of order 100 and 200 reach the kernel
+    # The kernel pivots by fewest nonzeros, and trees, even cycles and
+    # sparse bipartite graphs keep running out of nonzero diagonal entries,
+    # so 2x2 steps meet rows that the last steps missed.  The unions of order 100 and 200 reach the kernel
     # whole through inertia_exact and per component through inertia.
     rng = random.Random(16200)
     for n in (16, 17, 19, 22, 26, 30, 36, 48):
@@ -372,7 +372,7 @@ def _sparse_integer_matrix(rng: random.Random, n: int, diagonal: float) -> Hermi
 def test_kernel_matches_fraction_reference_on_sparse_integer_matrices():
     # Unlike a graph's, these pivots grow well past 1, so a row that is not
     # brought up to date before it is read gives a wrong answer.  With a
-    # zero diagonal, zero-diagonal steps read such rows too.
+    # zero diagonal, 2x2 steps read such rows too.
     rng = random.Random(3316)
     singular = 0
     for n in (16, 18, 21, 25, 30, 36, 44, 60):
@@ -401,12 +401,19 @@ def test_exact_matches_numpy_orders_8_to_24():
 
 
 def test_exact_matches_numpy_bipartite_up_to_60():
+    # These take 2x2 steps at every order.  A kernel whose divisor there is
+    # too small lets the entries grow without bound instead of failing, so a
+    # timer signal stops the loop, which takes well under 1 s.
     rng = random.Random(60)
+    graphs = []
     for _ in range(40):
         a = rng.randint(1, 30)
         b = rng.randint(1, 30)
-        g = _random_bipartite(rng, a, b, rng.choice([0.1, 0.3, 0.6]))
-        assert inertia(g).as_tuple() == _numpy_inertia(g)
+        graphs.append(_random_bipartite(rng, a, b, rng.choice([0.1, 0.3, 0.6])))
+    got, _ = timed_under_alarm(
+        lambda: [inertia(g).as_tuple() for g in graphs], "inertia of bipartite graphs up to order 60"
+    )
+    assert got == [_numpy_inertia(g) for g in graphs]
 
 
 def _dense_graph(n: int) -> QuartGainGraph:
@@ -477,9 +484,10 @@ def test_exact_kernel_dense_order_64_is_fast(monkeypatch):
 # Singular sparse inputs of order 1024 (MAX_ORDER).  Through inertia the
 # certificate declines each of them and the kernel answers.  Rescaling every
 # row the pivot column misses at every pivot costs 38-50 s of CPU on each;
-# bringing rows up to date only where they are read, and pivoting by fewest
-# nonzeros, takes about 1 s.  The bound is on the kernel alone: at this
-# order the certificate's eigh costs about 1.9 s of CPU by itself.
+# bringing rows up to date only where they are read, pivoting by fewest
+# nonzeros and taking 2x2 steps on a zero diagonal, takes under 1 s.  The
+# bound is on the kernel alone: at this order the certificate's eigh costs
+# about 1.4 s of CPU by itself.
 _SPARSE_GUARDS = {
     "cycle1024": lambda: gen_cycle(1024),
     "grid32x32": lambda: _grid(32),
