@@ -53,15 +53,13 @@ def _aggregate_classification(graph: QuartGainGraph) -> ClassificationResult:
     if tag is not None:
         cases.append(f"p1_{tag}")
         params[f"p1_{tag}"] = {}
-    connected = is_connected(graph)
-    if connected and pendant_vertices(graph):
-        result = thm11_classify(graph)
-        if result is not None:
-            cases.extend(result.cases)
-            params.update(result.params)
-            witnesses.update(result.witnesses)
-    if connected and not pendant_vertices(graph) and cut_vertices(graph):
-        result = thm12_classify(graph)
+    result = None
+    if is_connected(graph):
+        if pendant_vertices(graph):
+            result = thm11_classify(graph)
+        elif cut_vertices(graph):
+            result = thm12_classify(graph)
+    if result is not None:
         cases.extend(result.cases)
         params.update(result.params)
         witnesses.update(result.witnesses)

@@ -30,9 +30,10 @@ it reads only edges (u, v) with v < L, so each underlying graph's edges
 are split into a head and a tail whose edges all have v >= L: the search
 runs once per head tuple up to L and resumes from a copy of that state on
 each tail tuple, and a head whose search fails there has no mixed tail.
-Every emitted class is built as a graph exactly once.
-:func:`count_switching_classes` counts a stream from the same search
-without building any graph.
+One stream of records, :func:`_class_tuples`, backs both
+:func:`enumerate_switching_classes`, which builds each class as a graph
+exactly once, and the mixed :func:`count_switching_classes`, which builds
+none.
 """
 
 from __future__ import annotations
@@ -163,9 +164,9 @@ def mixed_representative(graph: QuartGainGraph) -> Optional[QuartGainGraph]:
     edge, a proper 4-colouring of the underlying graph, which is NP-complete
     to decide.  :data:`HARD_CAP` bounds it.
     """
-    edges = graph.edges
-    if all(g != UNIT_MINUS_ONE for _, _, g in edges):
+    if graph.is_mixed:
         return graph
+    edges = graph.edges
     n = graph.n
     theta = [UNIT_ONE] * n
     back = _back_lists(n, [(u, v) for u, v, _ in edges])
@@ -302,34 +303,35 @@ def _mixed_tuples(
                 yield records, switch
 
 
+def _class_tuples(spec: EnumSpec) -> Iterator[tuple[tuple[Edge, ...], Optional[list[Unit]]]]:
+    """The records of each class ``spec`` streams, in order, with the switch
+    that leaves them no -1 gain, or None: ``itertools.product(*choices)``
+    per underlying graph, or :func:`_mixed_tuples` with ``mixed_only``."""
+    setups = _underlying_setups(spec)
+    if spec.mixed_only:
+        streams = (_mixed_tuples(spec.n, *setup) for setup in setups)
+    else:
+        streams = (zip(itertools.product(*setup[0]), itertools.repeat(None)) for setup in setups)
+    return itertools.chain.from_iterable(streams)
+
+
 def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:
     """Stream one representative per label-preserving switching class.
 
     Deterministic: underlying graphs in canonical order, gain assignments
     in lexicographic order over (1, i, -1, -i).  Every emitted graph
     satisfies the spec's filters and no two are switching equivalent.
-    Each emitted class is built as a graph once, unchecked, from its
-    sorted records; with ``mixed_only``, :func:`_mixed_tuples` finds the
-    least switch of :func:`mixed_representative` and it is applied to the
-    records.
+    Each emitted class is built as a graph once, unchecked, from the
+    records of :func:`_class_tuples`, switched by the least switch of
+    :func:`mixed_representative` where one comes with them; ``limit``
+    cuts that stream by :func:`itertools.islice`.
     """
     _check_spec(spec)
-    if spec.limit == 0:
-        return
     n = spec.n
-    emitted = 0
-    for setup in _underlying_setups(spec):
-        if spec.mixed_only:
-            tuples = _mixed_tuples(n, *setup)
-        else:
-            tuples = zip(itertools.product(*setup[0]), itertools.repeat(None))
-        for records, theta in tuples:
-            if theta is not None:
-                records = tuple([(u, v, (g - theta[u] + theta[v]) % 4) for u, v, g in records])
-            yield QuartGainGraph._from_normal(n, records)
-            emitted += 1
-            if spec.limit is not None and emitted >= spec.limit:
-                return
+    for records, theta in itertools.islice(_class_tuples(spec), spec.limit):
+        if theta is not None:
+            records = tuple([(u, v, (g - theta[u] + theta[v]) % 4) for u, v, g in records])
+        yield QuartGainGraph._from_normal(n, records)
 
 
 def count_switching_classes(spec: EnumSpec) -> int:
@@ -338,7 +340,7 @@ def count_switching_classes(spec: EnumSpec) -> int:
 
     An underlying graph with m edges is connected, so it has k = m - n + 1
     non-tree edges and 4^k classes.  With ``mixed_only``, the count walks
-    :func:`_mixed_tuples`, the stream's own search: the 3^k gain
+    the stream's own :func:`_class_tuples` up to ``limit``: the 3^k gain
     assignments with no -1 are mixed as they stand, and each other one
     counts when the search finds a switch.  More than
     :data:`MAX_COUNT_SEARCHES` such assignments (4^k - 3^k per graph,
@@ -347,31 +349,21 @@ def count_switching_classes(spec: EnumSpec) -> int:
     """
     _check_spec(spec)
     limit = math.inf if spec.limit is None else spec.limit
-    setups = [(len(setup[0]) - spec.n + 1, setup) for setup in _underlying_setups(spec)]
-    if spec.mixed_only:
-        searches = mixed = 0
-        for k, _ in setups:
-            mixed += 3**k
-            if mixed >= limit:
-                break
-            searches += 4**k - 3**k
-        if searches > MAX_COUNT_SEARCHES:
-            raise ValueError(
-                f"counting mixed classes needs {searches} switch searches,"
-                f" above the bound of {MAX_COUNT_SEARCHES}"
-            )
-    total = 0
-    for k, setup in setups:
-        if total >= limit:
+    ks = [len(choices) - spec.n + 1 for choices, *_ in _underlying_setups(spec)]
+    if not spec.mixed_only:
+        return min(sum(4**k for k in ks), limit)
+    searches = mixed = 0
+    for k in ks:
+        mixed += 3**k
+        if mixed >= limit:
             break
-        if not spec.mixed_only:
-            total += 4**k
-            continue
-        for _ in _mixed_tuples(spec.n, *setup):
-            total += 1
-            if total >= limit:
-                break
-    return min(total, limit)
+        searches += 4**k - 3**k
+    if searches > MAX_COUNT_SEARCHES:
+        raise ValueError(
+            f"counting mixed classes needs {searches} switch searches,"
+            f" above the bound of {MAX_COUNT_SEARCHES}"
+        )
+    return sum(1 for _ in itertools.islice(_class_tuples(spec), spec.limit))
 
 
 def classes_up_to(order: int, **filters) -> Iterator[QuartGainGraph]:

@@ -17,13 +17,13 @@ Two fully independent routes compute the signature of H(G):
   code with the exact one and exists purely as an oracle.
 
 Below :data:`CERT_ORDER` (16) vertices, :func:`inertia` hands the whole
-graph to the exact kernel.  From that order up, spectral quantities being
-additive over connected components, it runs one pipeline per component:
-the component as a graph of its own, then its twin reduction, then the
-certificate while the order is still at least :data:`CERT_ORDER`, then the
-exact kernel below that order or when the certificate declines.  The
-certificate is a congruence S guessed from a float eigenbasis and checked
-in exact integers (:func:`_certified_signature`).  Every answer stays exact.
+graph to the exact kernel.  From that order up, it twin-reduces the whole
+graph once and, spectral quantities being additive over connected
+components, sums over the components of the reduced graph: the
+certificate on each of order at least :data:`CERT_ORDER`, the exact kernel
+on the others and wherever the certificate declines.  The certificate is
+a congruence S guessed from a float eigenbasis and checked in exact
+integers (:func:`_certified_signature`).  Every answer stays exact.
 
 The kernel pays for the rows each step hits, not for all of them: a row
 the pivot columns miss is rescaled only when it is next read, and the
@@ -135,10 +135,10 @@ def hermitian_matrix(graph: QuartGainGraph) -> HermitianMatrix:
 # imaginary parts of a Hermitian matrix over the Gaussian integers Z[i].  Its
 # only divisions are Bareiss's, which are exact, so no fractions appear.
 
-# A graph below this order goes to the kernel whole.  In a larger one,
-# components of at least this order are twin-reduced, and the reduced ones of
-# at least this order first try _certified_signature.  Every enumerated law
-# suite runs below it, so they exercise only the exact kernel.
+# A graph below this order goes to the kernel whole.  A larger one is
+# twin-reduced, and the components of the reduced graph of at least this order
+# first try _certified_signature.  Every enumerated law suite runs below it, so
+# they exercise only the exact kernel and never the twin law.
 CERT_ORDER = 16
 
 
@@ -340,34 +340,30 @@ def _certified_signature(h_re: np.ndarray, h_im: np.ndarray) -> Optional[Inertia
 
 def inertia(graph: QuartGainGraph) -> InertiaTriple:
     """Inertia of H(G): below :data:`CERT_ORDER` vertices by the exact kernel
-    on the whole graph, else per connected component and summed.
+    on the whole graph, else per connected component of its twin reduction
+    and summed.
 
     A graph of order below :data:`CERT_ORDER` goes to :func:`_signature`
     whole, on the int grids of :func:`gain_grids`: the kernel handles a
-    block-diagonal matrix and zero rows itself, and every component of such
-    a graph would reach it anyway.  In a larger graph, a one-vertex
-    component contributes (0, 0, 1).  Every other one becomes a graph of its
-    own: ``graph`` itself when it is connected, else its
-    :func:`induced_subgraph`.  From :data:`CERT_ORDER` up, that graph is
-    replaced by its :func:`twin_reduction`: H is congruent to the reduced
+    block-diagonal matrix and zero rows itself.  A larger graph is replaced
+    by its :func:`twin_reduction`, once: H is congruent to the reduced
     matrix plus a zero block, so (p, n) are unchanged and eta gains the
-    removed vertices.  If the order is still at least :data:`CERT_ORDER`,
-    :func:`_certified_signature` tries to prove the inertia from the float
+    removed vertices.  A twin class never spans two components (nonempty
+    neighbour sets in different components are disjoint), so this reduces
+    each component on its own, except that all isolated vertices merge into
+    one.  Each component of the reduced graph then becomes a graph of its
+    own: the reduced graph itself when it is connected, else its
+    :func:`induced_subgraph`.  If its order is at least :data:`CERT_ORDER`,
+    :func:`_certified_signature` tries to prove its inertia from the float
     arrays of :func:`gain_arrays`.  Otherwise, or when it declines, the
     exact kernel runs on the int grids.
     """
     if graph.n < CERT_ORDER:
         return _signature(*gain_grids(graph))
-    total = InertiaTriple(0, 0, 0)
-    for comp in components(graph):
-        if len(comp) == 1:
-            total = total + InertiaTriple(0, 0, 1)
-            continue
-        sub = graph if len(comp) == graph.n else induced_subgraph(graph, comp)
-        if sub.n >= CERT_ORDER:
-            reduced = twin_reduction(sub)
-            total = total + InertiaTriple(0, 0, sub.n - reduced.n)
-            sub = reduced
+    reduced = twin_reduction(graph)
+    total = InertiaTriple(0, 0, graph.n - reduced.n)
+    for comp in components(reduced):
+        sub = reduced if len(comp) == reduced.n else induced_subgraph(reduced, comp)
         part = _certified_signature(*gain_arrays(sub)) if sub.n >= CERT_ORDER else None
         if part is None:
             part = _signature(*gain_grids(sub))
