@@ -1,10 +1,18 @@
 """Exhaustive enumeration of switching classes at desk scale.
 
 Connected underlying graphs are generated up to isomorphism by vertex
-extension with canonical-form deduplication (color refinement narrows the
-permutations tried; exhaustive within color classes, so exact at these
-orders).  For each underlying graph, the tree of the canonical BFS spanning
-forest (:func:`graph_core.bfs_forest`, the tree that
+extension with canonical-form deduplication.  The form is the least
+relabeling over the vertex orders that respect the color-refinement
+classes.  An ordered-partition search fixes it one row of the adjacency
+bit string at a time, keeping every branch that ties for the greatest row
+and expanding one of each pair of twins, so it is the form a scan of every
+order within the color classes gives, without the scan.  Any two orders
+the search keeps on the smaller graph differ by an automorphism, as does
+each twin swap it skips, and only one neighbour mask of each orbit under
+those automorphisms is tried for the new vertex.
+
+For each underlying graph, the tree of the canonical BFS spanning forest
+(:func:`graph_core.bfs_forest`, the tree that
 :func:`switching_twins.tree_normalize` also switches to all-1 gains) is
 fixed and every assignment of gains to the non-tree edges is emitted: the
 non-tree gains are the fundamental-cycle values, a complete invariant of
@@ -98,50 +106,155 @@ def _refine_colors(n: int, adj: list[set[int]]) -> list[int]:
         colors = refined
 
 
-def canonical_form(n: int, edges: EdgeTuple) -> EdgeTuple:
-    """Lexicographically least relabeling of the edge set.
+def _least_orders(n: int, edges: EdgeTuple) -> tuple[list[tuple[int, ...]], set[Pair]]:
+    """The orders kept by :func:`canonical_form`'s search, each listing the
+    vertices by their new labels, and the twin pairs whose swap it skipped.
 
-    Only vertex orderings that respect the color-refinement classes are
-    tried; the classes are isomorphism-invariant, so isomorphic graphs get
-    identical forms.
+    Every kept order relabels ``edges`` to the same least tuple, so any two
+    of them differ by an automorphism; so does each skipped swap.
     """
     adj: list[set[int]] = [set() for _ in range(n)]
+    nbr = [0] * n
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    colors = _refine_colors(n, adj)
-    classes: list[list[int]] = []
-    for color in sorted(set(colors)):
-        classes.append([v for v in range(n) if colors[v] == color])
-    # Codes min * n + max order like the pairs they stand for, so the least
-    # sorted code list is the least sorted edge tuple.
-    codes = [[min(a, b) * n + max(a, b) for b in range(n)] for a in range(n)]
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    by_color: dict[int, int] = {}
+    for v, color in enumerate(_refine_colors(n, adj)):
+        by_color[color] = by_color.get(color, 0) | 1 << v
+    classes = [by_color[color] for color in sorted(by_color)]
+    # A state is the order so far and the ordered cells, as vertex bit masks,
+    # that the later positions are drawn from.
+    states: list[tuple[tuple[int, ...], list[int]]] = [((), classes)]
+    twins: set[Pair] = set()
+    for _ in range(n):
+        best = -1
+        kept: list[tuple[tuple[int, ...], list[int]]] = []
+        for order, (first, *rest) in states:
+            placed: list[int] = []
+            todo = first
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                v = low.bit_length() - 1
+                mine = nbr[v]
+                twin = next((u for u in placed if nbr[u] & ~low == mine & ~(1 << u)), None)
+                if twin is not None:
+                    twins.add((twin, v))
+                    continue
+                placed.append(v)
+                # Each cell splits into v's neighbours, then the rest; the
+                # row of v's bits to the later positions then reads 1s first
+                # in each cell.
+                row = 0
+                cells = []
+                for cell in (first ^ low, *rest):
+                    if not cell:
+                        continue
+                    hit = cell & mine
+                    size = cell.bit_count()
+                    k = hit.bit_count()
+                    row = row << size | ((1 << k) - 1) << (size - k)
+                    if hit:
+                        cells.append(hit)
+                    if hit != cell:
+                        cells.append(cell ^ hit)
+                if row > best:
+                    best = row
+                    kept = []
+                if row == best:
+                    kept.append((order + (v,), cells))
+        states = kept
+    return [order for order, _ in states], twins
+
+
+def canonical_form(n: int, edges: EdgeTuple) -> EdgeTuple:
+    """Lexicographically least relabeling of the edge set among the vertex
+    orderings that respect the color-refinement classes, taken in color
+    order; the classes are isomorphism-invariant, so isomorphic graphs get
+    identical forms.
+
+    For a fixed edge count, the least sorted edge tuple is the greatest
+    upper-triangle adjacency bit string read row by row, so the search
+    fixes one row at a time.  A state is an order of the first t vertices
+    and ordered cells holding the rest, the first cells being the color
+    classes.  Position t takes a vertex v of the first cell, and every
+    cell splits into v's neighbours, then the others: that fixes row t,
+    and rows 0..t-1 are the same for every arrangement within the cells.
+    Only the states with the greatest row t are kept, ties included, so
+    the least relabeling survives to the last position, which every kept
+    order reaches with the same rows.  Two twins in the first cell
+    (N(u) - w = N(w) - u) lead to states that their swap, an automorphism,
+    maps onto each other, so only the first is expanded.
+    """
+    orders, _ = _least_orders(n, edges)
     position = [0] * n
-    best: Optional[list[int]] = None
-    for arrangement in itertools.product(
-        *(itertools.permutations(cls) for cls in classes)
-    ):
-        for idx, old in enumerate(itertools.chain.from_iterable(arrangement)):
-            position[old] = idx
-        mapped = sorted([codes[position[u]][position[v]] for u, v in edges])
-        if best is None or mapped < best:
-            best = mapped
-    assert best is not None
-    return tuple(divmod(code, n) for code in best)
+    for new, old in enumerate(orders[0]):
+        position[old] = new
+    return tuple(sorted([(min(position[u], position[v]), max(position[u], position[v])) for u, v in edges]))
+
+
+def _automorphisms(n: int, edges: EdgeTuple) -> list[list[int]]:
+    """Automorphisms of the graph as image lists: one carrying the first
+    order :func:`_least_orders` keeps to each other one, and each skipped
+    twin swap."""
+    orders, twins = _least_orders(n, edges)
+    found = []
+    for order in orders[1:]:
+        image = [0] * n
+        for u, v in zip(orders[0], order):
+            image[u] = v
+        found.append(image)
+    for u, w in twins:
+        image = list(range(n))
+        image[u], image[w] = w, u
+        found.append(image)
+    return found
+
+
+def _orbit_leaders(m: int, automorphisms: list[list[int]]) -> Iterator[int]:
+    """Each nonzero m-bit vertex mask that is the least in its orbit under
+    the group the given automorphisms generate, in increasing order."""
+    tables = []
+    for image in automorphisms:
+        table = [0] * (1 << m)
+        for mask in range(1, 1 << m):
+            low = mask & -mask
+            table[mask] = table[mask ^ low] | 1 << image[low.bit_length() - 1]
+        tables.append(table)
+    seen = bytearray(1 << m)
+    for leader in range(1, 1 << m):
+        if seen[leader]:
+            continue
+        seen[leader] = 1
+        orbit = [leader]
+        for mask in orbit:
+            for table in tables:
+                if not seen[table[mask]]:
+                    seen[table[mask]] = 1
+                    orbit.append(table[mask])
+        yield leader
 
 
 @lru_cache(maxsize=None)
 def connected_underlying(n: int) -> tuple[EdgeTuple, ...]:
     """All connected graphs of order n up to isomorphism, as canonical
-    sorted edge tuples, generated by single-vertex extension."""
+    sorted edge tuples, generated by single-vertex extension.
+
+    An automorphism of the smaller graph maps the new vertex's neighbour
+    mask to one whose extension is isomorphic, so only the least mask of
+    each orbit under the automorphisms :func:`_automorphisms` finds is
+    extended."""
     if n < 1:
         raise ValueError("order must be >= 1")
     if n == 1:
         return ((),)
+    m = n - 1
     result: set[EdgeTuple] = set()
-    for smaller in connected_underlying(n - 1):
-        for bits in range(1, 1 << (n - 1)):
-            extra = tuple((u, n - 1) for u in range(n - 1) if bits >> u & 1)
+    for smaller in connected_underlying(m):
+        for bits in _orbit_leaders(m, _automorphisms(m, smaller)):
+            extra = tuple((u, m) for u in range(m) if bits >> u & 1)
             result.add(canonical_form(n, smaller + extra))
     return tuple(sorted(result))
 

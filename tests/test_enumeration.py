@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -25,7 +26,7 @@ from hermitia import (
     tree_normalize,
     underlying,
 )
-from hermitia.enumeration import _mixed_tuples, _setup, canonical_form, count_switching_classes
+from hermitia.enumeration import _automorphisms, _mixed_tuples, _setup, canonical_form, count_switching_classes
 
 import enumeration_reference
 from conftest import anchored_switches, timed_under_alarm
@@ -411,3 +412,81 @@ def test_canonical_forms_match_reference(n):
             edges = smaller + tuple((u, n - 1) for u in range(n - 1) if bits >> u & 1)
             assert canonical_form(n, edges) == enumeration_reference.canonical_form(n, edges), edges
     assert connected_underlying(n) == enumeration_reference.connected_underlying(n)
+
+
+def _relabeled(edges, perm):
+    return tuple(sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges))
+
+
+def _cycle(n):
+    return _relabeled([(v, (v + 1) % n) for v in range(n)], range(n))
+
+
+def _complete_multipartite(*sizes):
+    part = [j for j, size in enumerate(sizes) for _ in range(size)]
+    return tuple((u, v) for u, v in itertools.combinations(range(len(part)), 2) if part[u] != part[v])
+
+
+def _petersen():
+    return _relabeled(
+        [(v, (v + 1) % 5) for v in range(5)] + [(v, v + 5) for v in range(5)]
+        + [(5 + v, 5 + (v + 2) % 5) for v in range(5)],
+        range(10),
+    )
+
+
+# Symmetric inputs, where the search keeps many orders or skips many twins.
+_SYMMETRIC = {
+    "K8": (8, tuple(itertools.combinations(range(8), 2))),
+    "C8": (8, _cycle(8)),
+    "K4,4": (8, _complete_multipartite(4, 4)),
+    "cube": (8, tuple((u, v) for u, v in itertools.combinations(range(8), 2) if (u ^ v).bit_count() == 1)),
+    "K2,3,3": (8, _complete_multipartite(2, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SYMMETRIC))
+def test_canonical_forms_match_reference_on_symmetric_graphs(name):
+    n, edges = _SYMMETRIC[name]
+    form = canonical_form(n, edges)
+    assert form == enumeration_reference.canonical_form(n, edges)
+    rng = random.Random(name)
+    for _ in range(3):
+        assert canonical_form(n, _relabeled(edges, rng.sample(range(n), n))) == form
+
+
+def test_canonical_forms_match_reference_on_random_relabelings():
+    # Seeded random order-8 graphs, connected or not, each under three
+    # random relabelings: every form is the reference's, and all four agree.
+    rng = random.Random(8)
+    for _ in range(40):
+        density = rng.choice((0.3, 0.5, 0.7))
+        edges = tuple(pair for pair in itertools.combinations(range(8), 2) if rng.random() < density)
+        form = canonical_form(8, edges)
+        assert form == enumeration_reference.canonical_form(8, edges), edges
+        for _ in range(3):
+            moved = _relabeled(edges, rng.sample(range(8), 8))
+            assert canonical_form(8, moved) == form, (edges, moved)
+            assert enumeration_reference.canonical_form(8, moved) == form, (edges, moved)
+
+
+@pytest.mark.parametrize("name", ["K10", "Petersen"])
+def test_canonical_form_of_symmetric_order_10_is_fast(name):
+    # Trying every order within the one color class walks 10! = 3,628,800
+    # orders, tens of seconds; the search takes milliseconds.  The bound is
+    # on this process's CPU time.
+    edges = tuple(itertools.combinations(range(10), 2)) if name == "K10" else _petersen()
+    form, elapsed = timed_under_alarm(lambda: canonical_form(10, edges), f"canonical_form of {name}", time.process_time)
+    assert len(form) == len(edges)
+    assert canonical_form(10, _relabeled(edges, random.Random(10).sample(range(10), 10))) == form
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_automorphisms_are_automorphisms(n):
+    # Orbit pruning in connected_underlying is sound only if every
+    # permutation it uses maps the graph onto itself.
+    for edges in connected_underlying(n):
+        for image in _automorphisms(n, edges):
+            assert sorted(image) == list(range(n))
+            assert _relabeled(edges, image) == edges, (edges, image)
