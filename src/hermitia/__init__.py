@@ -8,6 +8,12 @@ canonical forms, twin reduction, the named graph families, and classifiers
 for the small positive-inertia characterizations.
 """
 
+import os
+
+# numpy reads these when first imported; a count the caller set wins (README, "BLAS threads").
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from .classify import (
     ClassificationResult,
     FormulaReport,

@@ -43,6 +43,7 @@ from .graph_core import (
     induced_subgraph,
     is_connected,
     pendant_vertices,
+    vertex_id,
 )
 from .numeric import UNIT_I, UNIT_MINUS_I, UNIT_ONE, Unit, unit_token
 from .spectra import inertia
@@ -179,12 +180,9 @@ def complete_multipartite_parts(
     never meets its own neighborhood, since no vertex is its own neighbor,
     so comparing sizes suffices.
     """
-    vs = sorted(set(range(graph.n) if vertices is None else vertices))
+    vs = range(graph.n) if vertices is None else sorted({vertex_id(graph, v) for v in vertices})
     if not vs:
         return None
-    for v in (vs[0], vs[-1]):
-        if not 0 <= v < graph.n:
-            raise ValueError(f"vertex id {v} out of range")
     inside = set(vs)
     groups: dict[frozenset[int], list[int]] = {}
     for v in vs:
@@ -501,8 +499,6 @@ def lem311_check(f1: QuartGainGraph, f2: QuartGainGraph, v: int) -> bool:
     classes, and after switching f1 plain, v's gains are constant on each
     class.
     """
-    if not (0 <= v < f2.n):
-        raise ValueError(f"vertex id {v} out of range")
     if delete_vertex(f2, v) != f1:
         raise HypothesisViolation("removing v from f2 does not give f1")
     if not is_connected(f1):

@@ -52,6 +52,17 @@ class GraphFormatError(ValueError):
     """Raised for malformed .qgg text or invalid edge data."""
 
 
+def vertex_id(graph: QuartGainGraph, v: object) -> int:
+    """``v`` as a vertex id of ``graph``, the rule for every id a caller passes:
+    an integer by :func:`as_int` (numpy integers pass; bools, floats and
+    strings raise) with 0 <= v < n, else ValueError."""
+    if type(v) is not int:
+        v = as_int(v, "vertex id")
+    if not 0 <= v < graph.n:
+        raise ValueError(f"vertex id {v} out of range")
+    return v
+
+
 class QuartGainGraph:
     """Immutable gain graph on vertices 0..n-1.
 
@@ -64,7 +75,8 @@ class QuartGainGraph:
     :meth:`gain`, :meth:`neighbors`, :meth:`neighbor_gains` and
     :meth:`degree` starts as ``None`` and is built from ``edges`` by
     ``_index`` on the first such query, so a graph that is only serialized,
-    hashed, compared or turned into a matrix never builds it.
+    hashed, compared or turned into a matrix never builds it.  These queries
+    apply the :func:`vertex_id` rule to every id they are given.
 
     Builders whose records are normal by construction, taken from
     ``connected_underlying``, from an existing graph's own records, from
@@ -144,27 +156,39 @@ class QuartGainGraph:
             adj = self._adj = tuple(rows)
         return adj
 
+    def _row(self, u: int) -> dict[int, Unit]:
+        """Row u of the neighbour index: a plain int u >= 0 indexes it, whose
+        bound stops u >= n, and any other u goes through :func:`vertex_id`."""
+        adj = self._adj or self._index()
+        if type(u) is int and u >= 0:
+            try:
+                return adj[u]
+            except IndexError:
+                pass
+        return adj[vertex_id(self, u)]
+
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._index()[u]
+        row = self._row(u)
+        self._row(v)
+        return v in row
 
     def gain(self, u: int, v: int) -> Unit:
         """Gain of the edge oriented u -> v; raises if not adjacent."""
-        try:
-            return self._index()[u][v]
-        except KeyError:
-            raise ValueError(f"no edge between {u} and {v}") from None
+        if not self.has_edge(u, v):
+            raise ValueError(f"no edge between {u} and {v}")
+        return self._adj[u][v]
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         # Already increasing: each row is filled from the sorted edges, every (w, u) before (u, x).
-        return tuple(self._index()[u])
+        return tuple(self._row(u))
 
     def neighbor_gains(self, u: int) -> ItemsView[int, Unit]:
         """Read-only (neighbor x, gain of u -> x) pairs, x increasing as in
         :meth:`neighbors`."""
-        return self._index()[u].items()
+        return self._row(u).items()
 
     def degree(self, u: int) -> int:
-        return len(self._index()[u])
+        return len(self._row(u))
 
     @property
     def is_mixed(self) -> bool:
@@ -297,10 +321,7 @@ def underlying(graph: QuartGainGraph) -> QuartGainGraph:
 
 def induced_subgraph(graph: QuartGainGraph, vertices: Sequence[int]) -> QuartGainGraph:
     """Induced subgraph relabeled 0..|S|-1 in order; gains preserved."""
-    vs = sorted(set(vertices))
-    for v in vs:
-        if not (0 <= v < graph.n):
-            raise ValueError(f"vertex id {v} out of range")
+    vs = sorted({vertex_id(graph, v) for v in vertices})
     index = {v: i for i, v in enumerate(vs)}
     # The relabeling is increasing, so the records stay sorted.
     edges = [
@@ -357,8 +378,7 @@ def gaussian_matmul(a_re, a_im, b_re, b_im):
 
 
 def delete_vertex(graph: QuartGainGraph, v: int) -> QuartGainGraph:
-    if not (0 <= v < graph.n):
-        raise ValueError(f"vertex id {v} out of range")
+    v = vertex_id(graph, v)
     return induced_subgraph(graph, [u for u in range(graph.n) if u != v])
 
 
@@ -384,18 +404,8 @@ def coalesce(g1: QuartGainGraph, v1: int, g2: QuartGainGraph, v2: int) -> QuartG
     increasing order starting at g1.n.  The merged vertex carries the union
     of both incidence lists and there are no other edges between the sides.
     """
-    if not (0 <= v1 < g1.n):
-        raise ValueError(f"vertex id {v1} out of range")
-    if not (0 <= v2 < g2.n):
-        raise ValueError(f"vertex id {v2} out of range")
-    mapping: dict[int, int] = {}
-    nxt = g1.n
-    for u in range(g2.n):
-        if u == v2:
-            mapping[u] = v1
-        else:
-            mapping[u] = nxt
-            nxt += 1
+    v1, v2 = vertex_id(g1, v1), vertex_id(g2, v2)
+    mapping = [v1 if u == v2 else g1.n + u - (u > v2) for u in range(g2.n)]
     edges = list(g1.edges) + [(mapping[u], mapping[v], g) for u, v, g in g2.edges]
     return QuartGainGraph(g1.n + g2.n - 1, edges)
 
@@ -417,7 +427,7 @@ def bfs_forest(
     """
     seen = [False] * graph.n
     for v in removed:
-        seen[v] = True
+        seen[vertex_id(graph, v)] = True
     parent = [-1] * graph.n
     adj = graph._index()
     order: list[int] = []
@@ -454,8 +464,6 @@ def components(graph: QuartGainGraph) -> list[VertexSet]:
 
 def components_avoiding(graph: QuartGainGraph, v: int) -> list[VertexSet]:
     """Components of the graph minus vertex v, kept in original labels."""
-    if not (0 <= v < graph.n):
-        raise ValueError(f"vertex id {v} out of range")
     return _forest_components(*bfs_forest(graph, (v,)))
 
 

@@ -25,7 +25,6 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -163,10 +162,10 @@ def _random_invertible(rng: random.Random, n: int) -> tuple[np.ndarray, np.ndarr
 
 def _suite_pendant(n: Optional[int], seed: int) -> Iterator[Check]:
     """Deleting a pendant vertex and its neighbor costs exactly (1, 1, 0)."""
-    for g in classes_up_to(n):
+    for g in classes_up_to(n, has_pendant=True):
+        whole = inertia(g)
         for v1 in pendant_vertices(g):
             v2 = g.neighbors(v1)[0]
-            whole = inertia(g)
             rest = inertia(induced_subgraph(g, [u for u in range(g.n) if u not in (v1, v2)]))
             expected = rest + InertiaTriple(1, 1, 0)
             yield whole == expected, g, expected, whole
@@ -336,33 +335,13 @@ def _suite_coalescence_bounds(n: Optional[int], seed: int) -> Iterator[Check]:
         yield got == 2, g, 2, got
 
 
-# Apex-family sweeps: name -> (predicate(r, k, *roles), family(q, n, *roles),
-# has a second role).  roles holds the number of n-side parts in the first
-# role (p for cor39, a otherwise) and, for lem38 / lem310, in the second role
-# (b or c).  The lambdas look their functions up at call time, so a rebound
-# module attribute, such as a tracing wrapper, is the one called.
-_APEX_SWEEPS = {
-    "cor39": (
-        lambda r, k, p: cor39_condition(r, k, p),
-        lambda q, n, p: gen_K_plain(q, n, p),
-        False,
-    ),
-    "lem38": (
-        lambda r, k, a, b: lem38_condition(r, k, a, b),
-        lambda q, n, a, b: gen_K_gain(q, n, a, b, 0, 0),
-        True,
-    ),
-    "lem310": (
-        lambda r, k, a, c: lem310_condition(r, k, a, c),
-        lambda q, n, a, c: gen_K_gain(q, n, a, 0, c, 0),
-        True,
-    ),
-}
-
-
-def _apex_instances(rng: random.Random, two_roles: bool):
-    """(q sizes, n sizes, roles): every all-singleton family with
-    2 <= r <= 5 and 2 <= k <= 7, then 25 seeded blow-ups."""
+def _apex_instances(seed: int, two_roles: bool):
+    """(q sizes, n sizes, roles) of an apex-family sweep: every all-singleton
+    family with 2 <= r <= 5 and 2 <= k <= 7, then 25 seeded blow-ups.  roles
+    holds the number of n-side parts in the first role (p for cor39, a
+    otherwise) and, with ``two_roles``, in the second (b for lem38, c for
+    lem310)."""
+    rng = random.Random(seed)
 
     def roles_for(k: int, first: int) -> list[tuple[int, ...]]:
         if not two_roles:
@@ -383,13 +362,30 @@ def _apex_instances(rng: random.Random, two_roles: bool):
         yield q_sizes, n_sizes, roles
 
 
-def _suite_apex(name: str, n: Optional[int], seed: int) -> Iterator[Check]:
-    """Parameter predicate vs exact spectrum for one apex family."""
-    predicate, family, two_roles = _APEX_SWEEPS[name]
-    for q_sizes, n_sizes, roles in _apex_instances(random.Random(seed), two_roles):
-        predicted = predicate(len(q_sizes), len(n_sizes), *roles)
-        actual = inertia(family(q_sizes, n_sizes, *roles)).p == 2
-        yield predicted == actual, f"q={q_sizes},n={n_sizes},roles={roles}", predicted, actual
+# Each apex sweep names its predicate and family, looked up at call time, so
+# a rebound module attribute, such as a tracing wrapper, is the one called.
+def _suite_cor39(n: Optional[int], seed: int) -> Iterator[Check]:
+    """Corollary 3.9's predicate vs p = 2 of the all-undirected apex family."""
+    for q, k, roles in _apex_instances(seed, False):
+        predicted = cor39_condition(len(q), len(k), *roles)
+        actual = inertia(gen_K_plain(q, k, *roles)).p == 2
+        yield predicted == actual, f"q={q},n={k},roles={roles}", predicted, actual
+
+
+def _suite_lem38(n: Optional[int], seed: int) -> Iterator[Check]:
+    """Lemma 3.8's predicate vs p = 2 of the apex family with a gain-i and b gain--i parts."""
+    for q, k, (a, b) in _apex_instances(seed, True):
+        predicted = lem38_condition(len(q), len(k), a, b)
+        actual = inertia(gen_K_gain(q, k, a, b, 0, 0)).p == 2
+        yield predicted == actual, f"q={q},n={k},roles={(a, b)}", predicted, actual
+
+
+def _suite_lem310(n: Optional[int], seed: int) -> Iterator[Check]:
+    """Lemma 3.10's predicate vs p = 2 of the apex family with a gain-i and c gain-1 parts."""
+    for q, k, (a, c) in _apex_instances(seed, True):
+        predicted = lem310_condition(len(q), len(k), a, c)
+        actual = inertia(gen_K_gain(q, k, a, 0, c, 0)).p == 2
+        yield predicted == actual, f"q={q},n={k},roles={(a, c)}", predicted, actual
 
 
 def _suite_lem311(n: Optional[int], seed: int) -> Iterator[Check]:
@@ -481,9 +477,9 @@ _SUITES: dict[str, _Suite] = {
     "twin_rank3": _Suite(_suite_twin_rank3, 5, 6),
     "c3t_rank": _Suite(_suite_c3t_rank, None, None),
     "coalescence_bounds": _Suite(_suite_coalescence_bounds, None, None),
-    "lem38": _Suite(partial(_suite_apex, "lem38"), None, None),
-    "cor39": _Suite(partial(_suite_apex, "cor39"), None, None),
-    "lem310": _Suite(partial(_suite_apex, "lem310"), None, None),
+    "lem38": _Suite(_suite_lem38, None, None),
+    "cor39": _Suite(_suite_cor39, None, None),
+    "lem310": _Suite(_suite_lem310, None, None),
     "lem311": _Suite(_suite_lem311, None, None),
     "thm11": _Suite(_suite_thm11, 5, HARD_CAP),
     "thm12": _Suite(_suite_thm12, 6, HARD_CAP),

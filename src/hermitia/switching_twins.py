@@ -33,6 +33,7 @@ from .graph_core import (
     gaussian_matmul,
     induced_subgraph,
     relabel,
+    vertex_id,
 )
 from .numeric import (
     UNIT_I,
@@ -74,19 +75,15 @@ def converse(graph: QuartGainGraph) -> QuartGainGraph:
 
 
 def _crossing_edges(graph: QuartGainGraph, cut: Iterable[int]):
-    side = set(cut)
-    for v in side:
-        if not (0 <= v < graph.n):
-            raise ValueError(f"vertex id {v} out of range")
-    for u, v, g in graph.edges:
-        if (u in side) != (v in side):
-            yield u, v, g, u in side
+    """The checked vertex set ``cut`` and its crossing edges (u, v, gain, u in the set)."""
+    side = {vertex_id(graph, v) for v in cut}
+    return side, [(u, v, g, u in side) for u, v, g in graph.edges if (u in side) != (v in side)]
 
 
 def two_way_directed(graph: QuartGainGraph, cut: VertexSet) -> QuartGainGraph:
     """Reverse all edges of an edge cut consisting of arcs only."""
-    side = set(cut)
-    for u, v, g, _ in _crossing_edges(graph, cut):
+    side, crossing = _crossing_edges(graph, cut)
+    for u, v, g, _ in crossing:
         if g not in (UNIT_I, UNIT_MINUS_I):
             raise ValueError(f"cut edge ({u}, {v}) is not directed")
     theta = tuple(UNIT_MINUS_ONE if v in side else UNIT_ONE for v in range(graph.n))
@@ -100,9 +97,9 @@ def two_way_mixed(graph: QuartGainGraph, cut: VertexSet) -> QuartGainGraph:
     arcs become undirected and undirected edges become arcs in the opposite
     direction.  Realized as a switch by -i on one side of the cut.
     """
-    side = set(cut)
+    side, crossing = _crossing_edges(graph, cut)
     inward = outward = False
-    for u, v, g, u_in_side in _crossing_edges(graph, cut):
+    for u, v, g, u_in_side in crossing:
         if g == UNIT_MINUS_ONE:
             raise ValueError(f"cut edge ({u}, {v}) has gain -1")
         if g == UNIT_ONE:
@@ -128,9 +125,7 @@ def two_way_mixed(graph: QuartGainGraph, cut: VertexSet) -> QuartGainGraph:
 def _cycle_steps(graph: QuartGainGraph, cycle: tuple[int, ...]) -> list[tuple[int, int, Unit]]:
     """The (u, v, gain of u -> v) steps of the traversal, closing edge last;
     raises ValueError unless ``cycle`` is a cycle of ``graph``."""
-    for v in cycle:
-        if not 0 <= v < graph.n:
-            raise ValueError(f"vertex id {v} out of range")
+    cycle = [vertex_id(graph, v) for v in cycle]
     if len(cycle) < 3 or len(set(cycle)) != len(cycle):
         raise ValueError("not a cycle: need at least 3 distinct vertices")
     steps = []
@@ -355,8 +350,6 @@ def are_twins(graph: QuartGainGraph, u: int, w: int) -> Optional[Unit]:
     """
     if u == w:
         raise ValueError("a vertex is not its own twin")
-    if not (0 <= u < graph.n and 0 <= w < graph.n):
-        raise ValueError("vertex id out of range")
     (key_u, base_u), (key_w, base_w) = _twin_key(graph, u), _twin_key(graph, w)
     return (base_u - base_w) % 4 if key_u == key_w else None
 

@@ -4,22 +4,17 @@ The brute-force switching oracle here deliberately avoids the library's
 canonical-form machinery: it enumerates raw switch assignments (anchored at
 one vertex per component) and compares graphs directly, so it can referee
 ``switching_equivalent``.  ``timed_under_alarm`` bounds the speed guards.
-Importing this module limits numpy's BLAS to one thread.
+Importing this module imports ``hermitia`` before numpy, so numpy's BLAS
+runs one thread, as in ``perfbench/run.py``, and a busy machine cannot stall
+a timed test on OpenBLAS's thread pool.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import signal
 import time
-
-# numpy reads these when it is first imported, which is below: with one BLAS
-# thread, as in perfbench/run.py, a busy machine cannot stall a timed test
-# on OpenBLAS's thread pool.
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
 
 from hypothesis import strategies as st
 

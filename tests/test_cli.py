@@ -1,7 +1,11 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -259,6 +263,39 @@ def test_p1_suite_streams_its_corpus():
         tracemalloc.stop()
     assert report.passed and report.checked == 6989
     assert peak < 500_000
+
+
+@pytest.mark.parametrize(
+    "suite, predicate, checked",
+    [("cor39", "cor39_condition", 133), ("lem38", "lem38_condition", 269), ("lem310", "lem310_condition", 269)],
+)
+def test_apex_sweep_calls_its_predicate_through_the_module(monkeypatch, suite, predicate, checked):
+    # A tracing wrapper rebinds the module attribute; each sweep must look
+    # its predicate up at call time, so every call goes through the wrapper.
+    import hermitia.suites as suites_module
+    from hermitia import verify_suite
+
+    original, calls = getattr(suites_module, predicate), []
+    monkeypatch.setattr(suites_module, predicate, lambda *args: calls.append(args) or original(*args))
+    report = verify_suite(suite)
+    assert report.passed and report.checked == checked
+    assert len(calls) == checked
+
+
+def test_import_limits_blas_threads_unless_already_set():
+    # numpy reads these when first imported; hermitia sets them first, and a
+    # value the caller already set wins.
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    probe = f"import os, hermitia; print(*(os.environ[name] for name in {names!r}))"
+    env = {key: value for key, value in os.environ.items() if key not in names}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+
+    def thread_counts(env):
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        return done.stdout.split()
+
+    assert thread_counts(env) == ["1", "1", "1"]
+    assert thread_counts({**env, "OPENBLAS_NUM_THREADS": "2"}) == ["2", "1", "1"]
 
 
 def test_equiv_iso_negative(tmp_path, capsys):

@@ -62,7 +62,9 @@ CHECK_SITES = {
     "_suite_twin_rank3": 1,
     "_suite_c3t_rank": 1,
     "_suite_coalescence_bounds": 2,
-    "_suite_apex": 1,
+    "_suite_cor39": 1,
+    "_suite_lem38": 1,
+    "_suite_lem310": 1,
     "_suite_lem311": 0,  # yields from _check_lem311_instance
     "_check_lem311_instance": 1,
     "_suite_thm11": 1,
