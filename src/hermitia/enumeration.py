@@ -1,15 +1,8 @@
 """Exhaustive enumeration of switching classes at desk scale.
 
-Connected underlying graphs are generated up to isomorphism by vertex
-extension with canonical-form deduplication.  The form is the least
-relabeling over the vertex orders that respect the color-refinement
-classes.  An ordered-partition search fixes it one row of the adjacency
-bit string at a time, keeping every branch that ties for the greatest row
-and expanding one of each pair of twins, so it is the form a scan of every
-order within the color classes gives, without the scan.  Any two orders
-the search keeps on the smaller graph differ by an automorphism, as does
-each twin swap it skips, and only one neighbour mask of each orbit under
-those automorphisms is tried for the new vertex.
+Connected underlying graphs are generated up to isomorphism by extending
+each smaller graph by one neighbour mask per orbit of the automorphisms
+the bit-mask search of :func:`canonical_form` finds, deduplicated by it.
 
 For each underlying graph, the tree of the canonical BFS spanning forest
 (:func:`graph_core.bfs_forest`, the tree that
@@ -93,40 +86,46 @@ class EnumSpec:
 # -- canonical labeling ----------------------------------------------------------
 
 
-def _refine_colors(n: int, adj: list[set[int]]) -> list[int]:
-    colors = [len(adj[v]) for v in range(n)]
-    while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(n)
-        ]
-        ranks = {key: i for i, key in enumerate(sorted(set(keys)))}
-        refined = [ranks[key] for key in keys]
-        if refined == colors:
-            return colors
-        colors = refined
+def _equitable_cells(nbr: list[int]) -> list[int]:
+    """The ordered cells, as vertex bit masks, that :func:`_least_orders`
+    starts from: the degree classes, lowest first, refined in rounds that
+    split each cell in place by its vertices' negated neighbour counts in
+    the round-start cells, in increasing order, until none splits.  These
+    are colour refinement's cells in the order of its (colour, sorted
+    neighbour colours) ranks: cells only split, so a cell's vertices share
+    a degree, and for equal-length sorted tuples of neighbour colours
+    lexicographic order is the order of the negated count vectors."""
+    degree = [mask.bit_count() for mask in nbr]
+    refined = [sum(1 << v for v, d in enumerate(degree) if d == k) for k in sorted(set(degree))]
+    cells: list[int] = []
+    while len(refined) != len(cells):
+        cells, refined = refined, []
+        for cell in cells:
+            if not cell & (cell - 1):
+                refined.append(cell)
+                continue
+            parts: dict[tuple[int, ...], int] = {}
+            todo = cell
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                mine = nbr[low.bit_length() - 1]
+                key = tuple([-(mine & other).bit_count() for other in cells])
+                parts[key] = parts.get(key, 0) | low
+            refined += [parts[key] for key in sorted(parts)]
+    return cells
 
 
 def _least_orders(n: int, edges: EdgeTuple) -> tuple[list[tuple[int, ...]], set[Pair]]:
     """The orders kept by :func:`canonical_form`'s search, each listing the
     vertices by their new labels, and the twin pairs whose swap it skipped.
-
     Every kept order relabels ``edges`` to the same least tuple, so any two
-    of them differ by an automorphism; so does each skipped swap.
-    """
-    adj: list[set[int]] = [set() for _ in range(n)]
+    of them differ by an automorphism; so does each skipped swap."""
     nbr = [0] * n
     for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
-    by_color: dict[int, int] = {}
-    for v, color in enumerate(_refine_colors(n, adj)):
-        by_color[color] = by_color.get(color, 0) | 1 << v
-    classes = [by_color[color] for color in sorted(by_color)]
-    # A state is the order so far and the ordered cells, as vertex bit masks,
-    # that the later positions are drawn from.
-    states: list[tuple[tuple[int, ...], list[int]]] = [((), classes)]
+    states: list[tuple[tuple[int, ...], list[int]]] = [((), _equitable_cells(nbr))]
     twins: set[Pair] = set()
     for _ in range(n):
         best = -1
@@ -171,22 +170,22 @@ def _least_orders(n: int, edges: EdgeTuple) -> tuple[list[tuple[int, ...]], set[
 
 def canonical_form(n: int, edges: EdgeTuple) -> EdgeTuple:
     """Lexicographically least relabeling of the edge set among the vertex
-    orderings that respect the color-refinement classes, taken in color
-    order; the classes are isomorphism-invariant, so isomorphic graphs get
+    orderings that respect the cells of :func:`_equitable_cells`, taken in
+    order; the cells are isomorphism-invariant, so isomorphic graphs get
     identical forms.
 
     For a fixed edge count, the least sorted edge tuple is the greatest
     upper-triangle adjacency bit string read row by row, so the search
     fixes one row at a time.  A state is an order of the first t vertices
-    and ordered cells holding the rest, the first cells being the color
-    classes.  Position t takes a vertex v of the first cell, and every
-    cell splits into v's neighbours, then the others: that fixes row t,
-    and rows 0..t-1 are the same for every arrangement within the cells.
-    Only the states with the greatest row t are kept, ties included, so
-    the least relabeling survives to the last position, which every kept
-    order reaches with the same rows.  Two twins in the first cell
-    (N(u) - w = N(w) - u) lead to states that their swap, an automorphism,
-    maps onto each other, so only the first is expanded.
+    and ordered cells, as vertex bit masks, holding the rest.  Position t
+    takes a vertex v of the first cell, and every cell splits into v's
+    neighbours, then the others: that fixes row t, and rows 0..t-1 are the
+    same for every arrangement within the cells.  Only the states with the
+    greatest row t are kept, ties included, so the least relabeling
+    survives to the last position, which every kept order reaches with the
+    same rows.  Two twins in the first cell (N(u) - w = N(w) - u) lead to
+    states that their swap, an automorphism, maps onto each other, so only
+    the first is expanded.
     """
     orders, _ = _least_orders(n, edges)
     position = [0] * n

@@ -168,15 +168,19 @@ class QuartGainGraph:
         return adj[vertex_id(self, u)]
 
     def has_edge(self, u: int, v: int) -> bool:
+        # Row u is read once; v goes through vertex_id only when it is not a
+        # plain int key of the row (True == 1 would match a key of 1).
         row = self._row(u)
-        self._row(v)
-        return v in row
+        return type(v) is int and v in row or vertex_id(self, v) in row
 
     def gain(self, u: int, v: int) -> Unit:
         """Gain of the edge oriented u -> v; raises if not adjacent."""
-        if not self.has_edge(u, v):
-            raise ValueError(f"no edge between {u} and {v}")
-        return self._adj[u][v]
+        row = self._row(u)
+        if type(v) is not int or v not in row:
+            v = vertex_id(self, v)
+            if v not in row:
+                raise ValueError(f"no edge between {u} and {v}")
+        return row[v]
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         # Already increasing: each row is filled from the sorted edges, every (w, u) before (u, x).
@@ -383,8 +387,10 @@ def delete_vertex(graph: QuartGainGraph, v: int) -> QuartGainGraph:
 
 
 def relabel(graph: QuartGainGraph, perm: Sequence[int]) -> QuartGainGraph:
-    """Relabel vertices; ``perm[old]`` is the new id of ``old``."""
-    if sorted(perm) != list(range(graph.n)):
+    """Relabel vertices; ``perm[old]`` is the new id of ``old``.  Each entry
+    must pass :func:`vertex_id`, and the entries must be n distinct ids."""
+    perm = [vertex_id(graph, new) for new in perm]
+    if len(perm) != graph.n or len(set(perm)) != graph.n:
         raise ValueError("perm is not a permutation of the vertex ids")
     return QuartGainGraph(graph.n, [(perm[u], perm[v], g) for u, v, g in graph.edges])
 

@@ -26,7 +26,14 @@ from hermitia import (
     tree_normalize,
     underlying,
 )
-from hermitia.enumeration import _automorphisms, _mixed_tuples, _setup, canonical_form, count_switching_classes
+from hermitia.enumeration import (
+    _automorphisms,
+    _equitable_cells,
+    _mixed_tuples,
+    _setup,
+    canonical_form,
+    count_switching_classes,
+)
 
 import enumeration_reference
 from conftest import anchored_switches, timed_under_alarm
@@ -480,6 +487,58 @@ def test_canonical_form_of_symmetric_order_10_is_fast(name):
     assert len(form) == len(edges)
     assert canonical_form(10, _relabeled(edges, random.Random(10).sample(range(10), 10))) == form
     assert elapsed < 1.0
+
+
+def _cells_and_reference(n, edges):
+    """The search's first cells, and the reference's colour classes as
+    masks in ascending colour."""
+    nbr = [0] * n
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+        adj[u].add(v)
+        adj[v].add(u)
+    colors = enumeration_reference._refine_colors(n, adj)
+    reference = [sum(1 << v for v in range(n) if colors[v] == c) for c in sorted(set(colors))]
+    return _equitable_cells(nbr), reference
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_equitable_cells_match_reference_colour_classes(n):
+    # Every graph test_canonical_forms_match_reference builds at order n.
+    for smaller in connected_underlying(n - 1):
+        for bits in range(1, 1 << (n - 1)):
+            edges = smaller + tuple((u, n - 1) for u in range(n - 1) if bits >> u & 1)
+            cells, reference = _cells_and_reference(n, edges)
+            assert cells == reference, edges
+
+
+def test_equitable_cells_match_reference_on_random_graphs():
+    # Orders 1-14 at four densities, connected or not: no other test reaches
+    # the cells above order 10.
+    rng = random.Random(14)
+    for n in range(1, 15):
+        for density in (0.15, 0.3, 0.5, 0.8):
+            for _ in range(25):
+                edges = tuple(pair for pair in itertools.combinations(range(n), 2) if rng.random() < density)
+                cells, reference = _cells_and_reference(n, edges)
+                assert cells == reference, (n, edges)
+
+
+_REGULAR = {
+    "Petersen": (10, _petersen()),
+    "C12": (12, _cycle(12)),
+    "K4,4": _SYMMETRIC["K4,4"],
+    "cube": _SYMMETRIC["cube"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REGULAR))
+def test_equitable_cells_match_reference_on_symmetric_graphs(name):
+    n, edges = _REGULAR[name]
+    cells, reference = _cells_and_reference(n, edges)
+    assert cells == reference
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -31,6 +31,7 @@ from hermitia import (
     induced_subgraph,
     lem311_check,
     parse_graph,
+    relabel,
     two_way_directed,
     two_way_mixed,
 )
@@ -115,6 +116,45 @@ def test_gain_on_valid_non_adjacent_ids_names_the_pair():
     with pytest.raises(ValueError, match=r"^no edge between 1 and 3$"):
         G.gain(1, 3)
     assert G.has_edge(1, 3) is False
+
+
+def test_bool_id_is_refused_where_its_int_is_a_neighbour():
+    # Vertex 1 is a neighbour of 0, and True == 1 hashes as 1, so a bare
+    # lookup in row 0 would answer for vertex 1.
+    assert G.has_edge(0, 1) and G.gain(0, 1) == G.gain(0, np.int64(1))
+    for call in (G.has_edge, G.gain):
+        with pytest.raises(ValueError, match="^vertex id must be an integer, got True$"):
+            call(0, True)
+
+
+# A path 0-1-2 and, for the silent case, an edge 0-1 with vertex 2 isolated.
+P3 = parse_graph("n 3\nU 0 1\nA 1 2\n")
+ISOLATED = parse_graph("n 3\nU 0 1")
+
+
+@pytest.mark.parametrize(
+    "graph, perm, message",
+    [
+        (P3, [0, True, 2], "vertex id must be an integer, got True"),
+        (P3, [0, 1.0, 2], "vertex id must be an integer, got 1.0"),
+        (ISOLATED, [0, 1, 2.0], "vertex id must be an integer, got 2.0"),
+        (P3, [0, 1, 3], "vertex id 3 out of range"),
+        (P3, [0, 1, -1], "vertex id -1 out of range"),
+        (P3, [0, 1, 1], "perm is not a permutation of the vertex ids"),
+        (P3, [0, 1], "perm is not a permutation of the vertex ids"),
+        (P3, [0, 1, 2, 0], "perm is not a permutation of the vertex ids"),
+    ],
+)
+def test_relabel_applies_the_vertex_id_rule_to_each_entry(graph, perm, message):
+    # A plain ValueError from the permutation check, never the constructor's
+    # GraphFormatError, and never a silent relabeling.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+        relabel(graph, perm)
+    assert type(caught.value) is ValueError
+
+
+def test_relabel_takes_numpy_ids_as_ints():
+    assert relabel(P3, np.array([2, 0, 1])) == relabel(P3, [2, 0, 1]) == parse_graph("n 3\nA 0 1\nU 0 2\n")
 
 
 def test_vertex_id_returns_a_plain_int():
