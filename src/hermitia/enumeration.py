@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
@@ -52,7 +52,7 @@ from .graph_core import (
     cut_vertices,
     pendant_vertices,
 )
-from .numeric import UNIT_MINUS_ONE, UNIT_ONE, UNITS, Unit
+from .numeric import UNIT_MINUS_ONE, UNIT_ONE, UNITS, Unit, as_int
 from .switching_twins import apply_switch
 
 Pair = tuple[int, int]
@@ -72,7 +72,8 @@ class EnumSpec:
     population filters.
 
     ``limit`` stops the stream after that many classes; 0 emits none and a
-    negative limit is a ``ValueError``.
+    negative limit is a ``ValueError``.  ``n`` and ``limit`` follow the
+    integer rule of :func:`as_int`: a bool or a float is a ``ValueError``.
     """
 
     n: int
@@ -236,7 +237,8 @@ def _orbit_leaders(m: int, automorphisms: list[list[int]]) -> Iterator[int]:
         yield leader
 
 
-@lru_cache(maxsize=None)
+# Typed, so that 2.0 or True misses the entry of 2 or 1 and is rejected.
+@lru_cache(maxsize=None, typed=True)
 def connected_underlying(n: int) -> tuple[EdgeTuple, ...]:
     """All connected graphs of order n up to isomorphism, as canonical
     sorted edge tuples, generated by single-vertex extension.
@@ -244,7 +246,8 @@ def connected_underlying(n: int) -> tuple[EdgeTuple, ...]:
     An automorphism of the smaller graph maps the new vertex's neighbour
     mask to one whose extension is isomorphic, so only the least mask of
     each orbit under the automorphisms :func:`_automorphisms` finds is
-    extended."""
+    extended.  The order must pass :func:`as_int`."""
+    n = as_int(n, "order")
     if n < 1:
         raise ValueError("order must be >= 1")
     if n == 1:
@@ -330,11 +333,19 @@ def _search(
     return True
 
 
-def _check_spec(spec: EnumSpec) -> None:
-    if not 1 <= spec.n <= HARD_CAP:
-        raise ValueError(f"order {spec.n} outside 1..{HARD_CAP}")
-    if spec.limit is not None and spec.limit < 0:
-        raise ValueError(f"limit must be >= 0, got {spec.limit}")
+def _check_spec(spec: EnumSpec) -> EnumSpec:
+    """``spec`` with its order and limit as plain ints, or ValueError: each
+    must pass :func:`as_int`, the order must lie in 1..:data:`HARD_CAP` and
+    the limit must not be negative."""
+    n = as_int(spec.n, "order")
+    if not 1 <= n <= HARD_CAP:
+        raise ValueError(f"order {n} outside 1..{HARD_CAP}")
+    limit = spec.limit
+    if limit is not None:
+        limit = as_int(limit, "limit")
+        if limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
+    return replace(spec, n=n, limit=limit)
 
 
 Setup = tuple[list[tuple[Edge, ...]], list[list[Pair]], int, int]
@@ -438,7 +449,7 @@ def enumerate_switching_classes(spec: EnumSpec) -> Iterator[QuartGainGraph]:
     :func:`mixed_representative` where one comes with them; ``limit``
     cuts that stream by :func:`itertools.islice`.
     """
-    _check_spec(spec)
+    spec = _check_spec(spec)
     n = spec.n
     for records, theta in itertools.islice(_class_tuples(spec), spec.limit):
         if theta is not None:
@@ -459,7 +470,7 @@ def count_switching_classes(spec: EnumSpec) -> int:
     until the 3^k alone reach ``limit``) raise ``ValueError`` before any search.
     Backs ``hermitia enumerate --count-only``; not exported from the package.
     """
-    _check_spec(spec)
+    spec = _check_spec(spec)
     limit = math.inf if spec.limit is None else spec.limit
     ks = [len(choices) - spec.n + 1 for choices, *_ in _underlying_setups(spec)]
     if not spec.mixed_only:

@@ -26,9 +26,7 @@ lines ``U a b`` (gain 1), ``A a b`` (arc a -> b) or ``G a b <gain>``.
 from __future__ import annotations
 
 import itertools
-from typing import ItemsView, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, ItemsView, Iterable, Sequence
 
 from .numeric import (
     UNIT_I,
@@ -41,6 +39,9 @@ from .numeric import (
     unit_from_token,
     unit_token,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # A vertex set is a strictly increasing tuple of vertex ids.
 VertexSet = tuple[int, ...]
@@ -353,21 +354,20 @@ def gain_grids(graph: QuartGainGraph) -> tuple[list[list[int]], list[list[int]]]
     return re, im
 
 
-_UNIT_PART_ARRAY = np.array(_UNIT_PARTS, dtype=float)
-
-
 def gain_arrays(graph: QuartGainGraph) -> tuple[np.ndarray, np.ndarray]:
     """The (re, im) float64 arrays of H(G).
 
     The entries of :func:`gain_grids`, set by numpy indexing from
     ``graph.edges`` in one pass, with no Python-int grid.
     """
+    import numpy as np
+
     n = graph.n
     records = np.fromiter(
         itertools.chain.from_iterable(graph.edges), dtype=np.intp, count=3 * len(graph.edges)
     ).reshape(-1, 3)
     s, t = records[:, 0], records[:, 1]
-    a, b = _UNIT_PART_ARRAY[records[:, 2]].T
+    a, b = np.array(_UNIT_PARTS, dtype=float)[records[:, 2]].T
     re, im = np.zeros((n, n)), np.zeros((n, n))
     re[s, t] = re[t, s] = a
     im[s, t], im[t, s] = b, -b

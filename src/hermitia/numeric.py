@@ -5,8 +5,9 @@ helper functions for multiplication, conjugation and text tokens.  Its value
 as a Gaussian integer, needed only to build H(G), lives in ``graph_core``
 (:func:`graph_core.gain_grids`, :func:`graph_core.gain_arrays`).
 
-:func:`as_int` is the one rule for integer input, shared by graph records
-and matrix entries.
+:func:`as_int` is the one rule for integer input, shared by graph records,
+vertex ids, matrix entries, enumeration orders and limits, and suite
+orders.
 """
 
 from __future__ import annotations

@@ -20,24 +20,32 @@ Below :data:`CERT_ORDER` (16) vertices, :func:`inertia` hands the whole
 graph to the exact kernel.  From that order up, it twin-reduces the whole
 graph once and, spectral quantities being additive over connected
 components, sums over the components of the reduced graph: the
-certificate on each of order at least :data:`CERT_ORDER`, the exact kernel
-on the others and wherever the certificate declines.  The certificate is
-a congruence S guessed from a float eigenbasis and checked in exact
-integers (:func:`_certified_signature`).  Every answer stays exact.
+certificate on each of order at least :data:`CERT_ORDER` with more edges
+than vertices, the exact kernel on the others and wherever the
+certificate declines.  The certificate is a congruence S guessed from a
+float eigenbasis and checked in exact integers
+(:func:`_certified_signature`).  Every answer stays exact.  numpy is
+imported only inside the float functions (the certificate, the oracle,
+:func:`congruence` and :meth:`HermitianMatrix.to_complex_array`), so a
+call that stays on the kernel never loads it.
 
 The kernel pays for the rows each step hits, not for all of them: a row
 the pivot columns miss is rescaled only when it is next read, and the
 pivot is the sparsest row, which keeps the fill of sparse input low.  The
 singular order-1024 cycle, 32 x 32 grid, random tree and random graph with
-1,536 edges each take 0.4-0.9 s of CPU in the kernel (2-core VM); the
-certificate declines all four from the eigenvalues of ``eigh``, after
-about 1.4 s.  On dense input the cost grows faster than n^3: at edge
-probability 0.9 the kernel takes about 10 s at order 256 and minutes at
-order 512, where ``hermitia inertia`` with the certificate takes 0.4 s,
-1.0 s, and 4 s at order 1024, start-up included.  Dense singular residues,
-and inputs whose smallest eigenvalues are too close to 0 for the
-certificate, still fall back to the kernel, so dense order 512 and up can
-still take minutes.
+1,536 edges each take 0.4-0.9 s of CPU in the kernel (2-core VM).  The
+cycle and the tree, with no more edges than vertices, go to the kernel
+directly: ``eigh`` alone takes about 1.3 s at that order, so through
+:func:`inertia` the cycle takes 0.5 s where trying the certificate first
+would take 1.8 s, and the cycle with one arc, which the certificate
+proves, 0.5 s against 1.5 s.  The certificate declines the grid and the
+random graph from the eigenvalues of ``eigh``, after about 1.4 s.  On
+dense input the cost grows faster than n^3: at edge probability 0.9 the
+kernel takes about 10 s at order 256 and minutes at order 512, where
+``hermitia inertia`` with the certificate takes 0.4 s, 1.0 s, and 4 s at
+order 1024, start-up included.  Dense singular residues, and inputs whose
+smallest eigenvalues are too close to 0 for the certificate, still fall
+back to the kernel, so dense order 512 and up can still take minutes.
 """
 
 from __future__ import annotations
@@ -46,9 +54,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import or_
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .graph_core import (
     QuartGainGraph,
@@ -60,6 +66,9 @@ from .graph_core import (
 )
 from .numeric import as_int
 from .switching_twins import twin_reduction
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,6 +129,8 @@ class HermitianMatrix:
         return hash((self.re, self.im))
 
     def to_complex_array(self) -> np.ndarray:
+        import numpy as np
+
         array = np.array(self.re, dtype=float) + 1j * np.array(self.im, dtype=float)
         return array.reshape(self.n, self.n)
 
@@ -313,6 +324,8 @@ def _certified_signature(h_re: np.ndarray, h_im: np.ndarray) -> Optional[Inertia
     summation order; each row of |Re D| + |Im D| then sums to at most
     m N^2 < 2^63, exact in int64.
     """
+    import numpy as np
+
     m = len(h_re)
     try:
         w, v = np.linalg.eigh(h_re + 1j * h_im)
@@ -353,10 +366,13 @@ def inertia(graph: QuartGainGraph) -> InertiaTriple:
     each component on its own, except that all isolated vertices merge into
     one.  Each component of the reduced graph then becomes a graph of its
     own: the reduced graph itself when it is connected, else its
-    :func:`induced_subgraph`.  If its order is at least :data:`CERT_ORDER`,
-    :func:`_certified_signature` tries to prove its inertia from the float
-    arrays of :func:`gain_arrays`.  Otherwise, or when it declines, the
-    exact kernel runs on the int grids.
+    :func:`induced_subgraph`.  If its order is at least :data:`CERT_ORDER`
+    and it has more edges than vertices, :func:`_certified_signature` tries
+    to prove its inertia from the float arrays of :func:`gain_arrays`.
+    Otherwise, or when it declines, the exact kernel runs on the int grids.
+    A tree or a single cycle, with at most n edges, thus never reaches
+    ``eigh``: the kernel answers one of order 1024 in about a third of the
+    time ``eigh`` alone takes.
     """
     if graph.n < CERT_ORDER:
         return _signature(*gain_grids(graph))
@@ -364,7 +380,9 @@ def inertia(graph: QuartGainGraph) -> InertiaTriple:
     total = InertiaTriple(0, 0, graph.n - reduced.n)
     for comp in components(reduced):
         sub = reduced if len(comp) == reduced.n else induced_subgraph(reduced, comp)
-        part = _certified_signature(*gain_arrays(sub)) if sub.n >= CERT_ORDER else None
+        part = None
+        if sub.n >= CERT_ORDER and len(sub.edges) > sub.n:
+            part = _certified_signature(*gain_arrays(sub))
         if part is None:
             part = _signature(*gain_grids(sub))
         total = total + part
@@ -378,6 +396,8 @@ def congruence(
     n = matrix.n
     if len(s_re) != n or len(s_im) != n or any(len(row) != n for row in (*s_re, *s_im)):
         raise ValueError("congruence matrix has wrong shape")
+    import numpy as np
+
     h_re, h_im, s_re, s_im = (
         np.array(grid, dtype=object).reshape(n, n) for grid in (matrix.re, matrix.im, s_re, s_im)
     )
@@ -393,13 +413,15 @@ def eig_float(matrix: HermitianMatrix) -> list[float]:
     """Eigenvalues by LAPACK ``eigvalsh`` on a complex copy, ascending."""
     if matrix.n == 0:
         return []
+    import numpy as np
+
     return np.linalg.eigvalsh(matrix.to_complex_array()).tolist()
 
 
 def inertia_float(matrix: HermitianMatrix, tol: float = 1e-9) -> InertiaTriple:
     """Inertia from float eigenvalues, classified at tol * max(1, spectral radius)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     eigs = eig_float(matrix)
     scale = max(1.0, max((abs(e) for e in eigs), default=0.0))
     cut = tol * scale

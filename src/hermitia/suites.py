@@ -25,9 +25,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
 from .classify import (
     HypothesisViolation,
@@ -60,7 +58,7 @@ from .graph_core import (
     induced_subgraph,
     pendant_vertices,
 )
-from .numeric import UNITS
+from .numeric import UNITS, as_int
 from .spectra import (
     InertiaTriple,
     congruence,
@@ -75,6 +73,9 @@ from .switching_twins import (
     is_even_triangle,
     twin_reduction,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SEED = 1729
 
@@ -145,6 +146,8 @@ def _random_invertible(rng: random.Random, n: int) -> tuple[np.ndarray, np.ndarr
     # 4 * L D U as (re, im) arrays of Python ints, invertible by
     # construction: L unit lower and U unit upper triangular with entries in
     # (1/2)Z + iZ, built as 2L and 2U, and D a nonzero Gaussian-integer diagonal.
+    import numpy as np
+
     def small() -> tuple[int, int]:
         num, den = rng.randint(-2, 2), rng.randint(1, 2)
         return 2 * num // den, 2 * rng.randint(-1, 1)
@@ -490,13 +493,14 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def _resolve_n(name: str, n: Optional[int]) -> Optional[int]:
-    """The n suite ``name`` runs at: its default when n is None, else n checked
-    against the suite's largest."""
+    """The n suite ``name`` runs at: its default when n is None, else n as an
+    int (:func:`as_int`) checked against the suite's largest."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
     suite = _SUITES[name]
     if n is None:
         return suite.default_n
+    n = as_int(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if suite.max_n is not None and n > suite.max_n:

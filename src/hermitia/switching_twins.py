@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-import numpy as np
-
 from .graph_core import (
     GraphFormatError,
     QuartGainGraph,
@@ -231,6 +229,8 @@ def _walk_values(graph: QuartGainGraph) -> list[tuple[int, ...]]:
     (H^2)_vv is the degree of v, and the traces fix the spectrum.  Exact in
     int64 since |(H^k)_st| <= (n - 1)^(k - 1) < 2^40 for n <= MAX_ISO_ORDER.
     """
+    import numpy as np
+
     re, im = (np.array(grid, dtype=np.int64) for grid in gain_grids(graph))
     power_re, power_im, diagonals = re, im, []
     for _ in range(graph.n - 1):

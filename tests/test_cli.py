@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from hermitia import UNITS, QuartGainGraph, serialize_graph
 from hermitia.cli import build_parser, main
 from hermitia.families import MAX_COALESCE_DEPTH
 
@@ -298,6 +300,62 @@ def test_import_limits_blas_threads_unless_already_set():
     assert thread_counts({**env, "OPENBLAS_NUM_THREADS": "2"}) == ["2", "1", "1"]
 
 
+# Imports the package and the CLI, then runs ``cli.main`` on each argument
+# list of argv[1], each of which must exit 0 or 1; the last line printed
+# says, after the imports and after each call, whether numpy was loaded.
+_NUMPY_PROBE = """
+import json, sys
+import hermitia, hermitia.cli
+loaded = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    assert hermitia.cli.main(argv) in (0, 1), argv
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def _numpy_loaded_after(cwd, *commands):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_numpy_loads_only_on_a_float_path(tmp_path):
+    # numpy serves only the float side: the certificate for components of
+    # order CERT_ORDER and up with more edges than vertices, equiv --iso's
+    # walk values and the float suites.  Every other call starts without it.
+    rng = random.Random(20)
+    for n in (15, 20):
+        edges = [(u, v, rng.choice(UNITS)) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        _write(tmp_path, f"dense{n}.qgg", serialize_graph(QuartGainGraph(n, edges)))
+    without = [
+        ["generate", "cycle:1024", "-o", "cycle.qgg"],
+        ["generate", "K:q=2,1;n=1,2;a=1,b=1,c=0,d=0", "-o", "k.qgg"],
+        ["inertia", "dense15.qgg"],
+        ["inertia", "cycle.qgg"],
+        ["classify", "k.qgg"],
+        ["canon", "dense15.qgg"],
+        ["twin-reduce", "k.qgg"],
+        ["equiv", "dense15.qgg", "k.qgg"],
+        ["enumerate", "--n", "4"],
+    ]
+    assert _numpy_loaded_after(tmp_path, *without) == [False] * (len(without) + 1)
+    for argv in (
+        ["inertia", "dense20.qgg"],
+        ["equiv", "--iso", "k.qgg", "k.qgg"],
+        ["verify", "--suite", "oracle_agreement", "--n", "3"],
+    ):
+        assert _numpy_loaded_after(tmp_path, argv) == [False, True], argv
+
+
 def test_equiv_iso_negative(tmp_path, capsys):
     odd = _write(tmp_path, "odd2.qgg", "n 3\nA 0 1\nU 1 2\nU 0 2\n")
     even = _write(tmp_path, "even2.qgg", "n 3\nA 0 1\nA 2 1\nU 0 2\n")
@@ -326,6 +384,16 @@ def test_verify_reports_failures(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "c3t_rank: FAIL" in out
     assert "expected expected-thing, got got-thing" in out
+
+
+def test_verify_suite_rejects_a_non_integer_n():
+    from hermitia import verify_all, verify_suite
+
+    for n in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+            verify_suite("p1", n=n)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            verify_all(n=n)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from hermitia import (
@@ -365,12 +366,32 @@ def test_count_matches_stream_length_for_every_filter_combination(n):
 
 
 def test_count_rejects_what_the_stream_rejects():
-    for spec in (EnumSpec(n=0), EnumSpec(n=8), EnumSpec(n=3, limit=-1)):
+    non_integers = [EnumSpec(n=True), EnumSpec(n=4.0), EnumSpec(n=4, limit=True), EnumSpec(n=4, limit=2.5)]
+    non_integers += [EnumSpec(n=4, mixed_only=True, limit=True)]
+    for spec in (EnumSpec(n=0), EnumSpec(n=8), EnumSpec(n=3, limit=-1), *non_integers):
         with pytest.raises(ValueError) as streamed:
             list(enumerate_switching_classes(spec))
         with pytest.raises(ValueError) as counted:
             count_switching_classes(spec)
         assert str(counted.value) == str(streamed.value)
+
+
+def test_orders_and_limits_follow_the_integer_rule():
+    # Orders and limits take any integer, numpy's included, as a plain int;
+    # a bool or a float is a ValueError, as for graph records.
+    for spec in (EnumSpec(n=True), EnumSpec(n=4, limit=True), EnumSpec(n=4, limit=2.5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            count_switching_classes(spec)
+    first = next(enumerate_switching_classes(EnumSpec(n=np.int64(1))))
+    assert serialize_graph(first) == "n 1\n"
+    assert count_switching_classes(EnumSpec(n=np.int64(4), limit=np.int64(7))) == 7
+    assert len(list(enumerate_switching_classes(EnumSpec(n=4, limit=np.int64(3))))) == 3
+    # The cache of order 2 must not answer for 2.0, nor order 1's for True.
+    connected_underlying(1), connected_underlying(2)
+    for order in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            connected_underlying(order)
+    assert connected_underlying(np.int64(4)) == connected_underlying(4)
 
 
 @pytest.mark.parametrize("mixed", [False, True])

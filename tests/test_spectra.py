@@ -148,6 +148,16 @@ def test_inertia_float_examples():
         inertia_float(hermitian_matrix(odd), 0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_inertia_float_rejects_a_tol_outside_zero_to_infinity(tol):
+    # NaN compares false both ways: "tol <= 0" let it through, and every
+    # eigenvalue then counted as zero.
+    h = hermitian_matrix(gen_c3t(1, 1, 1))
+    assert inertia_float(h).as_tuple() == (1, 1, 1)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        inertia_float(h, tol)
+
+
 def test_oracle_agreement_sample():
     rng = random.Random(99)
     for _ in range(400):
@@ -482,12 +492,13 @@ def test_exact_kernel_dense_order_64_is_fast(monkeypatch):
 
 
 # Singular sparse inputs of order 1024 (MAX_ORDER).  Through inertia the
-# certificate declines each of them and the kernel answers.  Rescaling every
-# row the pivot column misses at every pivot costs 38-50 s of CPU on each;
-# bringing rows up to date only where they are read, pivoting by fewest
-# nonzeros and taking 2x2 steps on a zero diagonal, takes under 1 s.  The
-# bound is on the kernel alone: at this order the certificate's eigh costs
-# about 1.4 s of CPU by itself.
+# cycle and the tree go straight to the kernel (see the test below), and the
+# certificate declines the grid and the random graph before the kernel
+# answers them.  Rescaling every row the pivot column misses at every pivot
+# costs 38-50 s of CPU on each; bringing rows up to date only where they are
+# read, pivoting by fewest nonzeros and taking 2x2 steps on a zero diagonal,
+# takes under 1 s.  The bound is on the kernel alone: at this order the
+# certificate's eigh costs about 1.4 s of CPU by itself.
 _SPARSE_GUARDS = {
     "cycle1024": lambda: gen_cycle(1024),
     "grid32x32": lambda: _grid(32),
@@ -506,6 +517,20 @@ def test_exact_kernel_sparse_order_1024_is_fast(name):
     assert got.as_tuple() == _numpy_inertia(g)
     assert got.eta > 0
     assert elapsed < 2.0
+
+
+def test_inertia_sends_trees_and_cycles_straight_to_the_kernel(monkeypatch):
+    # A component with no more edges than vertices never reaches the
+    # certificate, whose eigh alone takes about three times as long as the
+    # kernel at order 1024, whether it then declines or not.
+    def forbidden(*arrays):
+        raise AssertionError("the certificate ran on a tree or a cycle")
+
+    monkeypatch.setattr(spectra, "_certified_signature", forbidden)
+    assert inertia(gen_cycle(1024)).as_tuple() == (511, 511, 2)
+    assert inertia(gen_cycle(1024, range(1))).as_tuple() == (512, 512, 0)
+    tree = _SPARSE_GUARDS["tree1024"]()
+    assert inertia(tree).as_tuple() == _numpy_inertia(tree)
 
 
 def test_float_referee_dense_orders_32_to_128():
