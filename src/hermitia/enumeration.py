@@ -3,6 +3,8 @@
 Connected underlying graphs are generated up to isomorphism by extending
 each smaller graph by one neighbour mask per orbit of the automorphisms
 the bit-mask search of :func:`canonical_form` finds, deduplicated by it.
+Only an extension whose new vertex has the least degree among its non-cut
+vertices is given a form, a cheap first step of canonical deletion.
 
 For each underlying graph, the tree of the canonical BFS spanning forest
 (:func:`graph_core.bfs_forest`, the tree that
@@ -117,15 +119,21 @@ def _equitable_cells(nbr: list[int]) -> list[int]:
     return cells
 
 
+def _neighbour_masks(n: int, edges: EdgeTuple) -> list[int]:
+    """Per vertex, the bit mask of its neighbours."""
+    nbr = [0] * n
+    for u, v in edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return nbr
+
+
 def _least_orders(n: int, edges: EdgeTuple) -> tuple[list[tuple[int, ...]], set[Pair]]:
     """The orders kept by :func:`canonical_form`'s search, each listing the
     vertices by their new labels, and the twin pairs whose swap it skipped.
     Every kept order relabels ``edges`` to the same least tuple, so any two
     of them differ by an automorphism; so does each skipped swap."""
-    nbr = [0] * n
-    for u, v in edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+    nbr = _neighbour_masks(n, edges)
     states: list[tuple[tuple[int, ...], list[int]]] = [((), _equitable_cells(nbr))]
     twins: set[Pair] = set()
     for _ in range(n):
@@ -237,6 +245,34 @@ def _orbit_leaders(m: int, automorphisms: list[list[int]]) -> Iterator[int]:
         yield leader
 
 
+def _least_degree_non_cut_last(nbr: list[int]) -> bool:
+    """Whether no vertex of the connected graph with neighbour masks ``nbr``
+    has a smaller degree than the last vertex and is not a cut vertex.
+
+    A vertex of degree 1 is never a cut vertex; any other vertex of smaller
+    degree is one exactly when the breadth-first search of the rest from
+    its least vertex misses some vertex."""
+    degree = nbr[-1].bit_count()
+    everyone = (1 << len(nbr)) - 1
+    for w, mine in enumerate(nbr[:-1]):
+        k = mine.bit_count()
+        if k >= degree:
+            continue
+        if k == 1:
+            return False
+        rest = everyone ^ 1 << w
+        seen = frontier = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = nbr[low.bit_length() - 1] & rest & ~seen
+            seen |= new
+            frontier |= new
+        if seen == rest:
+            return False
+    return True
+
+
 # Typed, so that 2.0 or True misses the entry of 2 or 1 and is rejected.
 @lru_cache(maxsize=None, typed=True)
 def connected_underlying(n: int) -> tuple[EdgeTuple, ...]:
@@ -246,7 +282,14 @@ def connected_underlying(n: int) -> tuple[EdgeTuple, ...]:
     An automorphism of the smaller graph maps the new vertex's neighbour
     mask to one whose extension is isomorphic, so only the least mask of
     each orbit under the automorphisms :func:`_automorphisms` finds is
-    extended.  The order must pass :func:`as_int`."""
+    extended.  Of those, only an extension whose new vertex has the least
+    degree among its non-cut vertices (:func:`_least_degree_non_cut_last`)
+    gets a :func:`canonical_form`.  That loses no graph: a connected graph
+    H of order n >= 2 has a non-cut vertex w of least degree among its
+    non-cut vertices, H - w is connected, and the extension of the form of
+    H - w by the least mask of the orbit of w's image is isomorphic to H
+    with its new vertex the image of w, so it passes.  The order must pass
+    :func:`as_int`."""
     n = as_int(n, "order")
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -255,9 +298,12 @@ def connected_underlying(n: int) -> tuple[EdgeTuple, ...]:
     m = n - 1
     result: set[EdgeTuple] = set()
     for smaller in connected_underlying(m):
+        nbr = _neighbour_masks(m, smaller)
         for bits in _orbit_leaders(m, _automorphisms(m, smaller)):
-            extra = tuple((u, m) for u in range(m) if bits >> u & 1)
-            result.add(canonical_form(n, smaller + extra))
+            extended = [mine | (bits >> u & 1) << m for u, mine in enumerate(nbr)] + [bits]
+            if _least_degree_non_cut_last(extended):
+                extra = tuple((u, m) for u in range(m) if bits >> u & 1)
+                result.add(canonical_form(n, smaller + extra))
     return tuple(sorted(result))
 
 
@@ -490,6 +536,7 @@ def count_switching_classes(spec: EnumSpec) -> int:
 
 
 def classes_up_to(order: int, **filters) -> Iterator[QuartGainGraph]:
-    """All classes of every order from 1 through ``order``."""
-    for n in range(1, order + 1):
+    """All classes of every order from 1 through ``order``, which must pass
+    :func:`as_int`."""
+    for n in range(1, as_int(order, "order") + 1):
         yield from enumerate_switching_classes(EnumSpec(n=n, **filters))

@@ -5,6 +5,9 @@ gain list: ``_refine_colors``, ``canonical_form``, ``connected_underlying``
 and ``enumerate_switching_classes`` verbatim, except that the least switch
 of a mixed-only stream comes from the brute-force
 ``mixed_representative_bruteforce`` and the cache is this module's own.
+Its ``connected_underlying`` extends each smaller graph by every nonempty
+neighbour mask, with neither orbit pruning nor the least-degree deletion
+rule, so it referees both.
 Every candidate is built as a graph, and a mixed-only candidate is built a
 second time by its switch.  The spanning tree comes from this module's own
 breadth-first search over the edge pairs, so a fault in the package's BFS

@@ -1,7 +1,11 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hermitia import (
     UNIT_ONE,
     UNITS,
     apply_switch,
+    classes_up_to,
     connected_underlying,
     delete_vertex,
     enumerate_switching_classes,
@@ -30,7 +35,9 @@ from hermitia import (
 from hermitia.enumeration import (
     _automorphisms,
     _equitable_cells,
+    _least_degree_non_cut_last,
     _mixed_tuples,
+    _neighbour_masks,
     _setup,
     canonical_form,
     count_switching_classes,
@@ -38,7 +45,7 @@ from hermitia.enumeration import (
 
 import enumeration_reference
 from conftest import anchored_switches, timed_under_alarm
-from connected_reference import connected_underlying_bruteforce, reference_form
+from connected_reference import _is_connected_edges, connected_underlying_bruteforce, reference_form
 from mixed_reference import least_switch_bruteforce, mixed_representative_bruteforce
 
 
@@ -332,8 +339,34 @@ def test_mixed_only_emits_mixed_members_of_same_class():
 
 
 def test_order_seven_underlying_count():
-    # 853 connected graphs on 7 vertices up to isomorphism (the hard cap).
-    assert len(connected_underlying(7)) == 853
+    # 853 connected graphs on 7 vertices up to isomorphism (the hard cap),
+    # every form and its place pinned by the SHA-256 of the tuple's repr.
+    graphs = connected_underlying(7)
+    assert len(graphs) == 853
+    assert hashlib.sha256(repr(graphs).encode()).hexdigest() == (
+        "6310f8f826c85e7f6732d0e372bcd02eba5b17da4300c9eacd39c20cd1314a44"
+    )
+
+
+# Fills order 6, then counts the canonical_form searches of the order-7 fill.
+_SEARCH_PROBE = """
+from hermitia import enumeration
+enumeration.connected_underlying(6)
+form, calls = enumeration.canonical_form, []
+enumeration.canonical_form = lambda *args: calls.append(args) or form(*args)
+enumeration.connected_underlying(7)
+print(len(calls))
+"""
+
+
+def test_order_seven_fill_runs_only_the_searches_the_deletion_rule_keeps():
+    # A fresh process, since this one's cache may already hold order 7.  With
+    # orbit pruning alone the fill ran 3,771 searches.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _SEARCH_PROBE], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert int(done.stdout) == 1192
 
 
 def _stream(enumerate_classes, spec, limit=None):
@@ -394,6 +427,13 @@ def test_orders_and_limits_follow_the_integer_rule():
     assert connected_underlying(np.int64(4)) == connected_underlying(4)
 
 
+def test_classes_up_to_follows_the_integer_rule():
+    for order in (True, 2.5, 3.0):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            list(classes_up_to(order))
+    assert len(list(classes_up_to(np.int64(3)))) == len(list(classes_up_to(3))) == 1 + 1 + (1 + 4)
+
+
 @pytest.mark.parametrize("mixed", [False, True])
 def test_order_six_stream_prefix_matches_reference(mixed):
     spec = EnumSpec(n=6, mixed_only=mixed)
@@ -439,6 +479,12 @@ def test_canonical_forms_match_reference(n):
         for bits in range(1, 1 << (n - 1)):
             edges = smaller + tuple((u, n - 1) for u in range(n - 1) if bits >> u & 1)
             assert canonical_form(n, edges) == enumeration_reference.canonical_form(n, edges), edges
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_generation_matches_unpruned_reference(n):
+    # The reference extends by every nonempty mask, with neither orbit
+    # pruning nor the deletion rule, and takes its own forms.
     assert connected_underlying(n) == enumeration_reference.connected_underlying(n)
 
 
@@ -570,3 +616,68 @@ def test_automorphisms_are_automorphisms(n):
         for image in _automorphisms(n, edges):
             assert sorted(image) == list(range(n))
             assert _relabeled(edges, image) == edges, (edges, image)
+
+
+def _without(edges, w):
+    """The edges of the graph minus vertex w, the later vertices moved down."""
+    return tuple((u - (u > w), v - (v > w)) for u, v in edges if w not in (u, v))
+
+
+def _deletion_rule_bruteforce(n, edges):
+    """No vertex but the last has a smaller degree and leaves the rest connected."""
+    degree = [sum(w in pair for pair in edges) for w in range(n)]
+    return not any(
+        degree[w] < degree[n - 1] and _is_connected_edges(n - 1, _without(edges, w)) for w in range(n - 1)
+    )
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_every_graph_passes_the_deletion_rule_by_a_least_degree_non_cut_vertex(n):
+    # connected_underlying(n) gives a form only to extensions that pass the
+    # rule.  Each graph H, with a least-degree non-cut vertex w moved last,
+    # is the extension of the connected H - w by w's mask, and must pass.
+    smaller = set(connected_underlying(n - 1))
+    for edges in connected_underlying(n):
+        degree = [sum(w in pair for pair in edges) for w in range(n)]
+        w = min((w for w in range(n) if _is_connected_edges(n - 1, _without(edges, w))), key=degree.__getitem__)
+        moved = _relabeled(edges, [*range(w), n - 1, *range(w, n - 1)])
+        assert canonical_form(n - 1, _without(moved, n - 1)) in smaller, (edges, w)
+        assert _least_degree_non_cut_last(_neighbour_masks(n, moved)), (edges, w)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_deletion_rule_matches_bruteforce_on_every_extension(n):
+    for smaller in connected_underlying(n - 1):
+        for bits in range(1, 1 << (n - 1)):
+            edges = smaller + tuple((u, n - 1) for u in range(n - 1) if bits >> u & 1)
+            got = _least_degree_non_cut_last(_neighbour_masks(n, edges))
+            assert got == _deletion_rule_bruteforce(n, edges), edges
+
+
+def _cycle_with_last(n, v):
+    """The n-cycle 0, 1, ..., n - 1 with v swapped with the last vertex."""
+    perm = list(range(n))
+    perm[v], perm[n - 1] = n - 1, v
+    return _relabeled(_cycle(n), perm)
+
+
+def test_deletion_rule_by_hand():
+    # Order 2 is not filtered: both ends have degree 1.
+    assert _least_degree_non_cut_last(_neighbour_masks(2, ((0, 1),)))
+    assert connected_underlying(2) == (((0, 1),),)
+    # A pendant vertex elsewhere rejects a new vertex of degree 2, but not
+    # one of degree 1.
+    assert not _least_degree_non_cut_last(_neighbour_masks(4, ((0, 1), (1, 2), (1, 3), (2, 3))))
+    assert _least_degree_non_cut_last(_neighbour_masks(4, ((0, 1), (1, 2), (2, 3))))
+    # Every vertex of a cycle is a least-degree non-cut vertex.
+    for n in (3, 5, 8):
+        for v in range(n):
+            assert _least_degree_non_cut_last(_neighbour_masks(n, _cycle_with_last(n, v))), (n, v)
+    # Two K4s joined through a vertex of degree 2: that vertex is a cut
+    # vertex, so a new vertex of degree 3 passes; a degree-2 vertex whose
+    # deletion leaves the rest connected rejects it.
+    def k4(first):
+        return tuple(itertools.combinations(range(first, first + 4), 2))
+
+    assert _least_degree_non_cut_last(_neighbour_masks(9, k4(0) + ((0, 4), (4, 5)) + k4(5)))
+    assert not _least_degree_non_cut_last(_neighbour_masks(5, ((0, 1), (0, 2)) + k4(1)))
