@@ -3,7 +3,8 @@
 A unit is encoded compactly as its exponent of i (an int in 0..3), with tiny
 helper functions for multiplication, conjugation and text tokens.  Its value
 as a Gaussian integer, needed only to build H(G), lives in ``graph_core``
-(:func:`graph_core.gain_grids`, :func:`graph_core.gain_arrays`).
+(:func:`graph_core.gain_grids`, :func:`graph_core.gain_arrays`) and, packed
+into one int for the exact kernel, in ``spectra``.
 
 :func:`as_int` is the one rule for integer input, shared by graph records,
 vertex ids, matrix entries, enumeration orders and limits, and suite

@@ -13,8 +13,10 @@ Two fully independent routes compute the signature of H(G):
   negative sign.  Congruent Hermitian matrices share their inertia, so the
   count is exact.
 * :func:`eig_float` runs LAPACK ``eigvalsh`` on a complex floating copy;
-  :func:`inertia_float` thresholds its eigenvalues.  This path shares no
-  code with the exact one and exists purely as an oracle.
+  :func:`inertia_float_many` runs it once per order on stacked copies and
+  thresholds the eigenvalues, and :func:`inertia_float` is a batch of one.
+  This path shares no code with the exact one and exists purely as an
+  oracle.
 
 Below :data:`CERT_ORDER` (16) vertices, :func:`inertia` hands the whole
 graph to the exact kernel.  From that order up, it twin-reduces the whole
@@ -29,23 +31,35 @@ imported only inside the float functions (the certificate, the oracle,
 :func:`congruence` and :meth:`HermitianMatrix.to_complex_array`), so a
 call that stays on the kernel never loads it.
 
+The kernel holds each Gaussian integer a + b*i as the one Python int
+a + b * 2^K, so a row is one list of ints and a step one pass over it.  K
+comes from Hadamard's bound on the input's rows, so both parts of every
+minor of the input lie below 2^(K-1); every entry the kernel stores is
+such a minor, so it decodes exactly, and the packing is Z-linear, so the
+Bareiss updates and divisions act on packed values directly
+(:func:`_signature`).
+
 The kernel pays for the rows each step hits, not for all of them: a row
 the pivot columns miss is rescaled only when it is next read, and the
 pivot is the sparsest row, which keeps the fill of sparse input low.  The
 singular order-1024 cycle, 32 x 32 grid, random tree and random graph with
-1,536 edges each take 0.4-0.9 s of CPU in the kernel (2-core VM).  The
+1,536 edges each take 0.3-0.4 s of CPU in :func:`inertia_exact`, packing
+included (2-core VM; 0.4-0.55 s with a real and an imaginary grid).  The
 cycle and the tree, with no more edges than vertices, go to the kernel
 directly: ``eigh`` alone takes about 1.3 s at that order, so through
-:func:`inertia` the cycle takes 0.5 s where trying the certificate first
-would take 1.8 s, and the cycle with one arc, which the certificate
-proves, 0.5 s against 1.5 s.  The certificate declines the grid and the
+:func:`inertia` the cycle takes 0.23 s where trying the certificate first
+would take 1.5 s, and the cycle with one arc, which the certificate
+proves, 0.23 s against 1.5 s.  The certificate declines the grid and the
 random graph from the eigenvalues of ``eigh``, after about 1.4 s.  On
 dense input the cost grows faster than n^3: at edge probability 0.9 the
-kernel takes about 10 s at order 256 and minutes at order 512, where
-``hermitia inertia`` with the certificate takes 0.4 s, 1.0 s, and 4 s at
-order 1024, start-up included.  Dense singular residues, and inputs whose
-smallest eigenvalues are too close to 0 for the certificate, still fall
-back to the kernel, so dense order 512 and up can still take minutes.
+kernel takes about 0.5 s at order 128, 12 s at order 256 and minutes at
+order 512, where ``hermitia inertia`` with the certificate takes 0.4 s,
+1.0 s, and 4 s at order 1024, start-up included.  At order 256 the packing
+costs about a third more than two grids, 12 s against 9 s: K is fixed by
+the final minors, so the early, small entries carry it too.  Dense
+singular residues, and inputs whose smallest eigenvalues are too close to
+0 for the certificate, still fall back to the kernel, so dense order 512
+and up can still take minutes.
 """
 
 from __future__ import annotations
@@ -53,8 +67,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import or_
-from typing import TYPE_CHECKING, Optional, Sequence
+from operator import add, mul
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .graph_core import (
     QuartGainGraph,
@@ -120,6 +134,16 @@ class HermitianMatrix:
         self.re = re
         self.im = im
 
+    @classmethod
+    def _from_grids(cls, re: list[list[int]], im: list[list[int]]) -> HermitianMatrix:
+        """The matrix re + i*im, stored unchecked: the grids must be square,
+        of plain ints, and Hermitian, as :func:`gain_grids` builds them."""
+        matrix = object.__new__(cls)
+        matrix.n = len(re)
+        matrix.re = tuple(map(tuple, re))
+        matrix.im = tuple(map(tuple, im))
+        return matrix
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HermitianMatrix):
             return NotImplemented
@@ -136,15 +160,19 @@ class HermitianMatrix:
 
 
 def hermitian_matrix(graph: QuartGainGraph) -> HermitianMatrix:
-    """H(G): entry (s, t) is the gain of the edge oriented s -> t, else 0."""
-    return HermitianMatrix(*gain_grids(graph))
+    """H(G): entry (s, t) is the gain of the edge oriented s -> t, else 0.
+
+    The grids of a valid graph are Hermitian int grids by construction, so
+    they skip the checks of the :class:`HermitianMatrix` constructor.
+    """
+    return HermitianMatrix._from_grids(*gain_grids(graph))
 
 
 # -- exact route ---------------------------------------------------------------
 
-# The kernel works on two parallel lists of Python int rows, the real and the
-# imaginary parts of a Hermitian matrix over the Gaussian integers Z[i].  Its
-# only divisions are Bareiss's, which are exact, so no fractions appear.
+# The kernel packs each Gaussian integer a + b*i into the one Python int
+# a + b * 2^K, so a matrix is a single list of int rows.  Its only divisions
+# are Bareiss's, which are exact, so no fractions appear.
 
 # A graph below this order goes to the kernel whole.  A larger one is
 # twin-reduced, and the components of the reduced graph of at least this order
@@ -153,12 +181,38 @@ def hermitian_matrix(graph: QuartGainGraph) -> HermitianMatrix:
 CERT_ORDER = 16
 
 
-def _nonzeros(rt: list[int], jt: list[int]) -> int:
-    return len(rt) - list(map(or_, rt, jt)).count(0)
+def _packing_width(square_norms: Iterable[int]) -> int:
+    """The K of the packing for a matrix whose rows have these squared norms.
+
+    By Hadamard's bound every minor of the matrix is at most the square root
+    of P = prod max(1, |row|^2) in absolute value.  P < 2^L with L its bit
+    length, so every minor, and both its parts, lie strictly below
+    2^(L/2) < 2^(K-1) with K = floor(L/2) + 2.
+    """
+    return math.prod(filter(None, square_norms)).bit_length() // 2 + 2  # a zero norm counts as 1
 
 
-def _signature(re: list[list[int]], im: list[list[int]]) -> InertiaTriple:
-    """Inertia of the Hermitian matrix re + i*im over Z[i]; consumes both lists.
+def _times_i(row: list[int], k: int) -> list[int]:
+    """i times each packed entry of ``row``: a + b*2^K becomes -b + a*2^K."""
+    half = 1 << (k - 1)
+    return [((v - ((b := (v + half) >> k) << k)) << k) - b if v else 0 for v in row]
+
+
+def _signature(rows: list[list[int]], k: int) -> InertiaTriple:
+    """Inertia of the Hermitian matrix over Z[i] whose entries a + b*i are
+    packed as a + b*2^K in ``rows``; consumes the list.
+
+    Packing: the map a + b*i -> a + b*2^K is Z-linear, so sums, products
+    by an integer and exact divisions by an integer act on packed values
+    directly, whatever the size of their parts on the way.  A Gaussian
+    product c*x for a decoded c = cr + ci*i is cr*x + ci*(i*x), and i*x
+    needs x decoded: b = (v + 2^(K-1)) >> K, then a = v - (b << K).  That
+    is exact when |a| < 2^(K-1), which holds for every stored entry: each
+    is a minor of the input (below), so K from :func:`_packing_width`
+    bounds it.  Only pivot-column entries are decoded (with h, x_s and x_t
+    of a 2x2 step), and the pivot row and rows s and t, once per step, to
+    multiply them by i.  A packed entry is 0 exactly when both parts are,
+    and a diagonal entry is real, so its packed value is its value.
 
     Pivot step: for a nonzero diagonal entry d with column c, the rest M
     becomes (|d|*M - sign(d)*c c*) // q, with q the previous pivot's |d| (1
@@ -178,7 +232,9 @@ def _signature(re: list[list[int]], im: list[list[int]]) -> InertiaTriple:
     makes it divide the next ones.  Folding sign(d) into c only flips that
     sign.  In a 2x2 step, det B = -g is q times the next leading minor, and
     the 3x3 minors of M on s, t and one more row and column, which are
-    -(g*x - u*T - w*S), are q^2 times the next rest's entries.
+    -(g*x - u*T - w*S), are q^2 times the next rest's entries.  Both parts
+    of a packed numerator are multiples of the real divisor, so its packed
+    quotient is exact too.
 
     Lazy rescale: a row the pivot column misses is only multiplied by |d|/q
     (g/q^2 in a 2x2 step), and over several steps these factors telescope.
@@ -202,73 +258,82 @@ def _signature(re: list[list[int]], im: list[list[int]]) -> InertiaTriple:
     gives the same inertia.
 
     The dimension left when nothing nonzero remains is the nullity.
+
+    One list per row means one pass, one pop and one nonzero count per row
+    and step.  On a 2-core VM that makes the kernel about 1.5x as fast as
+    on a real and an imaginary grid over the order <= 6 law corpus,
+    1.2-1.45x on the order-1024 guards and 1.15x on dense order 128, but
+    0.75x on dense order 256: K is fixed by the largest minors, so the
+    early, small entries are as wide as the last ones.
     """
     pos = neg = 0
     q = 1
-    at = [1] * len(re)
-    nz = [_nonzeros(rt, jt) for rt, jt in zip(re, im)]
-    while re:
-        k = len(re)
+    half = 1 << (k - 1)
+    at = [1] * len(rows)
+    nz = [len(row) - row.count(0) for row in rows]
+    while rows:
+        m = len(rows)
         p = None
-        for j in range(k):
-            if re[j][j] and (p is None or nz[j] < nz[p]):
+        for j in range(m):
+            if rows[j][j] and (p is None or nz[j] < nz[p]):
                 p = j
         if p is None:
             s = None
-            for j in range(k):
+            for j in range(m):
                 if nz[j] and (s is None or nz[j] < nz[s]):
                     s = j
             if s is None:
                 break
-            rs, js = re[s], im[s]
+            rs = rows[s]
             t = None
-            for j in range(k):
-                if (rs[j] or js[j]) and (t is None or nz[j] < nz[t]):
+            for j in range(m):
+                if rs[j] and (t is None or nz[j] < nz[t]):
                     t = j
             s, t = min(s, t), max(s, t)
             # Rows t and s brought up to date, without columns s and t.
             pair = []
             for j in (t, s):
-                rj, jj, a = re.pop(j), im.pop(j), at.pop(j)
+                row, a = rows.pop(j), at.pop(j)
                 del nz[j]
                 if a != q:
-                    rj = [v * q // a for v in rj]
-                    jj = [v * q // a for v in jj]
-                pair += [rj, jj]
-            tr, ti, sr, si = pair
-            hr, hi = sr[t], si[t]
+                    row = [v * q // a for v in row]
+                pair.append(row)
+            tr, sr = pair
+            h = sr[t]
+            hi = (h + half) >> k
+            hr = h - (hi << k)
             for row in pair:
                 del row[t], row[s]
+            ti, si = _times_i(tr, k), _times_i(sr, k)
             g = hr * hr + hi * hi
             pos += 1
             neg += 1
-            for j in range(len(re)):
-                rx, jx = re[j], im[j]
-                ctr, cti = rx.pop(t), jx.pop(t)
-                csr, csi = rx.pop(s), jx.pop(s)
-                if ctr or cti or csr or csi:
+            for j in range(len(rows)):
+                row = rows[j]
+                xt = row.pop(t)
+                xs = row.pop(s)
+                if xt or xs:
+                    xti = (xt + half) >> k
+                    xtr = xt - (xti << k)
+                    xsi = (xs + half) >> k
+                    xsr = xs - (xsi << k)
                     # u = h * x_s and w = conj(h) * x_t.
-                    ur, ui = hr * csr - hi * csi, hr * csi + hi * csr
-                    wr, wi = hr * ctr + hi * cti, hr * cti - hi * ctr
+                    ur, ui = hr * xsr - hi * xsi, hr * xsi + hi * xsr
+                    wr, wi = hr * xtr + hi * xti, hr * xti - hi * xtr
                     a = at[j] * q
-                    rx[:] = [
-                        (g * x - (ur * t_re - ui * t_im) - (wr * s_re - wi * s_im)) // a
-                        for x, t_re, t_im, s_re, s_im in zip(rx, tr, ti, sr, si)
-                    ]
-                    jx[:] = [
-                        (g * x - (ur * t_im + ui * t_re) - (wr * s_im + wi * s_re)) // a
-                        for x, t_re, t_im, s_re, s_im in zip(jx, tr, ti, sr, si)
+                    row[:] = [
+                        (g * x - ur * t_r - ui * t_i - wr * s_r - wi * s_i) // a
+                        for x, t_r, t_i, s_r, s_i in zip(row, tr, ti, sr, si)
                     ]
                     at[j] = g // q
-                    nz[j] = _nonzeros(rx, jx)
+                    nz[j] = len(row) - row.count(0)
             q = g // q
             continue
         # Pivot row p without its diagonal entry is c*, brought up to date
         # with sign(d) folded into it.
-        pr, pi, a = re.pop(p), im.pop(p), at.pop(p)
+        pr, a = rows.pop(p), at.pop(p)
         del nz[p]
         d = pr.pop(p)
-        del pi[p]
         if d > 0:
             pos += 1
             f = q
@@ -277,29 +342,51 @@ def _signature(re: list[list[int]], im: list[list[int]]) -> InertiaTriple:
             f = -q
         if f != a:
             pr = [v * f // a for v in pr]
-            pi = [v * f // a for v in pi]
             d = d * f // a
-        for j in range(len(re)):
-            rt, jt = re[j], im[j]
-            cr, ci = rt.pop(p), jt.pop(p)
-            if cr or ci:
+        pi = _times_i(pr, k)
+        for j in range(len(rows)):
+            row = rows[j]
+            c = row.pop(p)
+            if c:
+                ci = (c + half) >> k
+                cr = c - (ci << k)
                 a = at[j]
-                rt[:] = [(d * x - (cr * b - ci * c)) // a for x, b, c in zip(rt, pr, pi)]
-                jt[:] = [(d * x - (cr * c + ci * b)) // a for x, b, c in zip(jt, pr, pi)]
+                row[:] = [(d * x - cr * u - ci * w) // a for x, u, w in zip(row, pr, pi)]
                 at[j] = d
-                nz[j] = _nonzeros(rt, jt)
+                nz[j] = len(row) - row.count(0)
         q = d
-    return InertiaTriple(pos, neg, len(re))
+    return InertiaTriple(pos, neg, len(rows))
+
+
+def _graph_rows(graph: QuartGainGraph) -> tuple[list[list[int]], int]:
+    """The packed rows of H(G) and their K, straight from ``graph.edges``:
+    a unit row has |row|^2 equal to the degree."""
+    n = graph.n
+    degree = [0] * n
+    for s, t, _ in graph.edges:
+        degree[s] += 1
+        degree[t] += 1
+    k = _packing_width(degree)
+    i = 1 << k
+    units = (1, i, -1, -i)
+    rows = [[0] * n for _ in range(n)]
+    for s, t, g in graph.edges:
+        rows[s][t] = units[g]
+        rows[t][s] = units[-g]  # the conjugate unit
+    return rows, k
 
 
 def inertia_exact(matrix: HermitianMatrix) -> InertiaTriple:
     """Exact inertia by fraction-free Hermitian congruence over Z[i].
 
     The Gaussian-integer kernel described in :func:`_signature` counts the
-    pivot signs on a copy of the matrix.  Integer arithmetic only, so no
-    square roots or rounding ever appear.
+    pivot signs on a packed copy of the matrix.  Integer arithmetic only, so
+    no square roots or rounding ever appear.
     """
-    return _signature([list(row) for row in matrix.re], [list(row) for row in matrix.im])
+    grids = tuple(zip(matrix.re, matrix.im))
+    k = _packing_width(sum(map(mul, re, re)) + sum(map(mul, im, im)) for re, im in grids)
+    packed_i = itertools.repeat(1 << k)
+    return _signature([list(map(add, re, map(mul, im, packed_i))) for re, im in grids], k)
 
 
 def _certified_signature(h_re: np.ndarray, h_im: np.ndarray) -> Optional[InertiaTriple]:
@@ -357,8 +444,8 @@ def inertia(graph: QuartGainGraph) -> InertiaTriple:
     and summed.
 
     A graph of order below :data:`CERT_ORDER` goes to :func:`_signature`
-    whole, on the int grids of :func:`gain_grids`: the kernel handles a
-    block-diagonal matrix and zero rows itself.  A larger graph is replaced
+    whole, on rows packed straight from ``graph.edges``: the kernel handles
+    a block-diagonal matrix and zero rows itself.  A larger graph is replaced
     by its :func:`twin_reduction`, once: H is congruent to the reduced
     matrix plus a zero block, so (p, n) are unchanged and eta gains the
     removed vertices.  A twin class never spans two components (nonempty
@@ -369,13 +456,13 @@ def inertia(graph: QuartGainGraph) -> InertiaTriple:
     :func:`induced_subgraph`.  If its order is at least :data:`CERT_ORDER`
     and it has more edges than vertices, :func:`_certified_signature` tries
     to prove its inertia from the float arrays of :func:`gain_arrays`.
-    Otherwise, or when it declines, the exact kernel runs on the int grids.
-    A tree or a single cycle, with at most n edges, thus never reaches
-    ``eigh``: the kernel answers one of order 1024 in about a third of the
-    time ``eigh`` alone takes.
+    Otherwise, or when it declines, the exact kernel runs on its packed
+    rows.  A tree or a single cycle, with at most n edges, thus never
+    reaches ``eigh``: the kernel answers one of order 1024 in about a fifth
+    of the time ``eigh`` alone takes.
     """
     if graph.n < CERT_ORDER:
-        return _signature(*gain_grids(graph))
+        return _signature(*_graph_rows(graph))
     reduced = twin_reduction(graph)
     total = InertiaTriple(0, 0, graph.n - reduced.n)
     for comp in components(reduced):
@@ -384,7 +471,7 @@ def inertia(graph: QuartGainGraph) -> InertiaTriple:
         if sub.n >= CERT_ORDER and len(sub.edges) > sub.n:
             part = _certified_signature(*gain_arrays(sub))
         if part is None:
-            part = _signature(*gain_grids(sub))
+            part = _signature(*_graph_rows(sub))
         total = total + part
     return total
 
@@ -420,11 +507,28 @@ def eig_float(matrix: HermitianMatrix) -> list[float]:
 
 def inertia_float(matrix: HermitianMatrix, tol: float = 1e-9) -> InertiaTriple:
     """Inertia from float eigenvalues, classified at tol * max(1, spectral radius)."""
+    return inertia_float_many([matrix], tol)[0]
+
+
+def inertia_float_many(matrices: Sequence[HermitianMatrix], tol: float = 1e-9) -> list[InertiaTriple]:
+    """:func:`inertia_float` of each matrix, in order, from one ``eigvalsh``
+    per order on the stacked complex copies of the matrices of that order."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    eigs = eig_float(matrix)
-    scale = max(1.0, max((abs(e) for e in eigs), default=0.0))
-    cut = tol * scale
-    p = sum(1 for e in eigs if e > cut)
-    n_neg = sum(1 for e in eigs if e < -cut)
-    return InertiaTriple(p, n_neg, matrix.n - p - n_neg)
+    import numpy as np
+
+    by_order: dict[int, list[int]] = {}
+    for index, matrix in enumerate(matrices):
+        by_order.setdefault(matrix.n, []).append(index)
+    triples: dict[int, InertiaTriple] = {}
+    for n, indices in by_order.items():
+        shape = (len(indices), n, n)
+        stack = np.array([matrices[j].re for j in indices], dtype=float).reshape(shape)
+        stack = stack + 1j * np.array([matrices[j].im for j in indices], dtype=float).reshape(shape)
+        eigs = np.linalg.eigvalsh(stack)
+        cut = tol * np.maximum(1.0, np.abs(eigs).max(axis=1, initial=0.0))
+        positive = (eigs > cut[:, None]).sum(axis=1).tolist()
+        negative = (eigs < -cut[:, None]).sum(axis=1).tolist()
+        for j, p, n_neg in zip(indices, positive, negative):
+            triples[j] = InertiaTriple(p, n_neg, n - p - n_neg)
+    return [triples[j] for j in range(len(matrices))]

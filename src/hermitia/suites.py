@@ -65,7 +65,7 @@ from .spectra import (
     hermitian_matrix,
     inertia,
     inertia_exact,
-    inertia_float,
+    inertia_float_many,
 )
 from .switching_twins import (
     apply_switch,
@@ -191,10 +191,8 @@ def _suite_interlacing(n: Optional[int], seed: int) -> Iterator[Check]:
 
 def _suite_cutvertex(n: Optional[int], seed: int) -> Iterator[Check]:
     """Cut-vertex composition laws for the rank of the augmented components."""
-    for g in classes_up_to(n):
+    for g in classes_up_to(n, has_cut_vertex=True):
         cuts = cut_vertices(g)
-        if not cuts:
-            continue
         whole = inertia(g)
         for v in cuts:
             comps = components_avoiding(g, v)
@@ -446,14 +444,18 @@ def _suite_thm12(n: Optional[int], seed: int) -> Iterator[Check]:
 
 
 def _suite_oracle_agreement(n: Optional[int], seed: int) -> Iterator[Check]:
-    """Exact congruence inertia equals the LAPACK ``eigvalsh`` float inertia at 1e-9."""
+    """Exact congruence inertia equals the LAPACK ``eigvalsh`` float inertia at 1e-9.
+
+    10,000 graphs, drawn in 40 chunks of 250: the float side takes one
+    ``eigvalsh`` per order and chunk, and a chunk's stacked copies stay small.
+    """
     rng = random.Random(seed)
-    for _ in range(10000):
-        g = _random_graph(rng, n)
-        h = hermitian_matrix(g)
-        exact = inertia_exact(h)
-        floated = inertia_float(h, 1e-9)
-        yield exact == floated, g, exact, floated
+    for _ in range(40):
+        graphs = [_random_graph(rng, n) for _ in range(250)]
+        matrices = [hermitian_matrix(g) for g in graphs]
+        for g, h, floated in zip(graphs, matrices, inertia_float_many(matrices, 1e-9)):
+            exact = inertia_exact(h)
+            yield exact == floated, g, exact, floated
 
 
 class _Suite(NamedTuple):

@@ -21,6 +21,7 @@ from hermitia import (
     apply_switch,
     classes_up_to,
     connected_underlying,
+    cut_vertices,
     delete_vertex,
     enumerate_switching_classes,
     inertia,
@@ -382,6 +383,13 @@ def test_streams_match_reference_for_every_filter_combination(n):
         assert _stream(enumerate_switching_classes, spec) == _stream(
             enumeration_reference.enumerate_switching_classes, spec
         ), spec
+
+
+def test_cut_vertex_filter_keeps_the_classes_with_a_cut_vertex_in_order():
+    # The cutvertex suite streams the filter instead of testing every class.
+    every = [g for g in classes_up_to(5) if cut_vertices(g)]
+    assert list(classes_up_to(5, has_cut_vertex=True)) == every
+    assert len(every) == 138
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -25,6 +25,7 @@ from hermitia import (
     parse_graph,
 )
 from hermitia import spectra
+from hermitia.graph_core import gain_grids, gaussian_matmul
 
 from bareiss_reference import bareiss_inertia, graph_grids
 from charpoly_reference import charpoly_inertia
@@ -55,6 +56,16 @@ def test_hermitian_matrix_empty():
     h = hermitian_matrix(parse_graph("n 3"))
     assert h.n == 3
     assert h.re == h.im == ((0, 0, 0),) * 3
+
+
+def test_hermitian_matrix_equals_the_checked_constructor_on_every_class_up_to_5():
+    # hermitian_matrix skips the constructor's checks on the grids it builds.
+    for g in itertools.chain([parse_graph("n 0")], classes_up_to(5)):
+        h = hermitian_matrix(g)
+        assert h == HermitianMatrix(*gain_grids(g)), g
+        assert h.n == g.n
+        assert type(h.re) is type(h.im) is tuple
+        assert all(type(row) is tuple for row in h.re + h.im)
 
 
 def test_hermitian_validation():
@@ -156,6 +167,29 @@ def test_inertia_float_rejects_a_tol_outside_zero_to_infinity(tol):
     assert inertia_float(h).as_tuple() == (1, 1, 1)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         inertia_float(h, tol)
+
+
+def _threshold(eigs: list[float], tol: float) -> tuple[int, int, int]:
+    cut = tol * max(1.0, max((abs(e) for e in eigs), default=0.0))
+    p = sum(e > cut for e in eigs)
+    n_neg = sum(e < -cut for e in eigs)
+    return (p, n_neg, len(eigs) - p - n_neg)
+
+
+def test_inertia_float_many_matches_inertia_float_per_matrix():
+    # One eigvalsh per order on the stacked matrices of that order, the
+    # answers back in input order, with every order from 0 to 10 mixed.
+    rng = random.Random(1010)
+    matrices = [hermitian_matrix(random_graph(rng, 10)) for _ in range(400)]
+    matrices += [hermitian_matrix(parse_graph("n 0")), hermitian_matrix(gen_cycle(8))]
+    assert {h.n for h in matrices} == set(range(11))
+    for tol in (1e-9, 1e-3):
+        got = spectra.inertia_float_many(matrices, tol)
+        assert got == [inertia_float(h, tol) for h in matrices]
+        assert [t.as_tuple() for t in got] == [_threshold(eig_float(h), tol) for h in matrices]
+    assert spectra.inertia_float_many([], 1e-9) == []
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        spectra.inertia_float_many(matrices, math.nan)
 
 
 def test_oracle_agreement_sample():
@@ -434,6 +468,41 @@ def _dense_graph(n: int) -> QuartGainGraph:
     return QuartGainGraph(n, edges)
 
 
+def _hadamard_tight(m: int) -> HermitianMatrix:
+    """[[0, F], [F*, 0]] with F = [[1, i], [i, 1]] to the m-th Kronecker
+    power: F[r][c] = i^popcount(r xor c)."""
+    half = 1 << m
+    parts = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    re = [[0] * 2 * half for _ in range(2 * half)]
+    im = [[0] * 2 * half for _ in range(2 * half)]
+    for r in range(half):
+        for c in range(half):
+            a, b = parts[bin(r ^ c).count("1") % 4]
+            re[r][half + c] = re[half + c][r] = a
+            im[r][half + c], im[half + c][r] = b, -b
+    return HermitianMatrix(re, im)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_kernel_on_input_that_meets_hadamards_bound(m):
+    # The kernel packs a + b*i as a + b*2^K, with K from Hadamard's bound
+    # on the rows, and decodes pivot-column entries, which are minors.
+    # Here H^2 = 2^m I, so every row has squared norm 2^m and |det H| meets
+    # the bound: the minors are as large as the packing must hold.  At order
+    # 128 K is 386, and a K of 367 or less breaks the run.
+    h = _hadamard_tight(m)
+    order = 2 << m
+    re, im = (np.array(grid, dtype=object) for grid in (h.re, h.im))
+    square_re, square_im = gaussian_matmul(re, im, re, im)
+    assert square_re.tolist() == [[(1 << m) * (r == c) for c in range(order)] for r in range(order)]
+    assert not square_im.any()
+    got, elapsed = timed_under_alarm(
+        lambda: inertia_exact(h), f"exact kernel on a Hadamard-tight matrix of order {order}", time.process_time
+    )
+    assert got.as_tuple() == (1 << m, 1 << m, 0)
+    assert elapsed < 1.0
+
+
 def test_inertia_dense_order_64_is_fast():
     # The exact division by the previous pivot keeps every entry a minor of
     # the matrix, so Hadamard's bound caps its size.  Without a division the
@@ -454,7 +523,7 @@ def test_inertia_dense_order_128_is_fast():
     assert elapsed < 5.0
 
 
-def _kernel_refused(re, im):
+def _kernel_refused(rows, k):
     raise AssertionError("exact kernel entered")
 
 
@@ -482,7 +551,7 @@ def test_exact_kernel_dense_order_64_is_fast(monkeypatch):
     h = hermitian_matrix(g)
     entered = []
     kernel = spectra._signature
-    monkeypatch.setattr(spectra, "_signature", lambda re, im: entered.append(1) or kernel(re, im))
+    monkeypatch.setattr(spectra, "_signature", lambda rows, k: entered.append(1) or kernel(rows, k))
     got, elapsed = timed_under_alarm(
         lambda: inertia_exact(h), "exact kernel on a dense order-64 matrix", time.process_time
     )
