@@ -10,8 +10,9 @@ for connected graphs with a pendant vertex, respectively with a cut vertex
 and no pendant vertex.
 
 Complete multipartite parts are neighborhood classes: one pass groups the
-vertices by neighbor set, and the graph is complete multipartite exactly
-when each group sees everything outside itself.  Each vertex set is read
+vertices by neighbour bit mask (:func:`graph_core.neighbor_masks`, built
+once per call), and the graph is complete multipartite exactly when each
+group sees everything outside itself.  Each vertex set is read
 once: at a cut vertex v, each side's parts are split into those v meets
 whole and those v misses.  That split gives the apex shape and case i, as
 side + v is complete multipartite exactly when v misses at most one part
@@ -42,6 +43,7 @@ from .graph_core import (
     delete_vertex,
     induced_subgraph,
     is_connected,
+    neighbor_masks,
     pendant_vertices,
     vertex_id,
 )
@@ -52,7 +54,7 @@ from .switching_twins import (
     SwitchAssignment,
     is_odd_triangle,
     is_positive,
-    tree_normalize,
+    positive_switch,
     twin_reduction,
 )
 
@@ -174,20 +176,32 @@ def complete_multipartite_parts(
     """Partition classes if the underlying graph (restricted to ``vertices``)
     is complete multipartite, else None.  Parts are sorted by smallest member.
 
-    The candidate parts are the vertices grouped by their neighborhood
-    inside ``vertices``; the graph is complete multipartite exactly when
-    each group's neighborhood is every vertex outside the group.  A group
-    never meets its own neighborhood, since no vertex is its own neighbor,
-    so comparing sizes suffices.
+    The candidate parts are the vertices grouped by their neighbour mask
+    inside ``vertices``; see :func:`_mask_parts`.
     """
-    vs = range(graph.n) if vertices is None else sorted({vertex_id(graph, v) for v in vertices})
+    if vertices is None:
+        vs, inside = range(graph.n), (1 << graph.n) - 1
+    else:
+        vs = sorted({vertex_id(graph, v) for v in vertices})
+        inside = sum(1 << v for v in vs)
+    return _mask_parts(neighbor_masks(graph), vs, inside)
+
+
+def _mask_parts(nbr: list[int], vs: Sequence[int], inside: int) -> Optional[list[VertexSet]]:
+    """:func:`complete_multipartite_parts` of the increasing vertices ``vs``,
+    whose bit mask is ``inside``, read off the neighbour masks ``nbr``.
+
+    The vertices are grouped by neighbour mask within ``inside``; the graph
+    is complete multipartite exactly when each group's mask is every vertex
+    outside the group.  A group never meets its own mask, since no vertex
+    is its own neighbor, so comparing sizes suffices.
+    """
     if not vs:
         return None
-    inside = set(vs)
-    groups: dict[frozenset[int], list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for v in vs:
-        groups.setdefault(frozenset(graph.neighbors(v)) & inside, []).append(v)
-    if any(len(nbrs) + len(part) != len(vs) for nbrs, part in groups.items()):
+        groups.setdefault(nbr[v] & inside, []).append(v)
+    if any(mask.bit_count() + len(part) != len(vs) for mask, part in groups.items()):
         return None
     return [tuple(part) for part in groups.values()]
 
@@ -195,7 +209,7 @@ def complete_multipartite_parts(
 def _p1_tag(graph: QuartGainGraph, vertices: Sequence[int], n_parts: int) -> Optional[str]:
     """The p = 1 tag of ``graph[vertices]``, a complete multipartite graph
     with ``n_parts`` parts and no isolated vertex, or None."""
-    core = induced_subgraph(graph, vertices)
+    core = graph if len(vertices) == graph.n else induced_subgraph(graph, vertices)
     if is_positive(core):
         return "multipartite"
     if n_parts == 3 and is_odd_triangle(twin_reduction(core)):
@@ -203,14 +217,15 @@ def _p1_tag(graph: QuartGainGraph, vertices: Sequence[int], n_parts: int) -> Opt
     return None
 
 
-def _p1_reading(graph: QuartGainGraph, vertices: Optional[Sequence[int]] = None):
-    """The :func:`p1_characterize` tag of the non-isolated part of
-    ``graph[vertices]`` with its parts in ``graph``'s labels, or None.
+def _p1_reading(graph: QuartGainGraph, nbr: list[int], inside: int):
+    """The :func:`p1_characterize` tag of the non-isolated part of the
+    subgraph on the bit mask ``inside``, with its parts in ``graph``'s
+    labels, or None; ``nbr`` holds the :func:`graph_core.neighbor_masks`.
     Every live vertex has a live neighbor, so there are two parts or more."""
-    vs = range(graph.n) if vertices is None else vertices
-    inside = set(vs)
-    live = [u for u in vs if not inside.isdisjoint(graph.neighbors(u))]
-    parts = complete_multipartite_parts(graph, live)
+    live = [u for u in range(graph.n) if inside >> u & 1 and nbr[u] & inside]
+    # No live vertex neighbours a vertex that is isolated inside, so
+    # masking by ``inside`` reads the same groups as the live set would.
+    parts = _mask_parts(nbr, live, inside)
     if parts is None:
         return None
     tag = _p1_tag(graph, live, len(parts))
@@ -225,7 +240,7 @@ def p1_characterize(graph: QuartGainGraph) -> Optional[str]:
     'c3t' means it is complete tripartite with an odd-triangle twin
     reduction, i.e. a blown-up odd triangle up to switching and converse.
     """
-    reading = _p1_reading(graph)
+    reading = _p1_reading(graph, neighbor_masks(graph), (1 << graph.n) - 1)
     return None if reading is None else reading[0]
 
 
@@ -274,9 +289,11 @@ def thm11_classify(graph: QuartGainGraph) -> Optional[ClassificationResult]:
     first: dict[int, int] = {}
     for v1 in pendants:
         first.setdefault(graph.neighbors(v1)[0], v1)
+    nbr = neighbor_masks(graph)
+    everyone = (1 << graph.n) - 1
     for v2, v1 in first.items():
         # A vertex isolated in G - v1 - v2 can only neighbor v2: it is a leaf.
-        reading = _p1_reading(graph, [u for u in range(graph.n) if u not in (v1, v2)])
+        reading = _p1_reading(graph, nbr, everyone ^ (1 << v1 | 1 << v2))
         if reading is None:
             continue
         tag, parts = reading
@@ -303,12 +320,12 @@ class _ApexShape:
     other_parts: tuple[VertexSet, ...]
 
 
-def _split(graph: QuartGainGraph, v: int, parts: Sequence[VertexSet]):
-    """The parts v meets whole and the parts v misses; None when v meets a
-    part only partly."""
+def _split(nbr_v: int, parts: Sequence[VertexSet]):
+    """The parts that a vertex with neighbour mask ``nbr_v`` meets whole and
+    the parts it misses; None when it meets a part only partly."""
     hit, missed = [], []
     for part in parts:
-        hits = sum(1 for u in part if graph.has_edge(v, u))
+        hits = sum(nbr_v >> u & 1 for u in part)
         if hits not in (0, len(part)):
             return None
         (hit if hits else missed).append(part)
@@ -331,10 +348,9 @@ def _apex_roles(
     n_side = {u for part in shape.adjacent_parts + shape.other_parts for u in part}
     kept = [(u, v, g) for u, v, g in graph.edges if apex not in (u, v) or u + v - apex not in n_side]
     sides = QuartGainGraph._from_normal(graph.n, tuple(kept))  # a filter of normal records
-    normal = tree_normalize(sides)
-    if any(g != UNIT_ONE for _, _, g in normal.graph.edges):
+    sigma = positive_switch(sides)
+    if sigma is None:
         return None
-    sigma = normal.assignment
     roles = []
     for part in shape.adjacent_parts:
         values = {(graph.gain(apex, u) - sigma[apex] + sigma[u]) % 4 for u in part}
@@ -367,6 +383,7 @@ def thm12_classify(graph: QuartGainGraph) -> ClassificationResult:
         raise ValueError("graph has no cut vertex")
     params: dict = {}
     witnesses: dict = {}
+    nbr = neighbor_masks(graph)
 
     for v in cuts:
         comps = components_avoiding(graph, v)
@@ -376,8 +393,8 @@ def thm12_classify(graph: QuartGainGraph) -> ClassificationResult:
         # neither case i nor an apex shape.
         sides = []
         for comp in comps:
-            parts = complete_multipartite_parts(graph, comp)
-            split = None if parts is None else _split(graph, v, parts)
+            parts = _mask_parts(nbr, comp, sum(1 << u for u in comp))
+            split = None if parts is None else _split(nbr[v], parts)
             if split is None:
                 break
             sides.append((comp, *split))
@@ -499,6 +516,7 @@ def lem311_check(f1: QuartGainGraph, f2: QuartGainGraph, v: int) -> bool:
     classes, and after switching f1 plain, v's gains are constant on each
     class.
     """
+    v = vertex_id(f2, v)
     if delete_vertex(f2, v) != f1:
         raise HypothesisViolation("removing v from f2 does not give f1")
     if not is_connected(f1):
@@ -515,8 +533,9 @@ def lem311_check(f1: QuartGainGraph, f2: QuartGainGraph, v: int) -> bool:
     # f1 is connected, so its p = 1 parts cover all of it.  v must be an
     # apex over whole parts, with gains constant per part once f1 is
     # switched plain.
-    reading = _p1_reading(f2, [u for u in range(f2.n) if u != v])
+    nbr = neighbor_masks(f2)
+    reading = _p1_reading(f2, nbr, ((1 << f2.n) - 1) ^ 1 << v)
     if reading is None or reading[0] != "multipartite":
         return False
-    split = _split(f2, v, reading[1])
+    split = _split(nbr[v], reading[1])
     return split is not None and _apex_roles(f2, _ApexShape(v, (), *split)) is not None

@@ -477,6 +477,16 @@ def is_connected(graph: QuartGainGraph) -> bool:
     return len(components(graph)) <= 1
 
 
+def neighbor_masks(graph: QuartGainGraph) -> list[int]:
+    """Per vertex u, the bit mask of its neighbours (bit x set when u ~ x),
+    read in one pass over ``edges`` with no neighbour index."""
+    nbr = [0] * graph.n
+    for u, v, _ in graph.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return nbr
+
+
 def pendant_vertices(graph: QuartGainGraph) -> VertexSet:
     # Degrees are counted off the edge tuple, so a graph that is only tested
     # for pendants (most enumerated classes in the law suites) builds no

@@ -8,11 +8,16 @@ plus, optionally, taking the converse (conjugating all gains).
 The canonical form of a class fixes a BFS spanning tree per component and
 switches all tree gains to 1; the remaining non-tree gains are exactly the
 fundamental-cycle values of the class, which form a complete invariant.  That
-makes label-preserving equivalence a pair of normal-form comparisons.
+makes label-preserving equivalence a pair of normal-form comparisons.  The
+same tree potentials decide positivity: a graph is positive exactly when
+they turn every gain into 1, which one early-exit pass over the edges checks
+without building the switched graph.
 
 Twins are vertices with unit-proportional matrix rows, that is, with the
 same neighbor set and the same gains up to one common unit.  Twin classes are
-therefore neighborhood classes, read in one hashed pass over the vertices.
+therefore neighborhood classes, read in one hashed pass over the vertices:
+each vertex has four gain masks, built in one pass over the edges, and its
+key is one int, the masks rotated by the gain to its first neighbour.
 Collapsing each twin class to its smallest member produces the twin
 reduction, which preserves the positive and negative inertia counts.
 """
@@ -160,6 +165,18 @@ class NormalForm(NamedTuple):
     assignment: SwitchAssignment
 
 
+def _potentials(graph: QuartGainGraph) -> SwitchAssignment:
+    """The switch that sets every tree gain of the canonical BFS spanning
+    forest (:func:`graph_core.bfs_forest`) to 1, with 1 at each root."""
+    order, parent = bfs_forest(graph)
+    theta = [UNIT_ONE] * graph.n
+    for w in order:
+        u = parent[w]
+        if u >= 0:
+            theta[w] = (theta[u] - graph.gain(u, w)) % 4
+    return tuple(theta)
+
+
 def tree_normalize(graph: QuartGainGraph) -> NormalForm:
     """Canonical representative of the switching class of ``graph``.
 
@@ -170,20 +187,29 @@ def tree_normalize(graph: QuartGainGraph) -> NormalForm:
     on the same labeled underlying graph are switching equivalent by a
     four-way switch exactly when their normal forms coincide.  Idempotent.
     """
-    order, parent = bfs_forest(graph)
-    theta = [UNIT_ONE] * graph.n
-    for w in order:
-        u = parent[w]
-        if u >= 0:
-            theta[w] = (theta[u] - graph.gain(u, w)) % 4
-    assignment = tuple(theta)
+    assignment = _potentials(graph)
     return NormalForm(apply_switch(graph, assignment), assignment)
 
 
+def positive_switch(graph: QuartGainGraph) -> Optional[SwitchAssignment]:
+    """The :func:`tree_normalize` switch when it turns every gain into 1,
+    else None.
+
+    The tree potentials are the only such switch that is 1 at each
+    component's smallest vertex, so one early-exit pass over the edges
+    decides, and no switched graph is built.
+    """
+    theta = _potentials(graph)
+    for u, v, g in graph.edges:
+        if (g - theta[u] + theta[v]) % 4:
+            return None
+    return theta
+
+
 def is_positive(graph: QuartGainGraph) -> bool:
-    """True when every cycle has value 1, i.e. the class of the underlying graph."""
-    normal = tree_normalize(graph).graph
-    return all(g == UNIT_ONE for _, _, g in normal.edges)
+    """True when every cycle has value 1, i.e. the class of the underlying
+    graph: exactly when :func:`positive_switch` finds a switch."""
+    return positive_switch(graph) is not None
 
 
 def switching_equivalent(g1: QuartGainGraph, g2: QuartGainGraph) -> bool:
@@ -325,20 +351,45 @@ def switching_equivalent_up_to_iso(g1: QuartGainGraph, g2: QuartGainGraph) -> Op
 # -- twins -------------------------------------------------------------------------
 
 
-def _twin_key(graph: QuartGainGraph, v: int) -> tuple[frozenset[int], Unit]:
-    """v's neighbors x, each packed with v's gain to it relative to the gain
-    to the first neighbor as 4x + relative gain, and that first gain.
+def _gain_masks(graph: QuartGainGraph) -> list[int]:
+    """``masks[4u + g]``: the bit mask of the neighbours x with gain g on
+    u -> x, read in one pass over ``edges``."""
+    masks = [0] * (4 * graph.n)
+    for u, v, g in graph.edges:
+        masks[4 * u + g] |= 1 << v
+        masks[4 * v + -g % 4] |= 1 << u  # the conjugate gain on v -> u
+    return masks
 
-    Twins are exactly the vertices with equal keys (adjacent vertices never
-    share a neighbor set), and alpha is the difference of first gains.  A
-    frozenset rather than a tuple, so a pass over many vertices does not
+
+def _row_masks(graph: QuartGainGraph, u: int) -> list[int]:
+    """The four gain masks of u alone, read off its row of the neighbour
+    index, so that one pair of vertices costs their degrees."""
+    m = [0, 0, 0, 0]
+    for x, g in graph.neighbor_gains(u):
+        m[g] |= 1 << x
+    return m
+
+
+def _twin_key(m: list[int], n: int) -> tuple[int, Unit]:
+    """A vertex's four gain masks ``m`` rotated so that the gain to its first
+    neighbour comes first, packed at shifts of n bits, and that first gain.
+
+    Each mask is below 2^n, so the packing is injective, and a twin w with
+    row_u = alpha * row_w has the same masks rotated by alpha: twins are
+    exactly the vertices with equal keys (adjacent vertices never share a
+    neighbor set), and alpha is the difference of first gains.  An int
+    rather than a tuple of masks, so a pass over many vertices does not
     leave a tuple free list full of keys.
     """
-    gains = graph.neighbor_gains(v)
-    if not gains:
-        return frozenset(), UNIT_ONE
-    _, base = next(iter(gains))
-    return frozenset(4 * x + (g - base) % 4 for x, g in gains), base
+    seen = m[0] | m[1] | m[2] | m[3]
+    if not seen:
+        return 0, UNIT_ONE
+    first = seen & -seen
+    base = 0
+    while not m[base] & first:
+        base += 1
+    # m[base - 3] is the mask of gain base + 1, and so on round the four.
+    return m[base] | (m[base - 3] | (m[base - 2] | m[base - 1] << n) << n) << n, base
 
 
 def are_twins(graph: QuartGainGraph, u: int, w: int) -> Optional[Unit]:
@@ -350,7 +401,7 @@ def are_twins(graph: QuartGainGraph, u: int, w: int) -> Optional[Unit]:
     """
     if u == w:
         raise ValueError("a vertex is not its own twin")
-    (key_u, base_u), (key_w, base_w) = _twin_key(graph, u), _twin_key(graph, w)
+    (key_u, base_u), (key_w, base_w) = (_twin_key(_row_masks(graph, x), graph.n) for x in (u, w))
     return (base_u - base_w) % 4 if key_u == key_w else None
 
 
@@ -365,11 +416,13 @@ class TwinPartition:
 
 
 def twin_partition(graph: QuartGainGraph) -> TwinPartition:
-    """Twin classes in one pass: vertices grouped by :func:`_twin_key`."""
-    firsts: dict[frozenset[int], tuple[list[int], Unit]] = {}
+    """Twin classes in one pass: vertices grouped by the int :func:`_twin_key`
+    read off four gain masks per vertex, built in one pass over the edges."""
+    masks = _gain_masks(graph)
+    firsts: dict[int, tuple[list[int], Unit]] = {}
     alphas = [UNIT_ONE] * graph.n
     for v in range(graph.n):
-        key, base = _twin_key(graph, v)
+        key, base = _twin_key(masks[4 * v : 4 * v + 4], graph.n)
         if key in firsts:
             members, rep_base = firsts[key]
             members.append(v)

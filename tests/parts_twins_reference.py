@@ -4,7 +4,9 @@ These are ``complete_multipartite_parts`` (components of the complement,
 then every pair checked), ``are_twins`` / ``twin_partition`` (a pairwise
 scan against every earlier representative) and ``p1_characterize`` /
 ``lem311_check`` (switch f1 plain, then read v's gains per part) as they
-stood before parts and twins were read as neighborhood classes.  They call
+stood before parts and twins were read as neighborhood classes.  Positivity
+and the plain switch come from :func:`plain_switch_reference`, a depth-first
+search of its own, not from the package's BFS-tree potentials.  They call
 one another and the graph layer, never the package's own versions, so the
 package must match them on every input.
 """
@@ -25,8 +27,6 @@ from hermitia import (
     inertia,
     is_connected,
     is_odd_triangle,
-    is_positive,
-    tree_normalize,
 )
 from hermitia.graph_core import VertexSet
 
@@ -116,6 +116,33 @@ def twin_partition_reference(graph: QuartGainGraph) -> TwinPartitionReference:
     )
 
 
+def plain_switch_reference(graph: QuartGainGraph) -> Optional[tuple[Unit, ...]]:
+    """A switch theta with every switched gain g - theta_u + theta_v equal to
+    1 (code 0), or None when the graph is not positive.
+
+    A depth-first search from each component's smallest vertex sets theta_w
+    = theta_u - gain(u -> w) on first reaching w from u; then every edge is
+    checked.
+    """
+    theta: list[Optional[Unit]] = [None] * graph.n
+    for root in range(graph.n):
+        if theta[root] is not None:
+            continue
+        theta[root] = UNIT_ONE
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for w in graph.neighbors(u):
+                if theta[w] is None:
+                    theta[w] = (theta[u] - graph.gain(u, w)) % 4
+                    stack.append(w)
+    for u in range(graph.n):
+        for w in graph.neighbors(u):
+            if (graph.gain(u, w) - theta[u] + theta[w]) % 4 != UNIT_ONE:
+                return None
+    return tuple(theta)
+
+
 def p1_characterize_reference(graph: QuartGainGraph) -> Optional[str]:
     live = [v for v in range(graph.n) if graph.degree(v) > 0]
     if not live:
@@ -124,7 +151,7 @@ def p1_characterize_reference(graph: QuartGainGraph) -> Optional[str]:
     parts = complete_multipartite_parts_reference(core)
     if parts is None or len(parts) < 2:
         return None
-    if is_positive(core):
+    if plain_switch_reference(core) is not None:
         return "multipartite"
     reduced = induced_subgraph(core, twin_partition_reference(core).representatives)
     if len(parts) == 3 and is_odd_triangle(reduced):
@@ -162,7 +189,7 @@ def lem311_check_reference(f1: QuartGainGraph, f2: QuartGainGraph, v: int) -> bo
 
     # Switch f1 to all-1 gains, extend to f2 with v untouched, then the
     # apex gains must be constant per class.
-    theta1 = tree_normalize(f1).assignment
+    theta1 = plain_switch_reference(f1)
     theta2 = [0] * f2.n
     for x in range(f1.n):
         theta2[to_f2(x)] = theta1[x]

@@ -7,6 +7,7 @@ give exactly their outputs, exceptions included.
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from hermitia import (
     disjoint_union,
     gen_c3t,
     gen_complete_multipartite,
+    is_positive,
     lem311_check,
     p1_characterize,
     relabel,
@@ -154,6 +156,90 @@ def test_twin_reduction_of_dense_order_1024_is_fast():
     reduced, elapsed = timed_under_alarm(lambda: twin_reduction(g), "twin_reduction on order 1024")
     assert reduced.n == n
     assert elapsed < 2.0
+
+
+def _planted_twins(rng: random.Random, n: int, base: int, edge_prob: float = 0.5):
+    """A random graph on ``base`` vertices grown to order n by copies, shuffled.
+
+    Each new vertex copies the current row of a random base vertex times a
+    random unit, which makes it a twin of that vertex: its later rows are
+    copied with it.  Returns the graph and the twin partition the copies
+    plant, as (classes, representatives, alphas).
+    """
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    for u, v in itertools.combinations(range(base), 2):
+        if rng.random() < edge_prob:
+            gain = rng.choice(UNITS)
+            rows[u][v], rows[v][u] = gain, -gain % 4
+    origin, unit = list(range(base)), [0] * base
+    for c in range(base, n):
+        u, alpha = rng.randrange(base), rng.choice(UNITS)
+        for x, gain in list(rows[u].items()):
+            rows[c][x], rows[x][c] = (gain + alpha) % 4, -(gain + alpha) % 4
+        origin.append(u)
+        unit.append(alpha)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = QuartGainGraph(n, [(perm[u], perm[x], gain) for u in range(n) for x, gain in rows[u].items() if u < x])
+    members: dict[int, list[int]] = {}
+    for old in sorted(range(n), key=perm.__getitem__):
+        members.setdefault(origin[old], []).append(old)
+    classes = sorted(members.values(), key=lambda olds: perm[olds[0]])
+    alphas = [0] * n
+    for olds in classes:
+        for old in olds:
+            alphas[perm[old]] = (unit[old] - unit[olds[0]]) % 4
+    return g, (
+        tuple(tuple(perm[old] for old in olds) for olds in classes),
+        tuple(perm[olds[0]] for olds in classes),
+        tuple(alphas),
+    )
+
+
+@pytest.mark.parametrize("n", [*range(29, 34), *range(61, 66)])
+def test_planted_twins_across_key_digit_boundaries_match_reference(n):
+    # The twin key packs four n-bit masks, 4n bits, which crosses CPython's
+    # 30-bit int digits at these orders.  The planted units are random, so a
+    # key that did not rotate the masks by the first gain would split each
+    # class whose units differ.
+    rng = random.Random(n)
+    for base, edge_prob in [(n // 2, 0.5), (n // 3, 0.3), (n - 4, 0.7), (3, 0.9)]:
+        g, planted = _planted_twins(rng, n, base, edge_prob)
+        got, want = twin_partition(g), twin_partition_reference(g)
+        assert (got.classes, got.representatives, got.alphas) == (
+            want.classes,
+            want.representatives,
+            want.alphas,
+        )
+        # Twins within the base (isolated vertices among them) may merge
+        # planted classes, but no planted class is split.
+        class_of = {v: i for i, members in enumerate(got.classes) for v in members}
+        assert all(len({class_of[v] for v in members}) == 1 for members in planted[0])
+
+
+def test_planted_twin_classes_come_back_at_order_1024():
+    g, planted = _planted_twins(random.Random(4096), 1024, 256)
+    got = twin_partition(g)
+    assert (got.classes, got.representatives, got.alphas) == planted
+    assert twin_reduction(g).n == 256
+
+
+@pytest.fixture(scope="module")
+def dense_order_1024():
+    rng = random.Random(1024)
+    n = 1024
+    return [(u, v, rng.choice(UNITS)) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+
+
+@pytest.mark.parametrize(
+    "reader", [complete_multipartite_parts, is_positive, p1_characterize], ids=lambda f: f.__name__
+)
+def test_readers_of_dense_order_1024_are_fast(dense_order_1024, reader):
+    # The .qgg cap, reachable through `hermitia classify`.  Each reader gets a
+    # fresh graph, so the time includes its one pass over the edges.
+    g = QuartGainGraph(1024, dense_order_1024)
+    _, elapsed = timed_under_alarm(lambda: reader(g), f"{reader.__name__} on order 1024", time.process_time)
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("u, w", [(0, 0), (0, 9), (-1, 0)])

@@ -22,6 +22,7 @@ from hermitia import (
     converse,
     cycle_signature,
     cycle_value,
+    disjoint_union,
     eig_float,
     gen_c3t,
     gen_cycle,
@@ -42,7 +43,7 @@ from hermitia import (
     two_way_mixed,
     underlying,
 )
-from hermitia.switching_twins import MAX_ISO_ORDER, _walk_values
+from hermitia.switching_twins import MAX_ISO_ORDER, _walk_values, positive_switch
 
 from conftest import (
     brute_force_equivalent,
@@ -301,6 +302,38 @@ def test_is_positive_examples():
     # Disconnected: both components must be positive.
     g = parse_graph("n 6\nU 0 1\nU 1 2\nU 0 2\nA 3 4\nU 4 5\nU 3 5")
     assert not is_positive(g)
+
+
+def test_is_positive_matches_a_search_over_every_switch():
+    # is_positive(g) holds exactly when some switch with theta_0 = 1 turns
+    # every gain into 1.  The search tries every such switch at once: row r
+    # of a table is one switch, and an edge (u, v, g) keeps the rows with
+    # theta_v - theta_u = -g (mod 4).  The unions put a second component
+    # whose root the pinned theta_0 does not reach.
+    classes = list(classes_up_to(4))
+    steps = {}
+
+    def found_by_search(g):
+        if g.n not in steps:
+            table = np.array([(0, *free) for free in itertools.product(UNITS, repeat=g.n - 1)], dtype=np.int8)
+            steps[g.n] = {(u, v): (table[:, v] - table[:, u]) % 4 for u, v in itertools.combinations(range(g.n), 2)}
+        keep = True
+        for u, v, gain in g.edges:
+            keep = keep & (steps[g.n][u, v] == -gain % 4)
+        return bool(np.any(keep))
+
+    graphs = classes + [disjoint_union(a, b) for i, a in enumerate(classes) for b in classes[i:]]
+    positive = 0
+    for g in graphs:
+        got = is_positive(g)
+        assert got == found_by_search(g), g
+        theta = positive_switch(g)
+        assert (theta is not None) == got
+        if got:
+            assert theta[0] == UNIT_ONE and apply_switch(g, theta) == underlying(g)
+            positive += 1
+    # One positive class per connected underlying graph: 10 up to order 4.
+    assert len(graphs) == 97 + 97 * 98 // 2 and positive == 10 + 10 * 11 // 2
 
 
 def test_up_to_iso_examples():

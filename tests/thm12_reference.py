@@ -8,8 +8,9 @@ is the one the package must report, with the same params and witnesses.
 
 Its shape and case-i readers are the package's as they stood before each
 cut-vertex side was read once: the block's parts and the apex shape are
-read separately, on the reference parts of ``parts_twins_reference``.  The
-only private name it takes from the package is the ``_ApexShape`` record.
+read separately, on the reference parts, positivity test and twin scan of
+``parts_twins_reference``.  The only private name it takes from the
+package is the ``_ApexShape`` record.
 """
 
 from __future__ import annotations
@@ -27,16 +28,18 @@ from hermitia import (
     induced_subgraph,
     is_connected,
     is_odd_triangle,
-    is_positive,
     lem310_condition,
     pendant_vertices,
     relabel,
     switching_witness,
-    twin_reduction,
 )
 from hermitia.classify import _ApexShape
 from hermitia.graph_core import VertexSet
-from parts_twins_reference import complete_multipartite_parts_reference
+from parts_twins_reference import (
+    complete_multipartite_parts_reference,
+    plain_switch_reference,
+    twin_partition_reference,
+)
 
 
 def thm12_classify_reference(graph: QuartGainGraph) -> ClassificationResult:
@@ -89,7 +92,7 @@ def _try_case_ii(graph, shape, r, k, params, witnesses) -> None:
         return
     if p == 1 and len(shape.adjacent_parts[0]) < 2 and k < 3:
         return
-    if not is_positive(graph):
+    if plain_switch_reference(graph) is None:
         return
     family, perm, relabeled = _family_candidate(
         graph, shape, (), (), shape.adjacent_parts
@@ -181,9 +184,9 @@ def _p1_reading(graph: QuartGainGraph) -> Optional[tuple[str, list[VertexSet]]]:
     parts = complete_multipartite_parts_reference(core)
     if parts is None or len(parts) < 2:
         return None
-    if is_positive(core):
+    if plain_switch_reference(core) is not None:
         return "multipartite", parts
-    if len(parts) == 3 and is_odd_triangle(twin_reduction(core)):
+    if len(parts) == 3 and is_odd_triangle(induced_subgraph(core, twin_partition_reference(core).representatives)):
         return "c3t", parts
     return None
 
